@@ -2,7 +2,7 @@
 
 The layers, from the ground up:
 
-- exactfield: the degree-16 tower Q(zeta12, 3^(1/4)) with exact signs
+- exactfield: the degree-8 tower Q(zeta12, 3^(1/4)) with exact signs
   and certified interval embeddings (balls holds the interval type);
 - intlat: integer and rational matrix utilities (Smith form, symplectic
   bases, saturated kernels);

@@ -25,6 +25,10 @@ class LiteralError(ValueError):
 
 _TOKEN = re.compile(r"\s*(\d+\.\d+|\.\d+|\d+|[A-Za-z_]+|\*\*|[()^+\-*/])")
 
+# largest |exponent| a literal may use: 3^1024 already has 1,624 bits, and
+# unbounded exponents would let one argument allocate without limit
+MAX_EXPONENT = 1024
+
 _NAMES = {"i": IUNIT, "zeta": ZETA, "alpha": ROOT4_3,
           "rho": RHO, "sqrt3": SQRT3}
 
@@ -100,6 +104,9 @@ class _Parser:
             if not tok.isdigit():
                 raise LiteralError(f"exponent must be an integer, got {tok!r}")
             n = int(tok)
+            if n > MAX_EXPONENT:
+                raise LiteralError(f"exponent {sign * n} is out of range "
+                                   f"(|exponent| <= {MAX_EXPONENT})")
             if sign < 0:
                 if base.is_zero():
                     raise LiteralError("zero to a negative power")
@@ -130,7 +137,8 @@ def parse_tower(text):
     """Exact value from a literal like '(1/2)+(-1)*zeta^3' or '0.25,0.5'.
 
     A comma splits real and imaginary parts, each again a literal;
-    decimals are read exactly as the rationals they denote.
+    decimals are read exactly as the rationals they denote.  Exponents
+    are integers of absolute value at most MAX_EXPONENT.
     """
     text = text.strip()
     if not text:
@@ -334,8 +342,8 @@ def snf(matrix, path):
         U, D, V = intlat.smith_normal_form(A)
     except (ValueError, IndexError) as exc:
         raise click.UsageError(f"not a valid integer matrix: {exc}")
-    payload = {"divisors": intlat.snf_divisors(A),
-               "U": U, "D": D, "V": V}
+    divisors = [D[i][i] for i in range(min(len(D), len(D[0])))]
+    payload = {"divisors": divisors, "U": U, "D": D, "V": V}
     click.echo(json.dumps(payload, indent=2, sort_keys=True))
 
 

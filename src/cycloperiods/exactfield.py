@@ -3,130 +3,142 @@
 zeta is a primitive 12th root of unity with minimal polynomial
 Phi12(x) = x^4 - x^2 + 1, and alpha is the real fourth root of 3.  Since
 alpha^2 = sqrt(3) = 2*zeta - zeta^3 already lies in Q(zeta12), the tower
-is a quadratic extension of the cyclotomic field and every element is
+has degree 8 over Q and every element is
 
     (c0 + c1 z + c2 z^2 + c3 z^3)  +  (a0 + a1 z + a2 z^2 + a3 z^3) * alpha
 
-with rational coordinates.  Useful landmarks inside the tower:
+with rational coordinates (landmarks such as i = zeta^3 and rho = zeta^4
+are the module constants below).
 
-    i     = zeta^3          rho    = zeta^4  (primitive cube root of 1)
-    sqrt3 = 2 zeta - zeta^3 3^(-1/4) = alpha^3 / 3
-
-The complex embedding is fixed once and for all: zeta -> exp(i*pi/6)
-(upper half plane, 30 degrees) and alpha -> +3^(1/4).  `embed` returns a
-certified ComplexBall for that embedding; equality testing never falls
-back on numerics.
+As in FLINT/ANTIC's nf_elem (W. Hart, "ANTIC", 2015) an element is 8
+integers n = (c0..c3, a0..a3) over one denominator d > 0, gcd(d, *n) = 1.
+Products are integer convolutions reduced by z^4 = z^2 - 1 and alpha^2 =
+2z - z^3, then one gcd; a rational operand only scales the numerators.
+Inverses are closed form: 1/(b + a alpha) = (b - a alpha)/(b^2 - a^2 sqrt3),
+1/x = conj(x)/(x conj(x)) in Q(zeta12), and 1/(s + t sqrt3) =
+(s - t sqrt3)/(s^2 - 3t^2).  The embedding zeta -> exp(i*pi/6), alpha ->
++3^(1/4) is fixed; `embed` returns a certified ComplexBall for it, and
+equality testing never falls back on numerics.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .balls import ComplexBall, sqrt3_ball, root4_3_ball
 
-_Q0 = Fraction(0)
-_ZERO4 = (_Q0, _Q0, _Q0, _Q0)
+_Z4 = (0, 0, 0, 0)
+_Z7 = (0,) * 7
 
 
-def _c4(values):
-    vals = tuple(Fraction(v) for v in values)
-    if len(vals) > 4:
-        raise ValueError("cyclotomic coordinate vector too long")
-    return vals + _ZERO4[len(vals):]
+# -- integer vectors of Z[zeta12] ----------------------------------------
+
+def _zmul(p, q):
+    """Product in Z[zeta12]: convolution reduced by z^4 = z^2 - 1, z^6 = -1."""
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = q
+    r4 = p1 * q3 + p2 * q2 + p3 * q1
+    r5 = p2 * q3 + p3 * q2
+    return (p0 * q0 - r4 - p3 * q3, p0 * q1 + p1 * q0 - r5,
+            p0 * q2 + p1 * q1 + p2 * q0 + r4,
+            p0 * q3 + p1 * q2 + p2 * q1 + p3 * q0 + r5)
 
 
-def _cadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+def _zsqrt3(p):
+    """p * sqrt3 = p * (2z - z^3)."""
+    p0, p1, p2, p3 = p
+    return (p1 - p3, 2 * p0 + p2, p1 + 2 * p3, p2 - p0)
 
 
-def _csub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+def _zconj(p):
+    """Complex conjugation zeta -> zeta^11 = zeta - zeta^3; unimodular."""
+    p0, p1, p2, p3 = p
+    return (p0 + p2, p1, -p2, -p1 - p3)
 
 
-def _cneg(a):
-    return tuple(-x for x in a)
+def _zadd(p, q):
+    return (p[0] + q[0], p[1] + q[1], p[2] + q[2], p[3] + q[3])
 
 
-def _cmul(a, b):
-    # convolution, then reduce by z^4 = z^2 - 1 (so z^5 = z^3 - z, z^6 = -1)
-    c = [_Q0] * 7
-    for i in range(4):
-        if a[i]:
-            for j in range(4):
-                c[i + j] += a[i] * b[j]
-    c[0] -= c[6]
-    c[3] += c[5]
-    c[1] -= c[5]
-    c[2] += c[4]
-    c[0] -= c[4]
-    return tuple(c[:4])
+def _zsub(p, q):
+    return (p[0] - q[0], p[1] - q[1], p[2] - q[2], p[3] - q[3])
 
 
-def _cconj(a):
-    # complex conjugation: zeta -> zeta^11 = zeta - zeta^3
-    c0, c1, c2, c3 = a
-    return (c0 + c2, c1, -c2, -c1 - c3)
+def _raw(n, d):
+    """Element n / d; the caller guarantees d > 0 and gcd(d, *n) = 1."""
+    x = object.__new__(TowerElem)
+    _set_n(x, n)
+    _set_d(x, d)
+    return x
 
 
-def _cis0(a):
-    return not any(a)
+def _make(n, d):
+    """Element n / d for d != 0, reduced by one gcd to d > 0."""
+    g = gcd(d, *n) if d > 0 else -gcd(d, *n)
+    return _raw(n, d) if g == 1 else _raw(tuple([v // g for v in n]), d // g)
 
 
-def _cinv(a):
-    """Inverse in Q(zeta12) by solving the 4x4 multiplication system."""
-    if _cis0(a):
-        raise ZeroDivisionError("inverse of zero in Q(zeta12)")
-    cols = []
-    for k in range(4):
-        e = [_Q0] * 4
-        e[k] = Fraction(1)
-        cols.append(_cmul(a, tuple(e)))
-    aug = [[cols[k][i] for k in range(4)] + [Fraction(1) if i == 0 else _Q0]
-           for i in range(4)]
-    for col in range(4):
-        piv = next(r for r in range(col, 4) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(4):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(aug[i][4] for i in range(4))
+def _scale(x, p, q):
+    """x * p/q for a reduced fraction p/q with q > 0; no convolution."""
+    if not p:
+        return ZERO
+    g, h = gcd(p, x.d), (gcd(q, *x.n) if q != 1 else 1)
+    p, n = p // g, (x.n if h == 1 else [v // h for v in x.n])
+    return _raw(tuple([v * p for v in n]), x.d // g * (q // h))
 
 
-_SQRT3_COORDS = _c4((0, 2, 0, -1))  # 2*zeta - zeta^3
+def _add(x, y, sub):
+    """x + y, or x - y when sub; NotImplemented for a foreign y."""
+    if not isinstance(y, TowerElem):
+        if not isinstance(y, (int, Fraction)):
+            return NotImplemented
+        y = _raw((y.numerator,) + _Z7, y.denominator)
+    n, d, m, e = x.n, x.d, y.n, y.d
+    if d != e:      # bring both over lcm(d, e)
+        g = gcd(d, e)
+        n, m, d = [v * (e // g) for v in n], [v * (d // g) for v in m], d * (e // g)
+    if sub:
+        return _make(tuple([u - v for u, v in zip(n, m)]), d)
+    return _make(tuple([u + v for u, v in zip(n, m)]), d)
 
 
 class TowerElem:
-    """Immutable element of Q(zeta12)(alpha)."""
+    """Immutable element of Q(zeta12)(alpha): 8 integers over one denominator."""
 
-    __slots__ = ("c", "a")
+    __slots__ = ("n", "d")
 
-    def __init__(self, c=_ZERO4, a=_ZERO4):
-        object.__setattr__(self, "c", _c4(c))
-        object.__setattr__(self, "a", _c4(a))
+    def __init__(self, c=(), a=()):
+        c, a = tuple(c), tuple(a)
+        if len(c) > 4 or len(a) > 4:
+            raise ValueError("cyclotomic coordinate vector too long")
+        q = [Fraction(v) for v in c + _Z4[len(c):] + a + _Z4[len(a):]]
+        d = lcm(*[v.denominator for v in q])
+        _set_n(self, tuple([v.numerator * (d // v.denominator) for v in q]))
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("TowerElem is immutable")
+
+    c = property(lambda self: tuple([Fraction(v, self.d) for v in self.n[:4]]))
+    a = property(lambda self: tuple([Fraction(v, self.d) for v in self.n[4:]]))
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def rational(q):
-        return TowerElem((Fraction(q), _Q0, _Q0, _Q0))
+        return TowerElem.coerce(Fraction(q))
 
     @staticmethod
     def coerce(x):
         if isinstance(x, TowerElem):
             return x
         if isinstance(x, (int, Fraction)):
-            return TowerElem.rational(x)
+            return _raw((x.numerator,) + _Z7, x.denominator)
         raise TypeError(f"cannot coerce {type(x).__name__} into the tower")
 
     @staticmethod
     def from_json(obj):
         try:
-            c = [Fraction(n, d) for n, d in obj["c"]]
-            a = [Fraction(n, d) for n, d in obj["a"]]
+            c, a = ([Fraction(n, d) for n, d in obj[k]] for k in ("c", "a"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed tower element: {exc}") from exc
         if len(c) != 4 or len(a) != 4:
@@ -134,53 +146,63 @@ class TowerElem:
         return TowerElem(c, a)
 
     def to_json(self):
-        return {"c": [[x.numerator, x.denominator] for x in self.c],
-                "a": [[x.numerator, x.denominator] for x in self.a]}
+        d = self.d
+        out = [[v // g, d // g] for v in self.n for g in (gcd(v, d),)]
+        return {"c": out[:4], "a": out[4:]}
 
     # -- ring structure ----------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, (TowerElem, int, Fraction)):
-            return NotImplemented
-        other = TowerElem.coerce(other)
-        return TowerElem(_cadd(self.c, other.c), _cadd(self.a, other.a))
+        return _add(self, other, False)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, (TowerElem, int, Fraction)):
-            return NotImplemented
-        other = TowerElem.coerce(other)
-        return TowerElem(_csub(self.c, other.c), _csub(self.a, other.a))
+        return _add(self, other, True)
 
     def __rsub__(self, other):
-        return TowerElem.coerce(other) - self
+        return _add(-self, other, False)
 
     def __neg__(self):
-        return TowerElem(_cneg(self.c), _cneg(self.a))
+        return _raw(tuple([-v for v in self.n]), self.d)
 
     def __mul__(self, other):
-        if not isinstance(other, (TowerElem, int, Fraction)):
+        if not isinstance(other, TowerElem):
+            if isinstance(other, (int, Fraction)):
+                return _scale(self, other.numerator, other.denominator)
             return NotImplemented
-        other = TowerElem.coerce(other)
-        # (b1 + a1 alpha)(b2 + a2 alpha) with alpha^2 = sqrt3 in Q(zeta12)
-        return TowerElem(
-            _cadd(_cmul(self.c, other.c),
-                  _cmul(_SQRT3_COORDS, _cmul(self.a, other.a))),
-            _cadd(_cmul(self.c, other.a), _cmul(self.a, other.c)))
+        n, m = self.n, other.n
+        if m[1:] == _Z7:
+            return _scale(self, m[0], other.d)
+        if n[1:] == _Z7:
+            return _scale(other, n[0], self.d)
+        b1, a1, b2, a2 = n[:4], n[4:], m[:4], m[4:]
+        c, a = _zmul(b1, b2), _Z4
+        if a1 != _Z4 or a2 != _Z4:      # alpha^2 = sqrt3
+            c = _zadd(c, _zsqrt3(_zmul(a1, a2)))
+            a = _zadd(_zmul(b1, a2), _zmul(a1, b2))
+        return _make(c + a, self.d * other.d)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero tower element")
-        if _cis0(self.a):
-            return TowerElem(_cinv(self.c))
-        # 1/(b + a alpha) = (b - a alpha)/(b^2 - a^2 sqrt3)
-        den = _csub(_cmul(self.c, self.c),
-                    _cmul(_SQRT3_COORDS, _cmul(self.a, self.a)))
-        di = _cinv(den)
-        return TowerElem(_cmul(self.c, di), _cneg(_cmul(self.a, di)))
+        n, d = self.n, self.d
+        if n[1:] == _Z7:
+            if not n[0]:
+                raise ZeroDivisionError("inverse of zero tower element")
+            return _raw((d if n[0] > 0 else -d,) + _Z7, abs(n[0]))
+        b, a = n[:4], n[4:]
+        if a == _Z4:    # 1/x = d / D with D = b
+            b, D = (1, 0, 0, 0), b
+        else:           # 1/x = d (b - a alpha) / D with D = b^2 - a^2 sqrt3
+            D = _zsub(_zmul(b, b), _zsqrt3(_zmul(a, a)))
+        # D conj(D) is real: s - t sqrt3 = (s, -2t, 0, t) for integers s, t,
+        # so 1/D = conj(D) (s + t sqrt3) / (s^2 - 3 t^2)
+        Dc = _zconj(D)
+        s, _, _, t = _zmul(D, Dc)
+        w = _zmul(Dc, (s, 2 * t, 0, -t))
+        return _make(tuple([d * v for v in _zmul(b, w)]
+                           + [-d * v for v in _zmul(a, w)]), s * s - 3 * t * t)
 
     def __truediv__(self, other):
         if not isinstance(other, (TowerElem, int, Fraction)):
@@ -193,91 +215,85 @@ class TowerElem:
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = ONE
-        base = self
+        base, k, out = (self.inverse() if k < 0 else self), abs(k), ONE
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            base = base * base if k else base
         return out
 
     # -- structure maps ----------------------------------------------
 
     def conjugate(self):
         """Complex conjugation: zeta -> zeta^-1, alpha -> alpha."""
-        return TowerElem(_cconj(self.c), _cconj(self.a))
+        return _raw(_zconj(self.n[:4]) + _zconj(self.n[4:]), self.d)
 
     def is_zero(self):
-        return _cis0(self.c) and _cis0(self.a)
+        return not any(self.n)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.n)
 
     def is_rational(self):
-        return _cis0(self.a) and not any(self.c[1:])
+        return self.n[1:] == _Z7
 
     def as_rational(self):
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.c[0]
+        return Fraction(self.n[0], self.d)
 
     def in_K(self):
         """Membership in K = Q(rho), rho = zeta^4 = zeta^2 - 1."""
-        return _cis0(self.a) and self.c[1] == 0 and self.c[3] == 0
+        return self.n[4:] == _Z4 and self.n[1] == 0 == self.n[3]
 
     def as_K_pair(self):
         """Write an element of K as (p, q) with value p + q*rho."""
         if not self.in_K():
             raise ValueError("element is not in Q(rho)")
-        # c0 + c2 zeta^2 = (c0 + c2) + c2 rho
-        return (self.c[0] + self.c[2], self.c[2])
+        n, d = self.n, self.d   # c0 + c2 zeta^2 = (c0 + c2) + c2 rho
+        return (Fraction(n[0] + n[2], d), Fraction(n[2], d))
 
     def is_real(self):
         return self == self.conjugate()
 
     def as_sqrt3_pair(self):
         """Write an element of Q(sqrt3) as (s, t) with value s + t*sqrt3."""
-        c0, c1, c2, c3 = self.c
-        if not _cis0(self.a) or c2 != 0 or c1 != -2 * c3:
+        n0, n1, n2, n3 = self.n[:4]
+        if self.n[4:] != _Z4 or n2 != 0 or n1 != -2 * n3:
             raise ValueError("element is not in Q(sqrt3)")
-        return (c0, -c3)
-
-    # -- comparisons ---------------------------------------------------
+        return (Fraction(n0, self.d), Fraction(-n3, self.d))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = TowerElem.rational(other)
+            other = TowerElem.coerce(other)
         if not isinstance(other, TowerElem):
             return NotImplemented
-        return self.c == other.c and self.a == other.a
+        return self.n == other.n and self.d == other.d
 
     def __hash__(self):
-        return hash((self.c, self.a))
+        return hash((self.n, self.d))
 
     def __repr__(self):
-        def side(coords, suffix):
-            parts = []
-            for k, v in enumerate(coords):
-                if v:
-                    unit = ("" if k == 0 else "z" if k == 1 else f"z^{k}")
-                    term = str(v) if k == 0 else (f"{v}*{unit}" if v != 1 else unit)
-                    parts.append(term + suffix)
-            return parts
-        parts = side(self.c, "") + side(self.a, "*alpha" if any(self.a) else "")
-        return " + ".join(parts) if parts else "0"
+        parts = []
+        for k, v in enumerate(self.c + self.a):
+            if v:
+                unit = ("", "z", "z^2", "z^3")[k % 4]
+                term = str(v) if not unit else unit if v == 1 else f"{v}*{unit}"
+                parts.append(term + ("*alpha" if k >= 4 else ""))
+        return " + ".join(parts) or "0"
+
+
+_set_n = TowerElem.n.__set__
+_set_d = TowerElem.d.__set__
 
 
 def zeta_power(k):
     """zeta^k for any integer k."""
     k %= 12
-    coords = [_Q0] * 4
     if k < 4:
-        coords[k] = Fraction(1)
-        return TowerElem(coords)
-    return TowerElem((_Q0, _Q0, _Q0, Fraction(1))) * zeta_power(k - 3)
+        return _raw(_Z4[:k] + (1,) + _Z4[k + 1:] + _Z4, 1)
+    return IUNIT * zeta_power(k - 3)
 
 
 ZERO = TowerElem()
@@ -285,9 +301,9 @@ ONE = TowerElem.rational(1)
 ZETA = TowerElem((0, 1))
 IUNIT = TowerElem((0, 0, 0, 1))          # zeta^3
 RHO = TowerElem((-1, 0, 1))              # zeta^4 = zeta^2 - 1
-SQRT3 = TowerElem(_SQRT3_COORDS)
-ROOT4_3 = TowerElem(_ZERO4, (1,))        # alpha
-INV_ROOT4_3 = TowerElem(_ZERO4, (Fraction(1, 3),)) * SQRT3   # alpha^3/3
+SQRT3 = TowerElem((0, 2, 0, -1))         # 2*zeta - zeta^3
+ROOT4_3 = TowerElem(_Z4, (1,))           # alpha
+INV_ROOT4_3 = TowerElem(_Z4, (Fraction(1, 3),)) * SQRT3   # alpha^3/3
 HALF = TowerElem.rational(Fraction(1, 2))
 
 
@@ -302,44 +318,36 @@ def trace_K(x):
     if not x.in_K():
         raise ValueError("trace_K requires an element of Q(rho)")
     p, q = x.as_K_pair()
-    # rho + conj(rho) = -1
-    return 2 * p - q
+    return 2 * p - q        # rho + conj(rho) = -1
 
 
 def _sqrt3_pair_sign(s, t):
     """Exact sign of s + t*sqrt(3) for rational s, t."""
-    if t == 0:
-        return (s > 0) - (s < 0)
-    if s == 0:
-        return (t > 0) - (t < 0)
-    if (s > 0) == (t > 0):
-        return 1 if s > 0 else -1
-    # mixed signs: |s| vs |t| sqrt3 decided by s^2 vs 3 t^2, never equal
-    big = s * s > 3 * t * t
-    return (1 if big else -1) if s > 0 else (-1 if big else 1)
+    ss, st = (s > 0) - (s < 0), (t > 0) - (t < 0)
+    if st == 0 or ss == st:
+        return ss
+    # mixed signs (or s = 0): |s| vs |t| sqrt3 by s^2 vs 3 t^2, never equal
+    return ss if s * s > 3 * t * t else st
 
 
 def real_sign(x):
     """Exact sign in {-1, 0, 1} of a real tower element.
 
-    Real elements are exactly u + v*alpha with u, v in Q(sqrt3).  The
-    sign falls out of rational comparisons: alpha > 0, and when u and v
-    disagree in sign the winner is decided by u^2 vs v^2 sqrt3, again a
-    comparison inside Q(sqrt3).
+    Real elements are exactly (u + v*alpha)/d with u, v in Z[sqrt3] and
+    d > 0.  As alpha > 0, only when u and v disagree in sign is there a
+    contest, decided by the sign of u^2 - v^2 sqrt3 in Z[sqrt3].
     """
     x = TowerElem.coerce(x)
     if not x.is_real():
         raise ValueError("real_sign requires a real element")
-    u = TowerElem(x.c)
-    v = TowerElem(x.a)
-    su = _sqrt3_pair_sign(*u.as_sqrt3_pair())
-    sv = _sqrt3_pair_sign(*v.as_sqrt3_pair())
+    # s + t sqrt3 in Q(sqrt3) has the coordinates (s, 2t, 0, -t)
+    u, v = x.n[:4], x.n[4:]
+    su = _sqrt3_pair_sign(u[0], -u[3])
+    sv = _sqrt3_pair_sign(v[0], -v[3])
     if sv == 0 or su == sv:
         return su
-    if su == 0:
-        return sv
-    d = u * u - v * v * SQRT3
-    sd = _sqrt3_pair_sign(*d.as_sqrt3_pair())
+    w = _zsub(_zmul(u, u), _zsqrt3(_zmul(v, v)))
+    sd = _sqrt3_pair_sign(w[0], -w[3])
     if sd == 0:
         # u^2 = v^2 sqrt3 would put alpha inside Q(sqrt3)
         raise ArithmeticError("degenerate comparison in real_sign")
@@ -353,18 +361,11 @@ _BASIS_CACHE = {}
 
 def _basis_balls(prec):
     """Balls for zeta^k and alpha*zeta^k, k = 0..3, at the working precision."""
-    cached = _BASIS_CACHE.get(prec)
-    if cached is not None:
-        return cached
-    s3 = sqrt3_ball(prec)
-    alpha = root4_3_ball(prec)
-    half = Fraction(1, 2)
-    zpow = [
-        ComplexBall.exact(1),
-        ComplexBall(s3.re * half, half, s3.rad * half),      # zeta
-        ComplexBall(half, s3.re * half, s3.rad * half),      # zeta^2
-        ComplexBall.exact(0, 1),                             # zeta^3 = i
-    ]
+    if prec in _BASIS_CACHE:
+        return _BASIS_CACHE[prec]
+    s3, alpha, half = sqrt3_ball(prec), root4_3_ball(prec), Fraction(1, 2)
+    zpow = [ComplexBall.exact(1), ComplexBall(s3.re * half, half, s3.rad * half),
+            ComplexBall(half, s3.re * half, s3.rad * half), ComplexBall.exact(0, 1)]
     basis = zpow + [alpha * z for z in zpow]
     _BASIS_CACHE[prec] = basis
     return basis
@@ -377,9 +378,7 @@ def embed(x, prec=128):
     x = TowerElem.coerce(x)
     basis = _basis_balls(prec)
     acc = ComplexBall.exact(0)
-    for k in range(4):
-        if x.c[k]:
-            acc = acc + basis[k].scale(x.c[k])
-        if x.a[k]:
-            acc = acc + basis[4 + k].scale(x.a[k])
+    for k, v in enumerate(x.n):
+        if v:
+            acc = acc + basis[k].scale(Fraction(v, x.d))
     return acc

@@ -10,6 +10,7 @@ inconclusive instead of guessing.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from . import intlat
 from .balls import ball_det
@@ -352,10 +353,16 @@ class PeriodMatrix:
 
 
 def _polarization_inverse(pm):
-    det, inv = intlat.exact_det_inv(pm.polarization)
+    """E^{-1} as a tuple of tuples, shared by every matrix with polarization E."""
+    return _rational_inverse(tuple(map(tuple, pm.polarization)))
+
+
+@lru_cache(maxsize=16)
+def _rational_inverse(E):
+    det, inv = intlat.exact_det_inv(E)
     if det == 0 or inv is None:
         raise ValueError("polarization is degenerate")
-    return inv
+    return tuple(map(tuple, inv))
 
 
 def riemann_first_relation(pm):

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from cycloperiods import cli, intlat, stcurve
 from cycloperiods.exactfield import (
-    HALF, INV_ROOT4_3, IUNIT, ONE, RHO, TowerElem, cyclo,
+    HALF, INV_ROOT4_3, IUNIT, ONE, RHO, TowerElem, cyclo, zeta_power,
 )
 
 
@@ -41,10 +41,22 @@ def test_parse_tower_literals():
 
 @pytest.mark.parametrize("bad", [
     "", "1+", "(1", "zeta^x", "1$", "1/0", "0^-1", "frob",
+    "3^200000", "2^-1025", "zeta**99999999999999999999",
 ])
 def test_parse_tower_rejects(bad):
     with pytest.raises((cli.LiteralError, ZeroDivisionError)):
         cli.parse_tower(bad)
+
+
+def test_parse_tower_exponent_bound(runner):
+    bound = cli.MAX_EXPONENT
+    assert cli.parse_tower(f"zeta^{bound}") == zeta_power(bound)
+    assert cli.parse_tower(f"2^-{bound}") == TowerElem.rational(Fraction(1, 2 ** bound))
+    with pytest.raises(cli.LiteralError, match="out of range"):
+        cli.parse_tower(f"2^{bound + 1}")
+    result = runner.invoke(cli.main, ["emit", "genus4", "--tau", "i + 3^200000"])
+    assert result.exit_code == 2
+    assert "out of range" in _text(result)
 
 
 # -- verify -----------------------------------------------------------------
@@ -192,6 +204,22 @@ def test_tools_snf(runner):
     assert payload["divisors"] == [1, 1, 1, 1, 3, 3]
     U, D, V = payload["U"], payload["D"], payload["V"]
     assert intlat.matmul(U, intlat.matmul(stcurve.PRYM_POLARIZATION, V)) == D
+
+
+def test_tools_snf_computes_the_smith_form_once(runner, monkeypatch):
+    calls = []
+    real = intlat.smith_normal_form
+
+    def counting(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(intlat, "smith_normal_form", counting)
+    blob = json.dumps(stcurve.PRYM_POLARIZATION)
+    result = runner.invoke(cli.main, ["tools", "snf", "--matrix", blob])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["divisors"] == [1, 1, 1, 1, 3, 3]
+    assert len(calls) == 1
 
 
 def test_tools_snf_from_file(runner, tmp_path):

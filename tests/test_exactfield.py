@@ -2,10 +2,16 @@
 
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+try:
+    import sympy
+except ImportError:         # sympy is a test-only dependency
+    sympy = None
 
 from cycloperiods.exactfield import (
     HALF,
@@ -221,3 +227,102 @@ def test_repr_smoke():
     assert "z" in repr(ZETA)
     assert "alpha" in repr(ROOT4_3)
     assert cyclo(1, 2, 3, 4) == ONE + ZETA * 2 + ZETA ** 2 * 3 + ZETA ** 3 * 4
+
+
+# -- wide heights, normal form, and an independent sympy model ----------------
+
+_wide_rat = st.builds(Fraction, st.integers(-2 ** 64, 2 ** 64), st.integers(1, 10 ** 6))
+_wide_coords = st.tuples(_wide_rat, _wide_rat, _wide_rat, _wide_rat)
+# full elements, elements of Q(zeta12), pure alpha parts and rationals, so
+# that every fast path of the integer representation is reached
+_wide = st.one_of(
+    st.builds(TowerElem, _wide_coords, _wide_coords),
+    st.builds(TowerElem, _wide_coords),
+    st.builds(lambda a: TowerElem((), a), _wide_coords),
+    _wide_rat.map(TowerElem.rational),
+)
+_needs_sympy = pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+
+
+def _assert_normal(x):
+    assert len(x.n) == 8 and all(isinstance(v, int) for v in x.n)
+    assert x.d > 0 and gcd(x.d, *x.n) == 1
+
+
+if sympy is not None:
+    _a, _z = sympy.symbols("a z")
+    # alpha^2 = 2z - z^3 and Phi12(z) = 0; in lex order with a > z the leading
+    # terms a^2 and z^4 are coprime, so the relations form a Groebner basis
+    # and the remainder modulo them is the unique normal form
+    _RELATIONS = [sympy.Poly(_a ** 2 - 2 * _z + _z ** 3, _a, _z, domain=sympy.QQ),
+                  sympy.Poly(_z ** 4 - _z ** 2 + 1, _a, _z, domain=sympy.QQ)]
+
+
+def _model(x):
+    """x as a sympy polynomial in a and z, read from its Fraction coordinates."""
+    expr = sum(sympy.Rational(v.numerator, v.denominator) * _a ** i * _z ** k
+               for i, coords in enumerate((x.c, x.a)) for k, v in enumerate(coords))
+    return sympy.Poly(expr, _a, _z, domain=sympy.QQ)
+
+
+def _model_coords(p):
+    """The 8 coordinates of the normal form of the polynomial p."""
+    _, rem = sympy.reduced(p, _RELATIONS, _a, _z, order="lex", polys=True)
+    assert rem.degree(_a) < 2 and rem.degree(_z) < 4
+    coeffs = [rem.coeff_monomial((i, k)) for i in range(2) for k in range(4)]
+    return tuple(Fraction(int(q.numerator), int(q.denominator)) for q in coeffs)
+
+
+@_needs_sympy
+@settings(max_examples=100, deadline=None)
+@given(_wide, _wide, _wide_rat)
+def test_wide_arithmetic_matches_sympy_model(x, y, q):
+    X, Y, Q = _model(x), _model(y), _model(TowerElem.rational(q))
+    assert (x * y).c + (x * y).a == _model_coords(X * Y)
+    assert (x + y).c + (x + y).a == _model_coords(X + Y)
+    assert (x - y).c + (x - y).a == _model_coords(X - Y)
+    assert (x * q).c + (x * q).a == _model_coords(X * Q)
+    assert (q - x).c + (q - x).a == _model_coords(Q - X)
+
+
+@_needs_sympy
+@settings(max_examples=100, deadline=None)
+@given(_wide)
+def test_wide_inverse_and_conjugate_match_sympy_model(x):
+    X = _model(x)
+    # conjugation is zeta -> zeta^11 = zeta^-1 and fixes alpha
+    conj = x.conjugate()
+    X11 = sympy.Poly(X.as_expr().subs(_z, _z ** 11), _a, _z, domain=sympy.QQ)
+    assert conj.c + conj.a == _model_coords(X11)
+    assume(not x.is_zero())
+    one = (Fraction(1),) + (Fraction(0),) * 7
+    assert _model_coords(X * _model(x.inverse())) == one
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wide, _wide, _wide_rat)
+def test_wide_results_are_normalised(x, y, q):
+    results = [x, y, x * y, x + y, x - y, -x, x * q, x + q, q - x,
+               x.conjugate(), x * x.conjugate()]
+    if not x.is_zero():
+        results += [x.inverse(), y / x, x ** -2]
+    for r in results:
+        _assert_normal(r)
+    assert x - x == ZERO and (x - x).d == 1
+    assert TowerElem(x.c, x.a) == x and hash(TowerElem(x.c, x.a)) == hash(x)
+
+
+def test_equal_values_share_one_normal_form():
+    half = TowerElem((Fraction(2, 4),))
+    assert half == TowerElem.rational(Fraction(1, 2)) == HALF == Fraction(1, 2)
+    assert hash(half) == hash(HALF)
+    assert (half.n, half.d) == ((1, 0, 0, 0, 0, 0, 0, 0), 2)
+    x = TowerElem((Fraction(6, 4), Fraction(-9, 6)), (Fraction(3, 2),))
+    assert (x.n, x.d) == ((3, -3, 0, 0, 3, 0, 0, 0), 2)
+    y = TowerElem((Fraction(-10, 4),), (0, 0, 0, Fraction(5, -6)))
+    assert (y.n, y.d) == ((-15, 0, 0, 0, 0, 0, 0, -5), 6)
+    assert (ZETA * 4) * Fraction(1, 4) == ZETA and hash(ZETA * 2 * HALF) == hash(ZETA)
+    assert ((ZETA * 3 + HALF) - HALF).d == 1
+    for zero in (ZERO, ZETA - ZETA, HALF * 0, ZETA * Fraction(0, 7)):
+        assert (zero.n, zero.d) == ((0,) * 8, 1)
+    assert (-HALF).inverse() == -2 and (-HALF).inverse().d == 1

@@ -114,6 +114,28 @@ def test_positivity_sign_flip_fails():
     assert verdict == "not-positive"
 
 
+def test_polarization_inverse_is_computed_once(monkeypatch):
+    calls = []
+    real = intlat.exact_det_inv
+
+    def counting(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(intlat, "exact_det_inv", counting)
+    periods._rational_inverse.cache_clear()
+    pm = _genus4()
+    for tau in (_I, _I * 2):
+        periods.positivity_gram(pm, {"tau": tau}, sign=stcurve.POSITIVITY_SIGN)
+    assert periods.first_relation_holds(pm.subs({"tau": _I}))
+    assert len(calls) == 1
+    # the shared inverse is immutable, so no caller can spoil it
+    Einv = periods._polarization_inverse(pm)
+    assert isinstance(Einv, tuple) and all(isinstance(r, tuple) for r in Einv)
+    assert intlat.matmul(Einv, pm.polarization) == [
+        [int(i == j) for j in range(8)] for i in range(8)]
+
+
 def test_positivity_gram_is_hermitian():
     H = periods.positivity_gram(_genus4(), {"tau": _I},
                                 sign=stcurve.POSITIVITY_SIGN)
