@@ -7,13 +7,13 @@ mode; "precision" only enters through the enclosures of the algebraic
 constants (sqrt(3) and 3^(1/4)) built by the functions at the bottom.
 
 Denominators stay powers of two throughout, which keeps the arithmetic
-fast and makes every derived quantity bit-reproducible.
+fast and makes every derived quantity bit-reproducible.  Balls only feed
+printed output (decimals and the ranges of positivity minors); no
+verdict rests on them.
 """
 
 from fractions import Fraction
 from math import isqrt
-
-_ZERO = Fraction(0)
 
 
 def sqrt_upper(q):
@@ -23,18 +23,6 @@ def sqrt_upper(q):
     n, d = q.numerator, q.denominator
     # sqrt(n/d) = sqrt(n*d)/d <= (isqrt(n*d)+1)/d
     return Fraction(isqrt(n * d) + 1, d)
-
-
-def sqrt_lower(q):
-    """Lower bound for sqrt(q), q a nonnegative Fraction."""
-    if q < 0:
-        raise ValueError("sqrt_lower of negative value")
-    n, d = q.numerator, q.denominator
-    r = isqrt(n * d)
-    if r == 0:
-        return _ZERO
-    # (r-? ) careful: isqrt gives floor(sqrt(n*d)), so r/d <= sqrt(n/d)
-    return Fraction(r, d)
 
 
 class ComplexBall:
@@ -68,9 +56,6 @@ class ComplexBall:
         return ComplexBall(self.re - other.re, self.im - other.im,
                            self.rad + other.rad)
 
-    def __neg__(self):
-        return ComplexBall(-self.re, -self.im, self.rad)
-
     def __mul__(self, other):
         if not isinstance(other, ComplexBall):
             return NotImplemented
@@ -87,10 +72,6 @@ class ComplexBall:
         q = Fraction(q)
         return ComplexBall(self.re * q, self.im * q, self.rad * abs(q))
 
-    def mul_i(self):
-        """Multiply by the exact imaginary unit."""
-        return ComplexBall(-self.im, self.re, self.rad)
-
     def conjugate(self):
         return ComplexBall(self.re, -self.im, self.rad)
 
@@ -98,15 +79,8 @@ class ComplexBall:
         """Upper bound for |midpoint|."""
         return sqrt_upper(self.re * self.re + self.im * self.im)
 
-    def mag_upper(self):
-        """Upper bound for |z| over the whole ball."""
-        return self.mag_upper_mid() + self.rad
-
     def real_range(self):
         return (self.re - self.rad, self.re + self.rad)
-
-    def imag_range(self):
-        return (self.im - self.rad, self.im + self.rad)
 
     def contains_zero(self):
         return self.re * self.re + self.im * self.im <= self.rad * self.rad
@@ -152,33 +126,3 @@ def root4_3_ball(prec):
     s = isqrt(3 << (4 * prec))      # floor(sqrt(3) * 2^(2 prec))
     t = isqrt(s)                    # t <= 3^(1/4) * 2^prec < t + 2
     return ComplexBall(Fraction(t + 1, 2 ** prec), 0, Fraction(1, 2 ** prec))
-
-
-def real_sqrt_ball(b, prec):
-    """Ball containing sqrt of a ball known to be positive real."""
-    lo, hi = b.real_range()
-    if lo < 0:
-        raise ValueError("ball not certified positive")
-    slo = sqrt_lower(lo)
-    shi = sqrt_upper(hi)
-    mid = (slo + shi) / 2
-    return ComplexBall(mid, 0, shi - mid)
-
-
-def ball_det(rows):
-    """Determinant of a small square matrix of balls (Laplace expansion)."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = None
-    sign = 1
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * ball_det(minor)
-        if sign < 0:
-            term = -term
-        acc = term if acc is None else acc + term
-        sign = -sign
-    return acc

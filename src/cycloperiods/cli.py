@@ -205,17 +205,22 @@ def _read_source(matrix, path, what="matrix"):
 
 
 def _load_matrix(matrix, path):
+    """Integer matrix from JSON rows or a {"rows", "cols", "data"} object."""
     raw = _read_source(matrix, path)
     try:
         obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # also integers past Python's digit limit
         raise click.UsageError(f"matrix is not valid JSON: {exc}")
     try:
         if isinstance(obj, dict):
-            return intlat.mat_from_json(obj)
-        return [[int(x) for x in row] for row in obj]
-    except (KeyError, TypeError, ValueError) as exc:
+            A = intlat.mat_from_json(obj)
+        else:
+            A = intlat.rows_from_json(obj)
+    except ValueError as exc:
         raise click.UsageError(f"malformed matrix: {exc}")
+    if any(x.denominator != 1 for row in A for x in row):
+        raise click.UsageError("malformed matrix: entries must be integers")
+    return [[int(x) for x in row] for row in A]
 
 
 def _pipeline(prec):
@@ -272,7 +277,7 @@ def verify(prec, everything, only, strict, as_json):
 @click.option("--format", "fmt", default="exact-json", show_default=True,
               type=click.Choice(["exact-json", "decimal"]))
 @click.option("--prec", default=128, show_default=True,
-              help="bits for decimal output and domain certificates")
+              help="bits for decimal output")
 @click.option("--digits", default=30, show_default=True,
               help="fractional digits for decimal output")
 def emit(which, special, tau, z1, z2, fmt, prec, digits):
@@ -401,8 +406,6 @@ def riemann_check(matrix, path, assignments, prec):
     click.echo(json.dumps(payload, indent=2, sort_keys=True))
     if not relation or verdict == "not-positive":
         sys.exit(1)
-    if verdict == "inconclusive":
-        sys.exit(3)
 
 
 @tools.command("covers")

@@ -1,7 +1,8 @@
 """Exact integer and rational matrix algorithms.
 
 Everything here works on plain lists of lists (rows) of ints or
-Fractions; sizes in this package never exceed 16x16, so the classical
+Fractions; sizes stay small (16x16 for the package's own data, at most
+MAX_JSON_DIM on a side from JSON input), so the classical
 elementary-operation algorithms are used throughout with no modular
 tricks.  The three workhorses are Smith normal form with transforms,
 a symplectic (Frobenius) basis for alternating forms, and saturated
@@ -48,10 +49,6 @@ def matmul(A, B):
             for i in range(n)]
 
 
-def matneg(A):
-    return [[-x for x in row] for row in A]
-
-
 def is_alternating(E):
     n = len(E)
     if any(len(row) != n for row in E):
@@ -63,24 +60,47 @@ def mat_to_json(A):
     return {"rows": len(A), "cols": len(A[0]), "data": [list(r) for r in A]}
 
 
+# most rows or columns a matrix read from JSON may have: symplectic_basis
+# on entries in [-9, 9] takes 0.14 s at 16 x 16 and 11 s at 32 x 32 on a
+# 2-core Xeon VM, and its cost grows steeply with the size
+MAX_JSON_DIM = 32
+
+
+def _json_entry(x):
+    """An int, or an exact Fraction from [n, d] with ints n and d != 0."""
+    if type(x) is int:
+        return x
+    if (type(x) is list and len(x) == 2 and all(type(v) is int for v in x)
+            and x[1] != 0):
+        return Fraction(x[0], x[1])
+    raise ValueError(f"matrix entries must be ints or [n,d]: {x!r}")
+
+
+def rows_from_json(data):
+    """Matrix from a JSON list of equally long rows of int or [n, d] entries.
+
+    Floats, booleans and strings are refused rather than truncated, and
+    neither dimension may exceed MAX_JSON_DIM.
+    """
+    if (type(data) is not list or not data
+            or any(type(r) is not list for r in data)):
+        raise ValueError("matrix must be a nonempty list of rows")
+    if len(data) > MAX_JSON_DIM or any(len(r) > MAX_JSON_DIM for r in data):
+        raise ValueError(f"matrix is larger than {MAX_JSON_DIM} x "
+                         f"{MAX_JSON_DIM}")
+    if any(len(r) != len(data[0]) for r in data):
+        raise ValueError("matrix rows differ in length")
+    return [[_json_entry(x) for x in r] for r in data]
+
+
 def mat_from_json(obj):
     try:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
-    if len(data) != rows or any(len(r) != cols for r in data):
+    out = rows_from_json(data)
+    if len(out) != rows or len(out[0]) != cols:
         raise ValueError("matrix data does not match declared shape")
-    out = []
-    for r in data:
-        row = []
-        for x in r:
-            if isinstance(x, list):
-                row.append(Fraction(x[0], x[1]))
-            elif isinstance(x, int):
-                row.append(x)
-            else:
-                raise ValueError(f"matrix entries must be ints or [n,d]: {x!r}")
-        out.append(row)
     return out
 
 

@@ -14,9 +14,8 @@ from fractions import Fraction
 import itertools
 
 from . import intlat
-from .balls import real_sqrt_ball
 from .exactfield import (TowerElem, ZERO, ONE, IUNIT, RHO, SQRT3, ROOT4_3,
-                         embed, real_sign)
+                         real_sign)
 from .periods import (AffineForm, PeriodMatrix, form_matmul_rat,
                       scalar_form_matmul, tower_conj, tower_identity,
                       tower_inv, tower_matmul, tower_matrix, tower_transpose)
@@ -229,17 +228,21 @@ def ldl_hermitian(G):
     return A, S
 
 
-def signature(T, prec=128):
-    """Certified signature (positives, negatives) of the Hermitian -iT.
+def pivot_signs(T):
+    """Congruence pivots of the Hermitian -iT with their exact signs.
 
-    Tower input makes the pivot signs exact rational comparisons; the
-    precision argument is kept for interface symmetry and as the budget
-    an approximate backend would use.
+    Returns (pivots, signs, S) with S (-iT) S^dagger = diag(pivots) and
+    signs[i] = real_sign(pivots[i]).
     """
-    del prec
     H = [[x * (-IUNIT) for x in row] for row in T]
-    D, _ = ldl_hermitian(H)
-    signs = [real_sign(D[i][i]) for i in range(len(D))]
+    D, S = ldl_hermitian(H)
+    pivots = [D[i][i] for i in range(len(D))]
+    return pivots, [real_sign(p) for p in pivots], S
+
+
+def signature(T):
+    """Exact signature (positives, negatives) of the Hermitian -iT."""
+    _, signs, _ = pivot_signs(T)
     if 0 in signs:
         raise ValueError("form is degenerate")
     return signs.count(1), signs.count(-1)
@@ -313,56 +316,40 @@ def defw_residual(W, T):
 
 
 class DiagonalizerResult:
-    """Output of diagonalize_W; exact says whether W lives in the tower."""
+    """Output of diagonalize_W: the tower matrix W and the pivots it came from."""
 
-    def __init__(self, W, exact, pivots, residual_bound):
+    def __init__(self, W, pivots):
         self.W = W
-        self.exact = exact
         self.pivots = pivots
-        self.residual_bound = residual_bound
 
 
-def diagonalize_W(T, prec=256):
-    """Find W with T = W^T diag(i, i, -i) conj(W).
+def diagonalize_W(T):
+    """Find W over the tower with T = W^T diag(i, i, -i) conj(W).
 
     Works by congruence reduction of the Hermitian -iT; the two positive
-    pivots are routed to the first two slots.  Pivot square roots are
-    taken in the tower when they exist there (the residual is then zero
-    exactly); otherwise W is returned as a certified ball matrix and the
-    residual bound at the requested precision is reported.
+    pivots are routed to the first two slots, and the residual of the
+    result is zero exactly.  Raises ValueError when the signature is not
+    (2,1) or a pivot has no square root in the tower.
     """
-    H = [[x * (-IUNIT) for x in row] for row in T]
-    D, S = ldl_hermitian(H)
-    pivots = [D[i][i] for i in range(3)]
-    signs = [real_sign(p) for p in pivots]
+    pivots, signs, S = pivot_signs(T)
     if signs.count(1) != 2 or signs.count(-1) != 1:
         raise ValueError(f"signature {(signs.count(1), signs.count(-1))}"
                          " is not (2,1)")
     order = sorted(range(3), key=lambda i: 0 if signs[i] > 0 else 1)
+    roots = []
+    for i in order:
+        r = tower_sqrt(pivots[i] * signs[i])
+        if r is None:
+            raise ValueError(f"pivot {i} = {pivots[i]!r}: the square root "
+                             f"of its absolute value is not in the tower")
+        roots.append(r)
     Sinv = tower_inv(S)
-    roots = [tower_sqrt(pivots[i] if signs[i] > 0 else -pivots[i])
-             for i in order]
-    if all(r is not None for r in roots):
-        W = tower_transpose([[Sinv[i][order[j]] * roots[j] for j in range(3)]
-                             for i in range(3)])
-        res = defw_residual(W, T)
-        if any(not x.is_zero() for row in res for x in row):
-            raise ArithmeticError("exact diagonalizer failed its residual")
-        return DiagonalizerResult(W, True, pivots, Fraction(0))
-    # ball fallback: the pivot roots are real but not tower-valued
-    Sb = [[embed(Sinv[i][j], prec) for j in range(3)] for i in range(3)]
-    rb = [real_sqrt_ball(embed(pivots[i] if signs[i] > 0 else -pivots[i],
-                               prec), prec) for i in order]
-    Wb = [[Sb[j][order[i]] * rb[i] for j in range(3)] for i in range(3)]
-    Db = [embed(IUNIT, prec), embed(IUNIT, prec), embed(-IUNIT, prec)]
-    bound = Fraction(0)
-    for i in range(3):
-        for j in range(3):
-            acc = embed(-T[i][j], prec)
-            for m in range(3):
-                acc = acc + Wb[m][i] * Db[m] * Wb[m][j].conjugate()
-            bound = max(bound, acc.mag_upper())
-    return DiagonalizerResult(Wb, False, pivots, bound)
+    W = tower_transpose([[Sinv[i][order[j]] * roots[j] for j in range(3)]
+                         for i in range(3)])
+    res = defw_residual(W, T)
+    if any(not x.is_zero() for row in res for x in row):
+        raise ArithmeticError("exact diagonalizer failed its residual")
+    return DiagonalizerResult(W, pivots)
 
 
 # -- the period family over the 2-ball -----------------------------------

@@ -4,17 +4,16 @@ Entries live in the coefficient tower of exactfield, so every algebraic
 identity among periods is checked symbolically: the bilinear relations
 reduce to a quadratic form in the parameters with tower coefficients
 that must vanish identically.  Positivity of the polarization form is
-the one statement that needs analytic input; it is certified with ball
-arithmetic at a caller-chosen precision and is allowed to come back
-inconclusive instead of guessing.
+decided exactly too: the leading minors of the Hermitian Gram matrix are
+real tower elements whose signs real_sign settles, and a precision only
+sizes the decimal ranges printed next to the verdict.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
 from . import intlat
-from .balls import ball_det
-from .exactfield import TowerElem, ZERO, ONE, IUNIT, embed, zeta_power
+from .exactfield import TowerElem, ZERO, ONE, IUNIT, embed, real_sign, zeta_power
 
 
 def _coerce_scalar(x):
@@ -235,12 +234,27 @@ def tower_conj(A):
     return [[x.conjugate() for x in row] for row in A]
 
 
-def tower_scale_rat(A, Q):
-    """Tower matrix times a rational matrix on the right."""
-    if A and len(A[0]) != len(Q):
-        raise ValueError("tower matrix dimensions do not match")
-    return [[sum((A[i][k] * Fraction(Q[k][j]) for k in range(len(Q))), ZERO)
-             for j in range(len(Q[0]))] for i in range(len(A))]
+def tower_det(rows):
+    """Determinant of a small square matrix by cofactor expansion.
+
+    Uses only +, - and *, so it is exact over the tower and needs no
+    inverses.
+    """
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    acc = None
+    sign = 1
+    for j in range(n):
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        term = rows[0][j] * tower_det(minor)
+        if sign < 0:
+            term = -term
+        acc = term if acc is None else acc + term
+        sign = -sign
+    return acc
 
 
 def tower_inv(A):
@@ -273,7 +287,7 @@ def form_matmul_rat(A, Q):
     if A and len(A[0]) != len(Q):
         raise ValueError("form matrix dimensions do not match")
     zero = AffineForm()
-    return [[sum((A[i][k] * Fraction(Q[k][j]) for k in range(len(Q))), zero)
+    return [[sum((A[i][k] * Q[k][j] for k in range(len(Q))), zero)
              for j in range(len(Q[0]))] for i in range(len(A))]
 
 
@@ -396,35 +410,32 @@ def positivity_gram(pm, point, sign=1):
         raise ValueError("sign must be +1 or -1")
     P = pm.evaluate(point)
     Einv = _polarization_inverse(pm)
-    PE = tower_scale_rat(P, Einv)
+    PE = tower_matmul(P, Einv)
     H = tower_matmul(PE, tower_transpose(tower_conj(P)))
     unit = IUNIT if sign == 1 else -IUNIT
     return [[x * unit for x in row] for row in H]
 
 
 def riemann_positivity(pm, point, prec=128, sign=1):
-    """Certify definiteness of the polarization form at a parameter point.
+    """Decide definiteness of the polarization form at a parameter point.
 
-    Returns (verdict, evidence) where verdict is "positive" when every
-    leading principal minor of the Hermitian form is certified positive,
-    "not-positive" when some minor is certified negative or zero is
-    certified before that, and "inconclusive" when the balls at this
-    precision cannot decide.  Evidence lists the real range of each
-    minor determinant.
+    Each leading principal minor of the Hermitian form is computed
+    exactly in the tower and its sign decided by real_sign.  Returns
+    (verdict, evidence): "positive" when every minor is > 0, else
+    "not-positive" at the first minor that is not.  Evidence lists
+    (k, lo, hi) for the minors up to that one, with [lo, hi] the real
+    range of the minor embedded at prec bits; prec sizes these printed
+    ranges only and never changes the verdict.
     """
     H = positivity_gram(pm, point, sign)
-    balls = [[embed(x, prec) for x in row] for row in H]
     evidence = []
-    verdict = "positive"
     for k in range(1, pm.g + 1):
-        d = ball_det([row[:k] for row in balls[:k]])
-        lo, hi = d.real_range()
+        d = tower_det([row[:k] for row in H[:k]])
+        lo, hi = embed(d, prec).real_range()
         evidence.append((k, float(lo), float(hi)))
-        if d.real_is_positive():
-            continue
-        verdict = "not-positive" if d.real_is_negative() else "inconclusive"
-        break
-    return verdict, evidence
+        if real_sign(d) <= 0:
+            return "not-positive", evidence
+    return "positive", evidence
 
 
 # -- splitting off an elliptic factor -----------------------------------

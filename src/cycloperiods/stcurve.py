@@ -345,7 +345,6 @@ MATCH_COEFFS = {
     "c33": _A3 * cyclo(-1, 0, 1, 1),
 }
 
-# positivity at the sample points below certifies with this global sign
+# the global sign with which the polarization form is positive definite
+# at the sample points of the riemann-positive check
 POSITIVITY_SIGN = 1
-
-GENUS4_SAMPLE_TAUS = ("i", "2i", "1+i")

@@ -247,6 +247,36 @@ def test_tools_snf_usage_errors(runner):
     assert result.exit_code == 2
 
 
+_HUGE = "9" * 5001
+_TOO_WIDE = json.dumps([[0] * 33])
+_TOO_TALL = json.dumps([[0]] * 33)
+
+
+@pytest.mark.parametrize("command", ["snf", "symplectic-basis"])
+@pytest.mark.parametrize("blob", [
+    "[[0,1.5],[-1.5,0]]",                     # floats are not truncated
+    '[[true,"7"],[2.9,4]]',                   # nor booleans and strings
+    "[[0,%s],[-1,0]]" % _HUGE,                # past Python's digit limit
+    _TOO_WIDE,
+    _TOO_TALL,
+    '{"rows": 1, "cols": 1, "data": [[[3, 2]]]}',     # not an integer
+    '{"rows": 1, "cols": 1, "data": [[[1, 0]]]}',     # zero denominator
+    '{"rows": 1, "cols": 1, "data": [[true]]}',
+    '{"rows": 33, "cols": 1, "data": %s}' % _TOO_TALL,
+])
+def test_tools_reject_hostile_matrices(runner, command, blob):
+    result = runner.invoke(cli.main, ["tools", command, "--matrix", blob])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in _text(result)
+
+
+def test_tools_accept_the_largest_matrices(runner):
+    blob = json.dumps([[0] * 32 for _ in range(32)])
+    result = runner.invoke(cli.main, ["tools", "snf", "--matrix", blob])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["divisors"] == [0] * 32
+
+
 def test_tools_symplectic_basis(runner):
     blob = json.dumps(stcurve.PRYM_POLARIZATION)
     result = runner.invoke(cli.main,
@@ -296,6 +326,16 @@ def test_tools_riemann_check(runner, tmp_path):
     result = runner.invoke(cli.main,
                            ["tools", "riemann-check", "--matrix", "{}"])
     assert result.exit_code == 2
+
+
+def test_tools_riemann_check_is_exact_near_the_real_axis(runner, tmp_path):
+    path = tmp_path / "pm.json"
+    path.write_text(json.dumps(stcurve.genus4_period_matrix().to_json()))
+    result = runner.invoke(cli.main,
+                           ["tools", "riemann-check", "--file", str(path),
+                            "--at", "tau=(1/2)^200*i"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["positivity"] == "positive"
 
 
 def test_tools_covers(runner):

@@ -2,7 +2,7 @@
 
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,6 +12,11 @@ try:
     import sympy
 except ImportError:         # sympy is a test-only dependency
     sympy = None
+
+try:
+    import mpmath
+except ImportError:         # so is mpmath
+    mpmath = None
 
 from cycloperiods.exactfield import (
     HALF,
@@ -326,3 +331,66 @@ def test_equal_values_share_one_normal_form():
     for zero in (ZERO, ZETA - ZETA, HALF * 0, ZETA * Fraction(0, 7)):
         assert (zero.n, zero.d) == ((0,) * 8, 1)
     assert (-HALF).inverse() == -2 and (-HALF).inverse().d == 1
+
+
+# -- an independent mpmath model of the embedding and of real_sign ------------
+
+_needs_mpmath = pytest.mark.skipif(mpmath is None, reason="mpmath is not installed")
+_MP_DPS = 320
+
+
+def _mp_value(x):
+    """x under zeta -> e^(i pi/6), alpha -> 3^(1/4), at _MP_DPS digits."""
+    with mpmath.workdps(_MP_DPS):
+        zeta = mpmath.expjpi(mpmath.mpf(1) / 6)
+        alpha = mpmath.root(3, 4)
+        acc = mpmath.mpc(0)
+        for i, coords in enumerate((x.c, x.a)):
+            for k, v in enumerate(coords):
+                if v:
+                    acc += mpmath.mpf(v.numerator) / v.denominator * alpha ** i * zeta ** k
+        return acc
+
+
+def _iroot4(n):
+    """floor(n^(1/4)) for an integer n >= 0."""
+    return isqrt(isqrt(n))
+
+
+# real elements b - m*alpha with b/m within 1/m of 3^(1/4), so that the
+# two parts nearly cancel and real_sign has to settle a contest of signs
+_alpha_ties = st.builds(
+    lambda m, e, s: (TowerElem.rational(_iroot4(3 * m ** 4) + e) - ROOT4_3 * m) * s,
+    st.integers(1, 2 ** 64), st.integers(-1, 2), st.sampled_from([1, -1, SQRT3]))
+
+
+@_needs_mpmath
+@settings(max_examples=200, deadline=None)
+@given(_wide, st.sampled_from([16, 64, 128, 512]))
+def test_embed_contains_the_mpmath_value(x, prec):
+    b = embed(x, prec)
+    v = _mp_value(x)
+    with mpmath.workdps(_MP_DPS):
+        mid = mpmath.mpc(mpmath.mpf(b.re.numerator) / b.re.denominator,
+                         mpmath.mpf(b.im.numerator) / b.im.denominator)
+        rad = mpmath.mpf(b.rad.numerator) / b.rad.denominator
+        # slack for mpmath's own rounding, far below any radius at 512 bits
+        slack = mpmath.mpf(10) ** (60 - _MP_DPS) * (1 + abs(v))
+        assert abs(v - mid) <= rad + slack
+
+
+@_needs_mpmath
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_wide, _alpha_ties))
+def test_real_sign_matches_mpmath(x):
+    r = x + x.conjugate()
+    got = real_sign(r)
+    if r.is_zero():
+        assert got == 0
+        return
+    v = _mp_value(r)
+    with mpmath.workdps(_MP_DPS):
+        assert abs(v.imag) < mpmath.mpf(10) ** (60 - _MP_DPS) * (1 + abs(v))
+        # the value must stand clear of mpmath's rounding for the sign to count
+        assert abs(v.real) > mpmath.mpf(10) ** (60 - _MP_DPS) * (1 + abs(v))
+        assert got == (1 if v.real > 0 else -1)

@@ -149,10 +149,25 @@ def test_diagonalize_W_is_exact_here():
     module = _module()
     T = pel.solve_T(module.g0, module.g1)
     diag = pel.diagonalize_W(T)
-    assert diag.exact
-    assert diag.residual_bound == 0
     res = pel.defw_residual(diag.W, T)
     assert all(x.is_zero() for row in res for x in row)
+
+
+def test_diagonalize_W_needs_pivot_roots_in_the_tower():
+    # -iT = diag(2, 2, -2), and sqrt(2) is not in Q(zeta12)(3^(1/4))
+    two_i = cyclo(0, 0, 0, 2)
+    T = [[two_i, ZERO, ZERO], [ZERO, two_i, ZERO], [ZERO, ZERO, -two_i]]
+    with pytest.raises(ValueError, match="pivot 0"):
+        pel.diagonalize_W(T)
+
+
+def test_signature_and_diagonalizer_share_the_pivot_signs():
+    module = _module()
+    T = pel.solve_T(module.g0, module.g1)
+    pivots, signs, _ = pel.pivot_signs(T)
+    assert signs == [real_sign(p) for p in pivots]
+    assert (signs.count(1), signs.count(-1)) == pel.signature(T) == (2, 1)
+    assert pel.diagonalize_W(T).pivots == pivots
 
 
 def test_family_W_satisfies_the_defining_identity():

@@ -114,6 +114,36 @@ def test_positivity_sign_flip_fails():
     assert verdict == "not-positive"
 
 
+def test_positivity_is_exact_near_the_real_axis():
+    # the minors are about 1e-58 here, too small for a determinant of
+    # balls at 16 or 128 bits to separate from zero; the exact verdict
+    # must not depend on prec
+    tau = _I * Fraction(1, 2 ** 200)
+    for prec in (16, 128):
+        verdict, minors = periods.riemann_positivity(
+            _genus4(), {"tau": tau}, prec=prec, sign=stcurve.POSITIVITY_SIGN)
+        assert verdict == "positive"
+        assert [k for k, _, _ in minors] == [1, 2, 3, 4]
+
+
+def test_positivity_on_the_real_axis_is_not_positive():
+    # tau = 1 makes the first minor exactly 0
+    verdict, minors = periods.riemann_positivity(
+        _genus4(), {"tau": ONE}, prec=128, sign=stcurve.POSITIVITY_SIGN)
+    assert verdict == "not-positive"
+    assert minors == [(1, 0.0, 0.0)]
+
+
+def test_tower_det_matches_the_integer_determinant():
+    A = [[2, -1, 0, 3], [1, 4, -2, 0], [0, 5, 1, -1], [3, 0, 2, 2]]
+    for n in range(1, 5):
+        sub = [row[:n] for row in A[:n]]
+        got = periods.tower_det(periods.tower_matrix(sub))
+        assert got == TowerElem.rational(intlat.bareiss_det(sub))
+    D = [[_I, ZERO], [ZERO, cyclo(0, 1)]]
+    assert periods.tower_det(D) == _I * cyclo(0, 1)
+
+
 def test_polarization_inverse_is_computed_once(monkeypatch):
     calls = []
     real = intlat.exact_det_inv
