@@ -28,6 +28,11 @@ _TOKEN = re.compile(r"\s*(\d+\.\d+|\.\d+|\d+|[A-Za-z_]+|\*\*|[()^+\-*/])")
 # largest |exponent| a literal may use: 3^1024 already has 1,624 bits, and
 # unbounded exponents would let one argument allocate without limit
 MAX_EXPONENT = 1024
+# bound on n * (height(x) + 4) >= height(x^n) in bits, checked before a
+# power is taken, so that (2^1024)^1024 is refused rather than computed
+MAX_POWER_BITS = 1 << 16
+# deepest parenthesis nesting; the parser recurses on it
+MAX_NESTING = 64
 
 _NAMES = {"i": IUNIT, "zeta": ZETA, "alpha": ROOT4_3,
           "rho": RHO, "sqrt3": SQRT3}
@@ -46,10 +51,16 @@ def _tokenize(text):
     return out
 
 
+def _height_bits(x):
+    """Bit length of the largest numerator or the denominator of x."""
+    return max(max(abs(v) for v in x.n).bit_length(), x.d.bit_length())
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -84,13 +95,11 @@ class _Parser:
         return node
 
     def unary(self):
-        if self.peek() == "-":
-            self.take()
-            return -self.unary()
-        if self.peek() == "+":
-            self.take()
-            return self.unary()
-        return self.power()
+        negate = False
+        while self.peek() in ("+", "-"):
+            negate ^= self.take() == "-"
+        node = self.power()
+        return -node if negate else node
 
     def power(self):
         base = self.atom()
@@ -103,27 +112,40 @@ class _Parser:
             tok = self.take()
             if not tok.isdigit():
                 raise LiteralError(f"exponent must be an integer, got {tok!r}")
-            n = int(tok)
+            n = int(tok) if len(tok) <= 100 else MAX_EXPONENT + 1
             if n > MAX_EXPONENT:
-                raise LiteralError(f"exponent {sign * n} is out of range "
+                raise LiteralError(f"exponent {'-' if sign < 0 else ''}"
+                                   f"{tok[:20]} is out of range "
                                    f"(|exponent| <= {MAX_EXPONENT})")
             if sign < 0:
                 if base.is_zero():
                     raise LiteralError("zero to a negative power")
                 base = base.inverse()
+            bits = n * (_height_bits(base) + 4)
+            if bits > MAX_POWER_BITS:
+                raise LiteralError(f"power too large: up to {bits} bits "
+                                   f"(at most {MAX_POWER_BITS})")
             return base ** n
         return base
 
     def atom(self):
         tok = self.take()
         if tok == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise LiteralError(f"parentheses nested deeper than "
+                                   f"{MAX_NESTING}")
             node = self.expr()
             self.take(")")
+            self.depth -= 1
             return node
         if tok in _NAMES:
             return _NAMES[tok]
         if re.fullmatch(r"\d+\.\d+|\.\d+|\d+", tok):
-            return TowerElem.rational(Fraction(tok))
+            try:
+                return TowerElem.rational(Fraction(tok))
+            except ValueError as exc:   # past Python's digit limit
+                raise LiteralError(f"number too long: {exc}") from exc
         raise LiteralError(f"unexpected token {tok!r}")
 
     def parse(self):
@@ -138,7 +160,9 @@ def parse_tower(text):
 
     A comma splits real and imaginary parts, each again a literal;
     decimals are read exactly as the rationals they denote.  Exponents
-    are integers of absolute value at most MAX_EXPONENT.
+    are integers of absolute value at most MAX_EXPONENT, a power may not
+    pass MAX_POWER_BITS and parentheses nest at most MAX_NESTING deep;
+    anything else raises LiteralError.
     """
     text = text.strip()
     if not text:
@@ -172,11 +196,28 @@ def _emit_payload(rows, polarization, point, fmt, prec, digits):
     return payload
 
 
+def _echo_json(build, *args):
+    """Print build(*args) as JSON.
+
+    Python will not turn an integer of more than 4,300 digits into a
+    string, in str() and json.dumps alike; such a result is a usage error
+    (exit 2) instead of a traceback.
+    """
+    try:
+        text = json.dumps(build(*args), indent=2, sort_keys=True)
+    except ValueError as exc:
+        raise click.UsageError(f"result too large to print: {exc}")
+    click.echo(text)
+
+
 def _require_in_ball(z1, z2, prec, digits):
     norm = z1 * z1.conjugate() + z2 * z2.conjugate()
     gap = TowerElem.rational(1) - norm
     if real_sign(gap) <= 0:
-        shown = embed(norm, prec).decimal(digits)[0]
+        try:
+            shown = embed(norm, prec).decimal(digits)[0]
+        except ValueError:      # past Python's 4,300-digit limit
+            shown = "a number too long to print"
         raise click.UsageError(
             f"point outside the unit ball: |z1|^2 + |z2|^2 = {shown} >= 1 "
             f"(certified exactly)")
@@ -295,9 +336,8 @@ def emit(which, special, tau, z1, z2, fmt, prec, digits):
             raise click.UsageError("prym takes no --tau")
         if special or not have_z:
             rows = stcurve.prym_special()
-            payload = _emit_payload(rows, stcurve.PRYM_POLARIZATION,
-                                    {}, fmt, prec, digits)
-            click.echo(json.dumps(payload, indent=2, sort_keys=True))
+            _echo_json(_emit_payload, rows, stcurve.PRYM_POLARIZATION,
+                       {}, fmt, prec, digits)
             return
         z1v = _parse_or_usage(z1, "--z1")
         z2v = _parse_or_usage(z2, "--z2")
@@ -305,9 +345,8 @@ def emit(which, special, tau, z1, z2, fmt, prec, digits):
         ctx = _pipeline(prec)
         point = {"z1": z1v, "z2": z2v}
         rows = ctx.prym_family.evaluate(point)
-        payload = _emit_payload(rows, stcurve.PRYM_POLARIZATION,
-                                point, fmt, prec, digits)
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        _echo_json(_emit_payload, rows, stcurve.PRYM_POLARIZATION,
+                   point, fmt, prec, digits)
         return
 
     if tau is None:
@@ -317,8 +356,7 @@ def emit(which, special, tau, z1, z2, fmt, prec, digits):
     pol = intlat.standard_symplectic(4)
     if not have_z:
         rows = stcurve.genus4_period_matrix().evaluate({"tau": tauv})
-        payload = _emit_payload(rows, pol, {"tau": tauv}, fmt, prec, digits)
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        _echo_json(_emit_payload, rows, pol, {"tau": tauv}, fmt, prec, digits)
         return
     z1v = _parse_or_usage(z1, "--z1")
     z2v = _parse_or_usage(z2, "--z2")
@@ -326,8 +364,7 @@ def emit(which, special, tau, z1, z2, fmt, prec, digits):
     ctx = _pipeline(prec)
     point = {"tau": tauv, "z1": z1v, "z2": z2v}
     rows = ctx.genus4_family.evaluate(point)
-    payload = _emit_payload(rows, pol, point, fmt, prec, digits)
-    click.echo(json.dumps(payload, indent=2, sort_keys=True))
+    _echo_json(_emit_payload, rows, pol, point, fmt, prec, digits)
 
 
 @main.group()
@@ -348,8 +385,7 @@ def snf(matrix, path):
     except (ValueError, IndexError) as exc:
         raise click.UsageError(f"not a valid integer matrix: {exc}")
     divisors = [D[i][i] for i in range(min(len(D), len(D[0])))]
-    payload = {"divisors": divisors, "U": U, "D": D, "V": V}
-    click.echo(json.dumps(payload, indent=2, sort_keys=True))
+    _echo_json(lambda: {"divisors": divisors, "U": U, "D": D, "V": V})
 
 
 @tools.command("symplectic-basis")
@@ -366,8 +402,7 @@ def symplectic_basis(matrix, path):
         raise click.UsageError(f"form is degenerate: {exc}")
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    payload = {"basis": S, "divisors": list(divisors)}
-    click.echo(json.dumps(payload, indent=2, sort_keys=True))
+    _echo_json(lambda: {"basis": S, "divisors": list(divisors)})
 
 
 @tools.command("riemann-check")

@@ -16,9 +16,8 @@ import itertools
 from . import intlat
 from .exactfield import (TowerElem, ZERO, ONE, IUNIT, RHO, SQRT3, ROOT4_3,
                          real_sign)
-from .periods import (AffineForm, PeriodMatrix, form_matmul_rat,
-                      scalar_form_matmul, tower_conj, tower_identity,
-                      tower_inv, tower_matmul, tower_matrix, tower_transpose)
+from .periods import (PeriodMatrix, matmul, tower_conj, tower_identity,
+                      tower_inv, tower_transpose)
 
 
 class ModuleError(ValueError):
@@ -189,8 +188,8 @@ def ldl_hermitian(G):
     def apply(E):
         nonlocal A, S
         Ed = tower_conj(tower_transpose(E))
-        A = tower_matmul(E, tower_matmul(A, Ed))
-        S = tower_matmul(E, S)
+        A = matmul(E, matmul(A, Ed))
+        S = matmul(E, S)
 
     for k in range(n):
         piv = next((r for r in range(k, n) if not A[r][r].is_zero()), None)
@@ -378,27 +377,33 @@ class Conventions:
                 f"{self.column_order})")
 
 
-def _family_entries(W, conv):
-    """3x6 affine forms: columns are the images of u_k and rho u_k."""
-    z1 = AffineForm.variable("z1")
-    z2 = AffineForm.variable("z2")
+def _family_coeffs(W, conv):
+    """The 3x6 coefficient matrices (constant, z1, z2) of the family.
+
+    Columns are the images of u_k and rho u_k; row 1 is
+    z1 W_1 + z2 W_2 + W_3, rows 2 and 3 are d conj(W_1) + z1 conj(W_3)
+    and d conj(W_2) + z2 conj(W_3), with d = 1 or i by the I2 reading.
+    """
     Wc = tower_conj(W)
     d = ONE if conv.i2 == "identity" else IUNIT
-    row1 = [z1 * W[0][k] + z2 * W[1][k] + AffineForm(W[2][k]) for k in range(3)]
-    row2 = [AffineForm(Wc[0][k] * d) + z1 * Wc[2][k] for k in range(3)]
-    row3 = [AffineForm(Wc[1][k] * d) + z2 * Wc[2][k] for k in range(3)]
-    rows = [row1, row2, row3]
+    zero = [ZERO] * 3
+    const = [W[2], [x * d for x in Wc[0]], [x * d for x in Wc[1]]]
+    z1 = [W[0], Wc[2], zero]
+    z2 = [W[1], zero, Wc[2]]
     if conv.embedding == "sigma":
         mults = [RHO, RHO.conjugate(), RHO.conjugate()]
     else:
         mults = [RHO.conjugate(), RHO, RHO]
     out = []
-    for i in range(3):
-        shifted = [rows[i][j] * mults[i] for j in range(3)]
-        if conv.column_order == "grouped":
-            out.append(rows[i] + shifted)
-        else:
-            out.append([x for pair in zip(rows[i], shifted) for x in pair])
+    for C in (const, z1, z2):
+        rows = []
+        for row, m in zip(C, mults):
+            shifted = [x * m for x in row]
+            if conv.column_order == "grouped":
+                rows.append(list(row) + shifted)
+            else:
+                rows.append([x for pair in zip(row, shifted) for x in pair])
+        out.append(rows)
     return out
 
 
@@ -408,8 +413,8 @@ def family_periods(W, module, conv):
     Columns are indexed by (u1, u2, u3, rho u1, rho u2, rho u3), so the
     polarization is the full trace-pairing Gram matrix of the module.
     """
-    return PeriodMatrix(3, ("z1", "z2"), _family_entries(W, conv),
-                        module.g0full)
+    return PeriodMatrix.from_coeffs(3, ("z1", "z2"), _family_coeffs(W, conv),
+                                    module.g0full)
 
 
 class MatchResult:
@@ -441,31 +446,30 @@ class MatchResult:
 def match_solver(family, target):
     """Solve C * family(z1, z2) = target exactly.
 
-    family: PeriodMatrix affine in z1, z2 (or a raw 3x6 form matrix);
-    target: 3x6 tower matrix.  The first row is inverted through its
-    coefficient matrix, which pins (c11 z1, c11 z2, c11) at once; the
-    remaining two rows each give an overdetermined 2x2 linear system.
-    Every one of the 18 entries is then verified; any residual raises
-    MatchError carrying the offending entries.
+    family: PeriodMatrix affine in z1, z2; target: 3x6 tower matrix.  The
+    first row is inverted through its coefficient matrix, which pins
+    (c11 z1, c11 z2, c11) at once; the remaining two rows each give an
+    overdetermined 2x2 linear system.  Every one of the 18 entries is
+    then verified; any residual raises MatchError carrying the offending
+    entries.
     """
-    F = family.entries if isinstance(family, PeriodMatrix) else family
-    Wx = [[F[0][k].coeffs.get("z1", ZERO) for k in range(3)],
-          [F[0][k].coeffs.get("z2", ZERO) for k in range(3)],
-          [F[0][k].const for k in range(3)]]
+    if family.params != ("z1", "z2"):
+        raise ValueError(f"family parameters {family.params} are not (z1, z2)")
+    P0, P1, P2 = family.coeffs
+    Wx = [P1[0][:3], P2[0][:3], P0[0][:3]]
     try:
         WinvT = tower_transpose(tower_inv(Wx))
     except ValueError as exc:
         raise MatchError(f"row-1 coefficient matrix singular: {exc}") from exc
-    t1 = [target[0][k] for k in range(3)]
-    w = [sum((WinvT[i][j] * t1[j] for j in range(3)), ZERO) for i in range(3)]
-    c11 = w[2]
+    w = matmul(WinvT, [[x] for x in target[0][:3]])
+    c11 = w[2][0]
     if c11.is_zero():
         raise MatchError("row-1 system forces c11 = 0")
-    point = {"z1": w[0] / c11, "z2": w[1] / c11}
-    F3 = [[F[i][k].evaluate(point) for k in range(3)] for i in range(3)]
+    point = {"z1": w[0][0] / c11, "z2": w[1][0] / c11}
+    F = family.evaluate(point)
     coeffs = {"c11": c11}
     for ri, names in ((1, ("c22", "c23")), (2, ("c32", "c33"))):
-        eqs = [(F3[1][k], F3[2][k], target[ri][k]) for k in range(3)]
+        eqs = [(F[1][k], F[2][k], target[ri][k]) for k in range(3)]
         solved = None
         for (a1, b1, t1_), (a2, b2, t2_) in itertools.combinations(eqs, 2):
             det = a1 * b2 - a2 * b1
@@ -477,11 +481,11 @@ def match_solver(family, target):
             raise MatchError(f"row {ri + 1} system is degenerate")
         coeffs[names[0]], coeffs[names[1]] = solved
     result = MatchResult(point["z1"], point["z2"], coeffs)
-    CF = scalar_form_matmul(result.block_matrix(), F)
+    CF = matmul(result.block_matrix(), F)
     residuals = []
     for i in range(3):
         for j in range(6):
-            r = CF[i][j].evaluate(point) - target[i][j]
+            r = CF[i][j] - target[i][j]
             if not r.is_zero():
                 residuals.append((i, j, r))
     if residuals:
@@ -502,9 +506,8 @@ def resolve_conventions(W, module, target):
         for i2 in ("identity", "i-identity"):
             for order in ("grouped", "interleaved"):
                 conv = Conventions(emb_choice, i2, order)
-                entries = _family_entries(W, conv)
                 try:
-                    sol = match_solver(entries, target)
+                    sol = match_solver(family_periods(W, module, conv), target)
                 except MatchError:
                     continue
                 winners.append((conv, sol))
@@ -526,10 +529,10 @@ def prym_family(match, family, module, anchor=None):
     and must equal it entry for entry; a mismatch is fatal since the
     anchor is the one exact fiber the family is built around.
     """
-    C = match.block_matrix()
-    entries = scalar_form_matmul(C, family.entries)
-    entries = form_matmul_rat(entries, module.basis_inverse())
-    pm = PeriodMatrix(3, ("z1", "z2"), entries, module.pairing)
+    C, Binv = match.block_matrix(), module.basis_inverse()
+    pm = PeriodMatrix.from_coeffs(
+        3, family.params, [matmul(matmul(C, P), Binv) for P in family.coeffs],
+        module.pairing)
     if anchor is not None:
         at_star = pm.evaluate(match.point())
         bad = [(i, j) for i in range(3) for j in range(6)

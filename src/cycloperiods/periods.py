@@ -1,9 +1,19 @@
 """Period matrices whose entries are affine in named parameters.
 
-Entries live in the coefficient tower of exactfield, so every algebraic
-identity among periods is checked symbolically: the bilinear relations
-reduce to a quadratic form in the parameters with tower coefficients
-that must vanish identically.  Positivity of the polarization form is
+A PeriodMatrix is stored as P = P_0 + sum_k t_k P_k: one dense g x 2g
+tower matrix for the constant part and one per declared parameter, in
+params order.  Every product goes through matmul, which takes int,
+Fraction or TowerElem entries and skips zero factors, so a sparse
+rational polarization inverse, lattice action or base change costs only
+its nonzero entries.  AffineForm is the entry type of the JSON format and
+of the derived `entries` view.
+
+Identities among periods are checked symbolically.  With t_0 = 1 for the
+constant and M_ab = P_a E^-1 P_b^T, the first bilinear relation
+P E^-1 P^T = 0 holds identically when M_aa = 0 for each a and, E^-1
+being antisymmetric, M_ab = M_ab^T for each a < b (the coefficient of
+t_a t_b is M_ab + M_ba).  An intertwining A P = P R holds when
+A P_k = P_k R for every k.  Positivity of the polarization form is
 decided exactly too: the leading minors of the Hermitian Gram matrix are
 real tower elements whose signs real_sign settles, and a precision only
 sizes the decimal ranges printed next to the verdict.
@@ -16,24 +26,16 @@ from . import intlat
 from .exactfield import TowerElem, ZERO, ONE, IUNIT, embed, real_sign, zeta_power
 
 
-def _coerce_scalar(x):
-    if isinstance(x, TowerElem):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return TowerElem.rational(x)
-    raise TypeError(f"expected a tower scalar, got {type(x).__name__}")
-
-
 class AffineForm:
     """const + sum over named parameters of coeff * parameter."""
 
     __slots__ = ("const", "coeffs")
 
     def __init__(self, const=ZERO, coeffs=None):
-        object.__setattr__(self, "const", _coerce_scalar(const))
+        object.__setattr__(self, "const", TowerElem.coerce(const))
         clean = {}
         for name, v in (coeffs or {}).items():
-            v = _coerce_scalar(v)
+            v = TowerElem.coerce(v)
             if not v.is_zero():
                 clean[str(name)] = v
         object.__setattr__(self, "coeffs", clean)
@@ -45,7 +47,7 @@ class AffineForm:
     def coerce(x):
         if isinstance(x, AffineForm):
             return x
-        return AffineForm(_coerce_scalar(x))
+        return AffineForm(x)
 
     @staticmethod
     def variable(name, coeff=ONE):
@@ -86,10 +88,10 @@ class AffineForm:
         return (-self) + other
 
     def __mul__(self, other):
-        """Scalar multiple; products of two forms go through QuadForm."""
+        """Scalar multiple; a product of two forms is not affine."""
         if isinstance(other, AffineForm):
-            raise TypeError("use QuadForm.product for form * form")
-        s = _coerce_scalar(other)
+            raise TypeError("the product of two affine forms is not affine")
+        s = TowerElem.coerce(other)
         return AffineForm(self.const * s,
                           {n: v * s for n, v in self.coeffs.items()})
 
@@ -117,7 +119,7 @@ class AffineForm:
         coeffs = {}
         for name, v in self.coeffs.items():
             if name in assignment:
-                const = const + v * _coerce_scalar(assignment[name])
+                const = const + v * TowerElem.coerce(assignment[name])
             else:
                 coeffs[name] = v
         return AffineForm(const, coeffs)
@@ -145,85 +147,35 @@ class AffineForm:
         return cls(const, coeffs)
 
 
-class QuadForm:
-    """Quadratic expression in the parameters, used for residuals.
+# -- matrices over the tower ----------------------------------------------
 
-    Keys are sorted tuples of parameter names: () for the constant,
-    one name for linear terms, two for quadratic ones.
+def _product_rows(A, B):
+    """The rows of A B one at a time; see matmul."""
+    if A and len(A[0]) != len(B):
+        raise ValueError("matrix dimensions do not match")
+    width = len(B[0]) if B else 0
+    nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in B]
+    for row in A:
+        acc = [None] * width
+        for a, terms in zip(row, nonzero):
+            if a:
+                for j, b in terms:
+                    t = a * b
+                    acc[j] = t if acc[j] is None else acc[j] + t
+        yield [ZERO if x is None else TowerElem.coerce(x) for x in acc]
+
+
+def matmul(A, B):
+    """A B as a tower matrix, for entries that are int, Fraction or TowerElem.
+
+    Zero factors are skipped, so a sparse operand costs only its nonzero
+    entries.
     """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        for mono, v in (terms or {}).items():
-            v = _coerce_scalar(v)
-            if not v.is_zero():
-                clean[tuple(sorted(mono))] = v
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadForm is immutable")
-
-    @staticmethod
-    def product(f, g):
-        f = AffineForm.coerce(f)
-        g = AffineForm.coerce(g)
-        terms = {(): f.const * g.const}
-        for n, v in f.coeffs.items():
-            terms[(n,)] = terms.get((n,), ZERO) + v * g.const
-        for n, v in g.coeffs.items():
-            terms[(n,)] = terms.get((n,), ZERO) + f.const * v
-        for n, v in f.coeffs.items():
-            for m, w in g.coeffs.items():
-                key = tuple(sorted((n, m)))
-                terms[key] = terms.get(key, ZERO) + v * w
-        return QuadForm(terms)
-
-    def __add__(self, other):
-        if not isinstance(other, QuadForm):
-            return NotImplemented
-        terms = dict(self.terms)
-        for mono, v in other.terms.items():
-            terms[mono] = terms.get(mono, ZERO) + v
-        return QuadForm(terms)
-
-    def __neg__(self):
-        return QuadForm({m: -v for m, v in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, QuadForm):
-            return NotImplemented
-        return self + (-other)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms):
-            label = "*".join(mono) if mono else "1"
-            parts.append(f"({self.terms[mono]!r})*{label}")
-        return " + ".join(parts)
-
-
-# -- matrices over the tower and over forms -----------------------------
-
-def tower_matrix(rows):
-    return [[_coerce_scalar(x) for x in row] for row in rows]
+    return list(_product_rows(A, B))
 
 
 def tower_identity(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def tower_matmul(A, B):
-    if A and B and len(A[0]) != len(B):
-        raise ValueError("tower matrix dimensions do not match")
-    return [[sum((A[i][k] * B[k][j] for k in range(len(B))), ZERO)
-             for j in range(len(B[0]))] for i in range(len(A))]
 
 
 def tower_transpose(A):
@@ -278,50 +230,46 @@ def tower_inv(A):
     return [row[n:] for row in M]
 
 
-def form_matrix(rows):
-    return [[AffineForm.coerce(x) for x in row] for row in rows]
-
-
-def form_matmul_rat(A, Q):
-    """Affine-form matrix times a rational matrix on the right."""
-    if A and len(A[0]) != len(Q):
-        raise ValueError("form matrix dimensions do not match")
-    zero = AffineForm()
-    return [[sum((A[i][k] * Q[k][j] for k in range(len(Q))), zero)
-             for j in range(len(Q[0]))] for i in range(len(A))]
-
-
-def scalar_form_matmul(S, A):
-    """Tower matrix times affine-form matrix."""
-    if S and len(S[0]) != len(A):
-        raise ValueError("matrix dimensions do not match")
-    zero = AffineForm()
-    return [[sum((A[k][j] * S[i][k] for k in range(len(A))), zero)
-             for j in range(len(A[0]))] for i in range(len(S))]
-
-
 class PeriodMatrix:
-    """g x 2g affine-form matrix together with an integer polarization.
+    """g x 2g matrix P_0 + sum_k t_k P_k with an integer polarization.
 
-    The polarization is the alternating Gram matrix of the lattice basis
+    coeffs[0] is the constant tower matrix P_0 and coeffs[1 + k] the
+    coefficient matrix of params[k], each a g x 2g tuple of tuples.  The
+    polarization is the alternating Gram matrix of the lattice basis
     indexing the columns.  Parameter names are fixed up front so that
     serialization and evaluation are unambiguous.
     """
 
-    __slots__ = ("g", "params", "entries", "polarization")
+    __slots__ = ("g", "params", "coeffs", "polarization")
 
     def __init__(self, g, params, entries, polarization):
-        if len(entries) != g or any(len(row) != 2 * g for row in entries):
-            raise ValueError(f"period matrix must be {g} x {2 * g}")
-        entries = form_matrix(entries)
+        """From a g x 2g matrix of AffineForms or tower scalars."""
+        forms = [[AffineForm.coerce(x) for x in row] for row in entries]
         params = tuple(str(p) for p in params)
-        used = set()
-        for row in entries:
-            for f in row:
-                used |= f.params()
+        used = set().union(*(f.coeffs for row in forms for f in row))
         if not used <= set(params):
             raise ValueError(f"entries use undeclared parameters "
                              f"{sorted(used - set(params))}")
+        coeffs = [[[f.const for f in row] for row in forms]]
+        coeffs += [[[f.coeffs.get(p, ZERO) for f in row] for row in forms]
+                   for p in params]
+        self._init(g, params, coeffs, polarization)
+
+    @classmethod
+    def from_coeffs(cls, g, params, coeffs, polarization):
+        """From the constant and the per-parameter g x 2g tower matrices."""
+        pm = object.__new__(cls)
+        pm._init(g, params, coeffs, polarization)
+        return pm
+
+    def _init(self, g, params, coeffs, polarization):
+        params = tuple(str(p) for p in params)
+        if len(set(params)) != len(params):
+            raise ValueError(f"repeated parameter names in {list(params)}")
+        if len(coeffs) != 1 + len(params):
+            raise ValueError(f"need {1 + len(params)} coefficient matrices")
+        if any(len(C) != g or any(len(row) != 2 * g for row in C) for C in coeffs):
+            raise ValueError(f"period matrix must be {g} x {2 * g}")
         pol = [[int(x) for x in row] for row in polarization]
         if len(pol) != 2 * g or any(len(r) != 2 * g for r in pol):
             raise ValueError("polarization must be 2g x 2g")
@@ -329,20 +277,49 @@ class PeriodMatrix:
             raise ValueError("polarization must be alternating")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "coeffs", tuple(
+            tuple(tuple(TowerElem.coerce(x) for x in row) for row in C)
+            for C in coeffs))
         object.__setattr__(self, "polarization", pol)
 
     def __setattr__(self, name, value):
         raise AttributeError("PeriodMatrix is immutable")
 
+    @property
+    def entries(self):
+        """The matrix as AffineForms, computed from coeffs."""
+        P0, named = self.coeffs[0], list(zip(self.params, self.coeffs[1:]))
+        return [[AffineForm(x, {p: C[i][j] for p, C in named})
+                 for j, x in enumerate(row)] for i, row in enumerate(P0)]
+
+    def _substitute(self, assignment):
+        """P_0 + sum t_k P_k over the assigned t_k, and the unassigned (name, P_k)."""
+        out = [list(row) for row in self.coeffs[0]]
+        kept = []
+        for p, C in zip(self.params, self.coeffs[1:]):
+            if p not in assignment:
+                kept.append((p, C))
+                continue
+            t = TowerElem.coerce(assignment[p])
+            for o, row in zip(out, C):
+                for j, x in enumerate(row):
+                    if x:
+                        o[j] = o[j] + x * t
+        return out, kept
+
     def subs(self, assignment):
-        rows = [[f.subs(assignment) for f in row] for row in self.entries]
-        kept = tuple(p for p in self.params if p not in assignment)
-        return PeriodMatrix(self.g, kept, rows, self.polarization)
+        P0, kept = self._substitute(assignment)
+        return PeriodMatrix.from_coeffs(
+            self.g, [p for p, _ in kept], [P0] + [C for _, C in kept],
+            self.polarization)
 
     def evaluate(self, assignment):
         """Exact tower matrix at a full parameter assignment."""
-        return [[f.evaluate(assignment) for f in row] for row in self.entries]
+        P0, kept = self._substitute(assignment)
+        missing = sorted(p for p, C in kept if any(x for row in C for x in row))
+        if missing:
+            raise ValueError(f"unassigned parameters: {missing}")
+        return P0
 
     def eval_ball(self, assignment, prec=128):
         return [[embed(x, prec) for x in row] for row in self.evaluate(assignment)]
@@ -368,40 +345,46 @@ class PeriodMatrix:
 
 def _polarization_inverse(pm):
     """E^{-1} as a tuple of tuples, shared by every matrix with polarization E."""
-    return _rational_inverse(tuple(map(tuple, pm.polarization)))
+    Einv = _rational_inverse(tuple(map(tuple, pm.polarization)))
+    if Einv is None:
+        raise ValueError("polarization is degenerate")
+    return Einv
 
 
 @lru_cache(maxsize=16)
-def _rational_inverse(E):
-    det, inv = intlat.exact_det_inv(E)
-    if det == 0 or inv is None:
-        raise ValueError("polarization is degenerate")
-    return tuple(map(tuple, inv))
+def _rational_inverse(M):
+    """Inverse of a rational matrix given as a tuple of tuples; None if singular."""
+    det, inv = intlat.exact_det_inv(M)
+    return None if det == 0 or inv is None else tuple(map(tuple, inv))
 
 
 def riemann_first_relation(pm):
-    """Residual of the symmetry relation, a g x g matrix of QuadForms.
+    """The nonzero coefficients of P E^{-1} P^T as a polynomial in the parameters.
 
-    The relation asserts P E^{-1} P^T = 0 identically in the parameters,
-    with E the polarization.  All-zero output means it holds.
+    Returns {monomial: g x g tower matrix}, a monomial being a sorted
+    tuple of parameter names (() for the constant term).  With
+    M_ab = P_a E^{-1} P_b^T the coefficient of t_a^2 is M_aa and that of
+    t_a t_b (a < b) is M_ab + M_ba = M_ab - M_ab^T.  An empty dict means
+    the relation holds identically.
     """
     Einv = _polarization_inverse(pm)
-    PE = form_matmul_rat(pm.entries, Einv)
-    g, n = pm.g, 2 * pm.g
-    out = []
-    for i in range(g):
-        row = []
-        for j in range(g):
-            acc = QuadForm()
-            for k in range(n):
-                acc = acc + QuadForm.product(PE[i][k], pm.entries[j][k])
-            row.append(acc)
-        out.append(row)
+    names = [()] + [(p,) for p in pm.params]
+    PE = [matmul(P, Einv) for P in pm.coeffs]
+    PT = [tower_transpose(P) for P in pm.coeffs]
+    g = pm.g
+    out = {}
+    for a in range(len(names)):
+        for b in range(a, len(names)):
+            M = matmul(PE[a], PT[b])
+            if a != b:
+                M = [[M[i][j] - M[j][i] for j in range(g)] for i in range(g)]
+            if any(x for row in M for x in row):
+                out[tuple(sorted(names[a] + names[b]))] = M
     return out
 
 
 def first_relation_holds(pm):
-    return all(q.is_zero() for row in riemann_first_relation(pm) for q in row)
+    return not riemann_first_relation(pm)
 
 
 def positivity_gram(pm, point, sign=1):
@@ -409,9 +392,8 @@ def positivity_gram(pm, point, sign=1):
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     P = pm.evaluate(point)
-    Einv = _polarization_inverse(pm)
-    PE = tower_matmul(P, Einv)
-    H = tower_matmul(PE, tower_transpose(tower_conj(P)))
+    H = matmul(matmul(P, _polarization_inverse(pm)),
+               tower_transpose(tower_conj(P)))
     unit = IUNIT if sign == 1 else -IUNIT
     return [[x * unit for x in row] for row in H]
 
@@ -450,19 +432,14 @@ class SplitResult:
         self.prym_gram = prym_gram
 
 
-def _coordinate_rows(forms, names):
-    """Rational constraint rows forcing a combination of forms to vanish."""
+def _coordinate_rows(pm, i):
+    """Rational constraint rows forcing a combination of row i's entries to vanish."""
     rows = []
-    keys = [None] + list(names)
-    for key in keys:
-        for part in ("c", "a"):
-            for idx in range(4):
-                row = []
-                for f in forms:
-                    x = f.const if key is None else f.coeffs.get(key, ZERO)
-                    row.append(getattr(x, part)[idx])
-                if any(row):
-                    rows.append(row)
+    for C in pm.coeffs:
+        for k in range(8):
+            row = [Fraction(x.n[k], x.d) for x in C[i]]
+            if any(row):
+                rows.append(row)
     return rows
 
 
@@ -476,8 +453,8 @@ def isogeny_split(pm):
     n = 2 * pm.g
     ell_rows = []
     for i in range(1, pm.g):
-        ell_rows.extend(_coordinate_rows(pm.entries[i], pm.params))
-    prym_rows = _coordinate_rows(pm.entries[0], pm.params)
+        ell_rows.extend(_coordinate_rows(pm, i))
+    prym_rows = _coordinate_rows(pm, 0)
     ell = intlat.integer_kernel(ell_rows) if ell_rows else []
     prym = intlat.integer_kernel(prym_rows) if prym_rows else []
     if len(ell) + len(prym) != n:
@@ -495,22 +472,18 @@ def isogeny_split(pm):
 
 # -- symmetries ----------------------------------------------------------
 
-def automorphism_residual(pm, A, R):
-    """Entries of A * P - P * R as affine forms.
+def intertwines(pm, A, R):
+    """Whether A P = P R identically in the parameters.
 
     A acts on the forms (tower matrix, g x g), R on the lattice basis
-    (integer matrix, 2g x 2g).  All-zero output means the pair
-    intertwines the period matrix.
+    (rational matrix, 2g x 2g).  Checked as A P_k = P_k R for each
+    coefficient matrix, stopping at the first row that differs.
     """
-    left = scalar_form_matmul(tower_matrix(A), pm.entries)
-    right = form_matmul_rat(pm.entries, R)
-    return [[left[i][j] - right[i][j] for j in range(2 * pm.g)]
-            for i in range(pm.g)]
-
-
-def intertwines(pm, A, R):
-    return all(f.is_zero() for row in automorphism_residual(pm, A, R)
-               for f in row)
+    for P in pm.coeffs:
+        for left, right in zip(_product_rows(A, P), _product_rows(P, R)):
+            if left != right:
+                return False
+    return True
 
 
 def _integer_inverse(R):
@@ -545,27 +518,34 @@ def intertwiner_search(pm, exponents, R, signs=(1, -1)):
     return hits
 
 
-def combine_split_family(top_form, top_cols, sub_entries, sub_cols,
+def combine_split_family(top_forms, top_cols, sub, sub_cols,
                          basis, params, polarization):
     """Assemble a split period matrix and return to the basis of interest.
 
-    Row 0 carries the affine forms top_form[c] in the columns top_cols,
-    rows 1.. carry sub_entries in the columns sub_cols; everything else
-    is zero.  The result is multiplied by basis^(-1) on the right, so
-    the output is indexed by the original lattice basis and carries the
-    supplied polarization.
+    Row 0 carries the affine forms top_forms[c] in the columns top_cols,
+    rows 1.. carry the PeriodMatrix sub in the columns sub_cols; everything
+    else is zero.  Each coefficient matrix is multiplied by basis^(-1) on
+    the right, so the output is indexed by the original lattice basis and
+    carries the supplied polarization.
     """
-    g = 1 + len(sub_entries)
-    n = 2 * g
-    zero = AffineForm()
-    big = [[zero for _ in range(n)] for _ in range(g)]
-    for c, fval in zip(top_cols, top_form):
-        big[0][c] = AffineForm.coerce(fval)
-    for r in range(len(sub_entries)):
-        for c, fval in zip(sub_cols, sub_entries[r]):
-            big[1 + r][c] = AffineForm.coerce(fval)
-    det, Binv = intlat.exact_det_inv(basis)
-    if det == 0:
+    top_forms = [AffineForm.coerce(f) for f in top_forms]
+    params = tuple(params)
+    used = set(sub.params).union(*(f.coeffs for f in top_forms))
+    if not used <= set(params):
+        raise ValueError(f"entries use undeclared parameters "
+                         f"{sorted(used - set(params))}")
+    Binv = _rational_inverse(tuple(map(tuple, basis)))
+    if Binv is None:
         raise ValueError("basis matrix is singular")
-    entries = form_matmul_rat(big, Binv)
-    return PeriodMatrix(g, params, entries, polarization)
+    g = 1 + sub.g
+    sub_coeffs = dict(zip((None,) + sub.params, sub.coeffs))
+    coeffs = []
+    for name in (None,) + params:
+        big = [[ZERO] * (2 * g) for _ in range(g)]
+        for c, f in zip(top_cols, top_forms):
+            big[0][c] = f.const if name is None else f.coeffs.get(name, ZERO)
+        for r, row in enumerate(sub_coeffs.get(name, ())):
+            for c, x in zip(sub_cols, row):
+                big[1 + r][c] = x
+        coeffs.append(matmul(big, Binv))
+    return PeriodMatrix.from_coeffs(g, params, coeffs, polarization)

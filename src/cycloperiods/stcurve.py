@@ -17,17 +17,9 @@ from fractions import Fraction
 from . import covers, intlat
 from .exactfield import (ONE, ZERO, HALF, RHO, INV_ROOT4_3, ROOT4_3,
                          TowerElem, cyclo)
-from .periods import AffineForm, PeriodMatrix
+from .periods import AffineForm, PeriodMatrix, combine_split_family
 
 _A3 = ROOT4_3 ** 3
-
-
-def _z1():
-    return AffineForm.variable("z1")
-
-
-def _z2():
-    return AffineForm.variable("z2")
 
 
 # -- cover combinatorics -------------------------------------------------
@@ -176,7 +168,13 @@ ELLIPTIC_BLOCK = [[0, 3], [-3, 0]]
 # -- the special Prym period matrix --------------------------------------
 
 
-def _prym_special_rows(reference):
+def prym_special(reference=False):
+    """The special 3x6 Prym matrix as a constant tower matrix.
+
+    The displayed variant differs in entry (2,2) only; the corrected
+    value is forced by the product (Z1|Z2)B and is what every exact
+    check downstream uses.
+    """
     c = cyclo
     row1 = [c(1, 0, -1), c(2, 0, -1), c(6, 0, -3),
             c(0, 0, 1), c(0), c(3, 0, -3)]
@@ -188,19 +186,8 @@ def _prym_special_rows(reference):
     return [row1, row2, row3]
 
 
-def prym_special(reference=False):
-    """The special 3x6 Prym matrix as a constant tower matrix.
-
-    The displayed variant differs in entry (2,2) only; the corrected
-    value is forced by the product (Z1|Z2)B and is what every exact
-    check downstream uses.
-    """
-    return _prym_special_rows(reference)
-
-
 def prym_special_matrix(reference=False):
-    return PeriodMatrix(3, (), _prym_special_rows(reference),
-                        PRYM_POLARIZATION)
+    return PeriodMatrix(3, (), prym_special(reference), PRYM_POLARIZATION)
 
 
 # order-3 action on the Prym lattice
@@ -261,7 +248,7 @@ FAMILY_W = [
 
 def shimura_family_display():
     """Displayed 3x6 family in module-generator coordinates (affine in z)."""
-    z1, z2 = _z1(), _z2()
+    z1, z2 = AffineForm.variable("z1"), AffineForm.variable("z2")
     zeta_inv = cyclo(0, 1, 0, -1)
     row1 = [z2 * INV_ROOT4_3, z1 + 1,
             z1 * cyclo(3, -1) + cyclo(3, 0, 0, -1)]
@@ -276,7 +263,7 @@ def shimura_family_display():
 
 def prym_family_display():
     """Displayed 3x6 family in the Prym lattice coordinates (affine in z)."""
-    z1, z2 = _z1(), _z2()
+    z1, z2 = AffineForm.variable("z1"), AffineForm.variable("z2")
     c = cyclo
     a23 = z2 * (_A3 * c(-1, -2, 3, 3)) - (z1 - 1) * (3 * c(-1, -3, 1))
     a33 = (z2 * (_A3 * c(-4, -1, 3, 3)) + z1 * c(-11, -17, 1, 10)
@@ -303,30 +290,19 @@ def prym_family_display():
 
 
 def genus4_family(prym, tau_name="tau"):
-    """Reassemble a genus-4 matrix from a 3x6 Prym block.
+    """Reassemble a genus-4 matrix from a 3x6 Prym PeriodMatrix.
 
     Places 3*tau and 3*tau + 3 in the elliptic columns and the Prym
     entries in the Prym columns of the splitting basis, then returns to
     the symplectic e-basis.  With the special Prym matrix this recovers
     genus4_period_matrix() up to the basis bookkeeping.
     """
-    from .periods import combine_split_family
-    if isinstance(prym, PeriodMatrix):
-        params, entries = prym.params, prym.entries
-    else:
-        params, entries = (), [list(r) for r in prym]
-        seen = set()
-        for row in entries:
-            for f in row:
-                if isinstance(f, AffineForm):
-                    seen |= f.params()
-        params = tuple(sorted(seen))
     three = cyclo(3)
     top = [AffineForm.variable(tau_name, three),
            AffineForm(three, {tau_name: three})]
     return combine_split_family(
-        top, ELL_COLS, entries, PRYM_COLS, SPLITTING_BASIS,
-        (tau_name,) + tuple(p for p in params if p != tau_name),
+        top, ELL_COLS, prym, PRYM_COLS, SPLITTING_BASIS,
+        (tau_name,) + tuple(p for p in prym.params if p != tau_name),
         intlat.standard_symplectic(4))
 
 

@@ -9,11 +9,12 @@ the convention search does not land on a unique winner, since nothing
 downstream of the family is then well defined.
 """
 
+import os
+import traceback
 from fractions import Fraction
 
 from . import covers, intlat, pel, periods, report, stcurve
 from .exactfield import RHO, ZERO, TowerElem, cyclo, embed, zeta_power
-from .periods import AffineForm
 
 # frozen per run; the embedding/I2/column-order entries are appended
 # from the resolved conventions when the resolution succeeds
@@ -63,10 +64,7 @@ class SuiteContext:
     @property
     def match_target(self):
         def build():
-            sp = stcurve.prym_special()
-            basis = self.module.basis
-            return [[sum((sp[i][k] * basis[k][j] for k in range(6)), ZERO)
-                     for j in range(6)] for i in range(3)]
+            return periods.matmul(stcurve.prym_special(), self.module.basis)
         return self._get("match_target", build)
 
     @property
@@ -187,26 +185,18 @@ def _check_covers(ctx, strict):
 @_register("split-product", "split")
 def _check_split(ctx, strict):
     pm = stcurve.genus4_period_matrix()
-    ZB = periods.form_matmul_rat(pm.entries, stcurve.SPLITTING_BASIS)
-    bad = []
-    for p in stcurve.PRYM_COLS:
-        if not ZB[0][p].is_zero():
-            bad.append([0, p])
-    for r in (1, 2, 3):
-        for e in stcurve.ELL_COLS:
-            if not ZB[r][e].is_zero():
-                bad.append([r, e])
-    tau = AffineForm.variable("tau")
-    if ZB[0][stcurve.ELL_COLS[0]] != tau * 3:
-        bad.append([0, stcurve.ELL_COLS[0]])
-    if ZB[0][stcurve.ELL_COLS[1]] != tau * 3 + 3:
-        bad.append([0, stcurve.ELL_COLS[1]])
+    # Z B = Z0 + tau Zt against the blocks its columns must carry
+    Z0, Zt = (periods.matmul(P, stcurve.SPLITTING_BASIS) for P in pm.coeffs)
+    want0 = [[ZERO] * 8 for _ in range(4)]
+    want_t = [[ZERO] * 8 for _ in range(4)]
+    e0, e1 = stcurve.ELL_COLS
+    want0[0][e1] = want_t[0][e0] = want_t[0][e1] = 3
     sp = stcurve.prym_special()
     for r in (1, 2, 3):
         for k, c in enumerate(stcurve.PRYM_COLS):
-            f = ZB[r][c]
-            if not (f.is_constant() and (f.const - sp[r - 1][k]).is_zero()):
-                bad.append([r, c])
+            want0[r][c] = sp[r - 1][k]
+    bad = [[i, j] for i in range(4) for j in range(8)
+           if Z0[i][j] != want0[i][j] or Zt[i][j] != want_t[i][j]]
     ref = stcurve.prym_special(reference=True)
     diffs = [[i, j] for i in range(3) for j in range(6)
              if not (sp[i][j] - ref[i][j]).is_zero()]
@@ -350,8 +340,8 @@ def _check_special_fiber(ctx, strict):
     fiber_ok = _tower_eq(at_star, stcurve.prym_special())
     assembled = ctx.genus4_family.subs(ctx.match.point())
     base = stcurve.genus4_period_matrix()
-    genus4_ok = all(assembled.entries[i][j] == base.entries[i][j]
-                    for i in range(4) for j in range(8))
+    genus4_ok = (assembled.params == base.params
+                 and assembled.coeffs == base.coeffs)
     ok = fiber_ok and genus4_ok
     evidence = {"prym_fiber_exact": fiber_ok,
                 "genus4_assembly_exact": genus4_ok}
@@ -447,6 +437,10 @@ def _check_display_audit(ctx, strict):
                         out, evidence)
 
 
+# innermost frames kept in the evidence of an "unexpected error" verdict
+TRACEBACK_FRAMES = 5
+
+
 def run_all(prec=128, only=None, strict=False):
     ctx = SuiteContext(prec)
     checks = []
@@ -461,9 +455,13 @@ def run_all(prec=128, only=None, strict=False):
                 {"error": str(exc.args[0] if exc.args else exc),
                  "candidates": exc.candidates}))
         except Exception as exc:  # a check must never take down the run
+            frames = traceback.extract_tb(exc.__traceback__)[-TRACEBACK_FRAMES:]
             checks.append(report.Check(
                 cid, "unexpected error", "fail",
-                {"error": f"{type(exc).__name__}: {exc}"}))
+                {"error": f"{type(exc).__name__}: {exc}",
+                 "traceback": [f"{os.path.basename(f.filename)}:{f.lineno} "
+                               f"in {f.name}" + (f": {f.line}" if f.line else "")
+                               for f in frames]}))
     conventions = dict(RUN_CONVENTIONS)
     try:
         conventions.update(ctx.conventions.to_json())

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cycloperiods import cli, intlat, stcurve
+from cycloperiods import cli, intlat, periods, stcurve, suite
 from cycloperiods.exactfield import (
     HALF, INV_ROOT4_3, IUNIT, ONE, RHO, TowerElem, cyclo, zeta_power,
 )
@@ -59,6 +61,79 @@ def test_parse_tower_exponent_bound(runner):
     assert "out of range" in _text(result)
 
 
+def test_parse_tower_bounds_nesting_and_power_size(runner):
+    deep = "(" * 3000 + "1" + ")" * 3000
+    with pytest.raises(cli.LiteralError, match="nested deeper"):
+        cli.parse_tower(deep)
+    nested = "(" * cli.MAX_NESTING + "i" + ")" * cli.MAX_NESTING
+    assert cli.parse_tower(nested) == IUNIT
+    # signs are read in a loop, so a long run of them is no deeper
+    assert cli.parse_tower("-" * 5000 + "1") == ONE
+    assert cli.parse_tower("-" * 5001 + "1") == -ONE
+    # (2^1024)^1024 would have 2^20 bits: refused before it is computed
+    with pytest.raises(cli.LiteralError, match="power too large"):
+        cli.parse_tower("(2^1024)^1024")
+    assert cli.parse_tower("(2^1024)^60") == TowerElem.rational(2 ** 61440)
+    with pytest.raises(cli.LiteralError, match="number too long"):
+        cli.parse_tower("9" * 5000)
+    with pytest.raises(cli.LiteralError, match="out of range"):
+        cli.parse_tower("2^" + "9" * 5000)
+    for tau in (deep, "-" * 5000 + "(" * 100 + "i" + ")" * 100,
+                "i + (2^1024)^1024", "i + ((2^1024)^1024)^1024"):
+        result = runner.invoke(cli.main, ["emit", "genus4", "--tau", tau])
+        assert result.exit_code == 2
+        assert "Traceback" not in _text(result)
+
+
+def test_emit_refuses_values_past_the_digit_limit(runner):
+    # 2^15360 has 4,624 digits, past what Python turns into a string
+    for args in (["emit", "genus4", "--tau", "i + (2^1024)^15"],
+                 ["emit", "genus4", "--tau", "i", "--format", "decimal",
+                  "--digits", "5000"],
+                 ["emit", "prym", "--z1", "(2^1024)^15", "--z2", "0"]):
+        result = runner.invoke(cli.main, args)
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in _text(result)
+
+
+_LITERAL_TEXT = st.text(alphabet="0123456789.()+-*/^, izetalphrsq$", max_size=40)
+
+
+@st.composite
+def _literals(draw):
+    """Well-formed-looking literals with deep nesting and large powers."""
+    atom = draw(st.sampled_from(["0", "1", "2", "3", "0.5", "i", "zeta",
+                                 "alpha", "rho", "sqrt3"]))
+    node = atom
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(["+", "-", "*", "/", "^"]))
+        if op == "^":
+            node = f"({node})^{draw(st.integers(-1100, 1100))}"
+        else:
+            node = f"{node}{op}{draw(st.sampled_from(['1', '2^1024', 'i', '0']))}"
+        depth = draw(st.integers(0, 80))
+        node = draw(st.sampled_from(["", "-", "--"])) + "(" * depth + node + ")" * depth
+    return node
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_LITERAL_TEXT, _literals()))
+def test_parse_tower_fuzz(text):
+    try:
+        value = cli.parse_tower(text)
+    except cli.LiteralError:
+        return
+    assert isinstance(value, TowerElem)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_LITERAL_TEXT, _literals()))
+def test_emit_tau_fuzz_exits_0_or_2(text):
+    result = CliRunner().invoke(cli.main, ["emit", "genus4", "--tau", text])
+    assert result.exit_code in (0, 2), (text, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 # -- verify -----------------------------------------------------------------
 
 def test_verify_all_json(runner):
@@ -86,6 +161,29 @@ def test_verify_single_tag_renders_a_line(runner):
     assert "PASS" in result.output
     assert "lattice-type" in result.output
     assert "1 passed, 0 failed, 0 inconclusive" in result.output
+
+
+def test_verify_unexpected_error_keeps_a_traceback(runner, monkeypatch):
+    def broken(pm):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(periods, "first_relation_holds", broken)
+    result = runner.invoke(cli.main, ["verify", "--only", "riemann", "--json"])
+    assert result.exit_code == 1
+    (check,) = json.loads(result.output)["checks"]
+    assert (check["anchor"], check["verdict"]) == ("unexpected error", "fail")
+    assert check["evidence"]["error"] == "ZeroDivisionError: injected"
+    frames = check["evidence"]["traceback"]
+    assert 1 <= len(frames) <= suite.TRACEBACK_FRAMES
+    assert all(isinstance(f, str) for f in frames)
+    assert frames[-2].startswith("suite.py:")
+    assert "_check_riemann" in frames[-2] and "first_relation_holds" in frames[-2]
+    assert "in broken" in frames[-1]
+    # a passing check carries no traceback
+    monkeypatch.undo()
+    result = runner.invoke(cli.main, ["verify", "--only", "riemann", "--json"])
+    (check,) = json.loads(result.output)["checks"]
+    assert check["verdict"] == "pass" and "traceback" not in check["evidence"]
 
 
 def test_verify_low_precision_is_inconclusive(runner):
@@ -263,6 +361,8 @@ _TOO_TALL = json.dumps([[0]] * 33)
     '{"rows": 1, "cols": 1, "data": [[[1, 0]]]}',     # zero denominator
     '{"rows": 1, "cols": 1, "data": [[true]]}',
     '{"rows": 33, "cols": 1, "data": %s}' % _TOO_TALL,
+    # accepted entries whose Smith transforms pass the digit limit
+    "[[%s,%s],[%s,1]]" % ("9" * 4000, "7" * 4000, "3" * 3999),
 ])
 def test_tools_reject_hostile_matrices(runner, command, blob):
     result = runner.invoke(cli.main, ["tools", command, "--matrix", blob])

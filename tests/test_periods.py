@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from cycloperiods import intlat, periods, stcurve
+from cycloperiods import intlat, periods, stcurve, suite
 from cycloperiods.exactfield import (
-    HALF, IUNIT, ONE, ZERO, TowerElem, cyclo, embed,
+    HALF, IUNIT, ONE, ZERO, TowerElem, cyclo, embed, zeta_power,
 )
-from cycloperiods.periods import AffineForm, PeriodMatrix, QuadForm
+from cycloperiods.periods import AffineForm, PeriodMatrix
 
 _I = cyclo(0, 0, 0, 1)
 
@@ -36,10 +36,6 @@ def test_affine_form_products_need_quadforms():
     z = AffineForm.variable("z")
     with pytest.raises(TypeError):
         z * z
-    q = QuadForm.product(z, z - 1)
-    assert not q.is_zero()
-    assert (q - q).is_zero()
-    assert QuadForm.product(z, AffineForm.coerce(0)).is_zero()
 
 
 def test_affine_form_json_roundtrip():
@@ -92,6 +88,74 @@ def test_first_relation_detects_perturbation():
     assert not periods.first_relation_holds(broken)
 
 
+@pytest.fixture(scope="module")
+def genus4_family():
+    return suite.SuiteContext(128).genus4_family
+
+
+def _perturbed(pm, k, i, j):
+    """pm with 1 added to entry (i, j) of its k-th coefficient matrix."""
+    coeffs = [[list(row) for row in C] for C in pm.coeffs]
+    coeffs[k][i][j] = coeffs[k][i][j] + ONE
+    return PeriodMatrix.from_coeffs(pm.g, pm.params, coeffs, pm.polarization)
+
+
+def _order3_deck_pair():
+    # the square of module-endo's deck pair: the order-3 part of the deck
+    # map, which lives on the whole family and not only on the Jacobian locus
+    A = [[zeta_power(2 * e) if i == j else ZERO for j in range(4)]
+         for i, e in enumerate(stcurve.FORM_WEIGHT_EXPONENTS)]
+    R = stcurve.DECK_SYMPLECTIC_ACTION
+    return A, intlat.matmul(R, R)
+
+
+@pytest.mark.parametrize("entry, monomials", [
+    # row 1 has no tau part: each perturbation shows only against the constant
+    ((1, 2), [[()], [("tau",)], [("z1",)], [("z2",)]]),
+    # row 0 carries tau, so the cross terms t_a t_b with a, b > 0 show too
+    ((0, 0), [[(), ("z1",), ("z2",)],
+              [("tau",), ("tau", "z1"), ("tau", "z2")],
+              [("z1",), ("z1", "z1"), ("z1", "z2")],
+              [("z1", "z2"), ("z2",), ("z2", "z2")]]),
+])
+def test_first_relation_and_intertwining_detect_each_coefficient(
+        genus4_family, entry, monomials):
+    pm = genus4_family
+    assert pm.params == ("tau", "z1", "z2")
+    A, R = _order3_deck_pair()
+    assert periods.riemann_first_relation(pm) == {}
+    assert periods.intertwines(pm, A, R)
+    for k, want in enumerate(monomials):    # constant, tau, z1, z2
+        broken = _perturbed(pm, k, *entry)
+        assert not periods.first_relation_holds(broken)
+        assert sorted(periods.riemann_first_relation(broken)) == want
+        assert not periods.intertwines(broken, A, R)
+
+
+def test_matmul_skips_zero_factors_and_mixes_entry_types():
+    A = [[2, 0], [Fraction(1, 3), IUNIT]]
+    B = [[IUNIT, 0], [0, Fraction(3, 2)]]
+    assert periods.matmul(A, B) == [[IUNIT * 2, ZERO],
+                                    [IUNIT * Fraction(1, 3), IUNIT * Fraction(3, 2)]]
+    assert all(isinstance(x, TowerElem)
+               for row in periods.matmul([[0, 0]], B) for x in row)
+    with pytest.raises(ValueError):
+        periods.matmul(A, [[1, 2]])
+
+
+def test_period_matrix_coefficients_and_entries_agree():
+    pm = _genus4()
+    P0, Pt = pm.coeffs
+    assert pm.entries[0][3] == AffineForm(-1, {"tau": -1})
+    assert (P0[0][3], Pt[0][3]) == (-ONE, -ONE)
+    back = PeriodMatrix.from_coeffs(4, pm.params, pm.coeffs, pm.polarization)
+    assert back.entries == pm.entries
+    with pytest.raises(ValueError):
+        PeriodMatrix.from_coeffs(4, pm.params, pm.coeffs[:1], pm.polarization)
+    with pytest.raises(ValueError):
+        PeriodMatrix(4, ("tau", "tau"), pm.entries, pm.polarization)
+
+
 def test_positivity_certificates():
     pm = _genus4()
     for tau in (_I, _I * 2, _I + 1):
@@ -138,7 +202,8 @@ def test_tower_det_matches_the_integer_determinant():
     A = [[2, -1, 0, 3], [1, 4, -2, 0], [0, 5, 1, -1], [3, 0, 2, 2]]
     for n in range(1, 5):
         sub = [row[:n] for row in A[:n]]
-        got = periods.tower_det(periods.tower_matrix(sub))
+        got = periods.tower_det([[TowerElem.coerce(x) for x in row]
+                                 for row in sub])
         assert got == TowerElem.rational(intlat.bareiss_det(sub))
     D = [[_I, ZERO], [ZERO, cyclo(0, 1)]]
     assert periods.tower_det(D) == _I * cyclo(0, 1)
@@ -247,22 +312,22 @@ def test_subs_keeps_remaining_parameters():
 
 
 def test_combine_split_family_reassembles_the_tau_block():
-    # a two-parameter stand-in with the same splitting combinatorics as
+    # a one-parameter stand-in with the same splitting combinatorics as
     # the real assembly, checked column by column against the basis
     prym = stcurve.prym_special()
-    entries = [[AffineForm.coerce(x) for x in row] for row in prym]
     tau = AffineForm.variable("tau")
     top = [tau * 3, tau * 3 + 3]
     pm = periods.combine_split_family(
-        top, stcurve.ELL_COLS, entries, stcurve.PRYM_COLS,
-        stcurve.SPLITTING_BASIS, ("tau",), intlat.standard_symplectic(4))
-    ZB = periods.form_matmul_rat(pm.entries, stcurve.SPLITTING_BASIS)
-    assert ZB[0][stcurve.ELL_COLS[0]] == top[0]
-    assert ZB[0][stcurve.ELL_COLS[1]] == top[1]
+        top, stcurve.ELL_COLS, stcurve.prym_special_matrix(),
+        stcurve.PRYM_COLS, stcurve.SPLITTING_BASIS, ("tau",),
+        intlat.standard_symplectic(4))
+    Z0, Zt = (periods.matmul(P, stcurve.SPLITTING_BASIS) for P in pm.coeffs)
+    assert [Z0[0][c] for c in stcurve.ELL_COLS] == [ZERO, 3]
+    assert [Zt[0][c] for c in stcurve.ELL_COLS] == [3, 3]
     for r in range(1, 4):
         for k, c in enumerate(stcurve.PRYM_COLS):
-            assert ZB[r][c] == AffineForm.coerce(prym[r - 1][k])
+            assert Z0[r][c] == prym[r - 1][k] and Zt[r][c] == ZERO
         for c in stcurve.ELL_COLS:
-            assert ZB[r][c].is_zero()
+            assert Z0[r][c] == ZERO == Zt[r][c]
     for c in stcurve.PRYM_COLS:
-        assert ZB[0][c].is_zero()
+        assert Z0[0][c] == ZERO == Zt[0][c]
