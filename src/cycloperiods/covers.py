@@ -198,8 +198,8 @@ def deck_action_matrix(model, combos):
     X = [[combos[j][i] for j in range(g2)] for i in range(n)]
     Xt = intlat.transpose(X)
     E = intlat.matmul(Xt, intlat.matmul(M, X))
-    det, Einv = intlat.exact_det_inv(E)
-    if det == 0:
+    Einv = intlat.inverse(E)
+    if Einv is None:
         raise ValueError("combos have degenerate Gram form")
     P = model.shift_matrix()
     Rq = intlat.matmul(Einv, intlat.matmul(Xt, intlat.matmul(M, intlat.matmul(P, X))))

@@ -1,12 +1,13 @@
-"""Exact integer and rational matrix algorithms.
+"""Exact matrix algorithms over Z, Q and the tower.
 
-Everything here works on plain lists of lists (rows) of ints or
-Fractions; sizes stay small (16x16 for the package's own data, at most
-MAX_JSON_DIM on a side from JSON input), so the classical
-elementary-operation algorithms are used throughout with no modular
-tricks.  The three workhorses are Smith normal form with transforms,
-a symplectic (Frobenius) basis for alternating forms, and saturated
-integer kernels.
+Matrices are plain lists of lists (rows).  The two generic routines,
+matmul and inverse, take int, Fraction or TowerElem entries in any mix;
+everything else works on integer or rational matrices.  Sizes stay small
+(16x16 for the package's own data, at most MAX_JSON_DIM on a side from
+JSON input), so the classical elementary-operation algorithms are used
+throughout with no modular tricks.  The three lattice workhorses are
+Smith normal form with transforms, a symplectic (Frobenius) basis for
+alternating forms, and saturated integer kernels.
 """
 
 from fractions import Fraction
@@ -41,12 +42,30 @@ def transpose(A):
     return [list(row) for row in zip(*A)]
 
 
-def matmul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    if len(A[0]) != k:
+def product_rows(A, B):
+    """The rows of A B one at a time, so a caller can stop early; see matmul."""
+    if A and len(A[0]) != len(B):
         raise ValueError("matmul dimension mismatch")
-    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]
+    width = len(B[0]) if B else 0
+    nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in B]
+    for row in A:
+        acc = [None] * width
+        for a, terms in zip(row, nonzero):
+            if a:
+                for j, b in terms:
+                    t = a * b
+                    acc[j] = t if acc[j] is None else acc[j] + t
+        yield [0 if x is None else x for x in acc]
+
+
+def matmul(A, B):
+    """A B for int, Fraction or TowerElem entries in any mix.
+
+    Zero factors are skipped, so a sparse operand costs only its nonzero
+    entries, and each sum starts from its first product.  Entries are
+    not coerced: one with no nonzero term is the int 0.
+    """
+    return list(product_rows(A, B))
 
 
 def is_alternating(E):
@@ -203,27 +222,37 @@ def bareiss_det(A):
     return sign * M[n - 1][n - 1]
 
 
-def exact_det_inv(A):
-    """(det, inverse) of a square integer matrix; inverse is None if det = 0.
+def inverse(A):
+    """Inverse of a square matrix over Q or the tower; None if A is singular.
 
-    The determinant comes from Bareiss elimination; the inverse is the
-    adjugate over det, every cofactor again computed fraction-free.
+    Gauss-Jordan elimination on [A | I].  Integer pivots are promoted
+    through Fraction(1) / pivot, so an integer matrix gets a rational
+    inverse; a tower matrix gets a tower one.
     """
     n = len(A)
     if any(len(row) != n for row in A):
         raise ValueError("matrix is not square")
-    det = bareiss_det(A)
-    if det == 0:
-        return 0, None
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[A[r][c] for c in range(n) if c != j]
-                     for r in range(n) if r != i]
-            cof = bareiss_det(minor) if n > 1 else 1
-            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
-    inv = [[Fraction(adj[i][j], det) for j in range(n)] for i in range(n)]
-    return det, inv
+    M = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r][col]), None)
+        if piv is None:
+            return None
+        M[col], M[piv] = M[piv], M[col]
+        inv = Fraction(1) / M[col][col]
+        M[col] = [x * inv for x in M[col]]
+        for r in range(n):
+            f = M[r][col]
+            if r != col and f:
+                M[r] = [x - f * y if y else x for x, y in zip(M[r], M[col])]
+    return [row[n:] for row in M]
+
+
+def unimodular_inverse(A):
+    """The integer inverse of an integer matrix of determinant +-1."""
+    inv = inverse(A)
+    if inv is None or any(x.denominator != 1 for row in inv for x in row):
+        raise ValueError("matrix is not unimodular")
+    return [[int(x) for x in row] for row in inv]
 
 
 def integer_kernel(A):

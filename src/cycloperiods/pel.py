@@ -16,8 +16,7 @@ import itertools
 from . import intlat
 from .exactfield import (TowerElem, ZERO, ONE, IUNIT, RHO, SQRT3, ROOT4_3,
                          real_sign)
-from .periods import (PeriodMatrix, matmul, tower_conj, tower_identity,
-                      tower_inv, tower_transpose)
+from .periods import PeriodMatrix, tower_conj
 
 
 class ModuleError(ValueError):
@@ -63,10 +62,6 @@ class PELModule:
     @property
     def g1(self):
         return [row[:3] for row in self.g1full[:3]]
-
-    def basis_inverse(self):
-        det, inv = intlat.exact_det_inv(self.basis)
-        return [[int(x) for x in row] for row in inv]
 
     def generator_in_kvec(self, i):
         """Basis vector i as a column of K^3: u_i -> e_i, u_{3+k} -> rho e_k."""
@@ -127,7 +122,7 @@ def solve_T(g0, g1):
             row.append(TowerElem.rational(p) + TowerElem.rational(q) * RHO)
         T.append(row)
     bad = [(i, j) for i in range(3) for j in range(3)
-           if not (T[j][i] + T[i][j].conjugate()).is_zero()]
+           if T[j][i] + T[i][j].conjugate()]
     if bad:
         raise ValueError(f"solved form is not skew-Hermitian at {bad}")
     return T
@@ -179,52 +174,52 @@ def ldl_hermitian(G):
     """
     n = len(G)
     bad = [(i, j) for i in range(n) for j in range(n)
-           if not (G[j][i].conjugate() - G[i][j]).is_zero()]
+           if G[j][i].conjugate() != G[i][j]]
     if bad:
         raise ValueError(f"matrix is not Hermitian at {bad}")
     A = [row[:] for row in G]
-    S = tower_identity(n)
+    S = intlat.identity(n)
 
     def apply(E):
         nonlocal A, S
-        Ed = tower_conj(tower_transpose(E))
-        A = matmul(E, matmul(A, Ed))
-        S = matmul(E, S)
+        Ed = tower_conj(intlat.transpose(E))
+        A = intlat.matmul(E, intlat.matmul(A, Ed))
+        S = intlat.matmul(E, S)
 
     for k in range(n):
-        piv = next((r for r in range(k, n) if not A[r][r].is_zero()), None)
+        piv = next((r for r in range(k, n) if A[r][r]), None)
         if piv is None:
             pair = next(((r, s) for r in range(k, n) for s in range(k, n)
-                         if not A[r][s].is_zero()), None)
+                         if A[r][s]), None)
             if pair is None:
                 break
             r, s = pair
             for unit in (ONE, IUNIT):
-                E = tower_identity(n)
+                E = intlat.identity(n)
                 E[r][s] = unit
                 saved = ([row[:] for row in A], [row[:] for row in S])
                 apply(E)
-                if not A[r][r].is_zero():
+                if A[r][r]:
                     break
                 A, S = saved
             else:
                 raise ValueError("could not create a pivot")
             piv = r
         if piv != k:
-            E = tower_identity(n)
-            E[k][k] = E[piv][piv] = ZERO
-            E[k][piv] = E[piv][k] = ONE
+            E = intlat.identity(n)
+            E[k][k] = E[piv][piv] = 0
+            E[k][piv] = E[piv][k] = 1
             apply(E)
         for r in range(k + 1, n):
-            if not A[r][k].is_zero():
-                E = tower_identity(n)
+            if A[r][k]:
+                E = intlat.identity(n)
                 E[r][k] = -(A[r][k] / A[k][k])
                 apply(E)
-    off = [(i, j) for i in range(n) for j in range(n)
-           if i != j and not A[i][j].is_zero()]
+    off = [(i, j) for i in range(n) for j in range(n) if i != j and A[i][j]]
     if off:
         raise ValueError(f"congruence reduction left entries at {off}")
-    return A, S
+    return ([[TowerElem.coerce(x) for x in row] for row in A],
+            [[TowerElem.coerce(x) for x in row] for row in S])
 
 
 def pivot_signs(T):
@@ -300,18 +295,11 @@ def tower_sqrt(x):
 
 
 def defw_residual(W, T):
-    """T_ij minus sum_m W[m][i] D_m conj(W[m][j]) with D = diag(i, i, -i)."""
-    D = [IUNIT, IUNIT, -IUNIT]
-    out = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            s = ZERO
-            for m in range(3):
-                s = s + W[m][i] * D[m] * W[m][j].conjugate()
-            row.append(s - T[i][j])
-        out.append(row)
-    return out
+    """W^T D conj(W) - T with D = diag(i, i, -i), entry by entry."""
+    D = (IUNIT, IUNIT, -IUNIT)
+    WDW = intlat.matmul(intlat.transpose(W),
+                        [[d * x.conjugate() for x in row] for d, row in zip(D, W)])
+    return [[x - t for x, t in zip(row, trow)] for row, trow in zip(WDW, T)]
 
 
 class DiagonalizerResult:
@@ -342,11 +330,11 @@ def diagonalize_W(T):
             raise ValueError(f"pivot {i} = {pivots[i]!r}: the square root "
                              f"of its absolute value is not in the tower")
         roots.append(r)
-    Sinv = tower_inv(S)
-    W = tower_transpose([[Sinv[i][order[j]] * roots[j] for j in range(3)]
-                         for i in range(3)])
+    Sinv = intlat.inverse(S)
+    W = intlat.transpose([[Sinv[i][order[j]] * roots[j] for j in range(3)]
+                          for i in range(3)])
     res = defw_residual(W, T)
-    if any(not x.is_zero() for row in res for x in row):
+    if any(x for row in res for x in row):
         raise ArithmeticError("exact diagonalizer failed its residual")
     return DiagonalizerResult(W, pivots)
 
@@ -457,13 +445,12 @@ def match_solver(family, target):
         raise ValueError(f"family parameters {family.params} are not (z1, z2)")
     P0, P1, P2 = family.coeffs
     Wx = [P1[0][:3], P2[0][:3], P0[0][:3]]
-    try:
-        WinvT = tower_transpose(tower_inv(Wx))
-    except ValueError as exc:
-        raise MatchError(f"row-1 coefficient matrix singular: {exc}") from exc
-    w = matmul(WinvT, [[x] for x in target[0][:3]])
+    Winv = intlat.inverse(Wx)
+    if Winv is None:
+        raise MatchError("row-1 coefficient matrix singular")
+    w = intlat.matmul(intlat.transpose(Winv), [[x] for x in target[0][:3]])
     c11 = w[2][0]
-    if c11.is_zero():
+    if not c11:
         raise MatchError("row-1 system forces c11 = 0")
     point = {"z1": w[0][0] / c11, "z2": w[1][0] / c11}
     F = family.evaluate(point)
@@ -473,7 +460,7 @@ def match_solver(family, target):
         solved = None
         for (a1, b1, t1_), (a2, b2, t2_) in itertools.combinations(eqs, 2):
             det = a1 * b2 - a2 * b1
-            if not det.is_zero():
+            if det:
                 solved = ((t1_ * b2 - t2_ * b1) / det,
                           (a1 * t2_ - a2 * t1_) / det)
                 break
@@ -481,12 +468,12 @@ def match_solver(family, target):
             raise MatchError(f"row {ri + 1} system is degenerate")
         coeffs[names[0]], coeffs[names[1]] = solved
     result = MatchResult(point["z1"], point["z2"], coeffs)
-    CF = matmul(result.block_matrix(), F)
+    CF = intlat.matmul(result.block_matrix(), F)
     residuals = []
     for i in range(3):
         for j in range(6):
             r = CF[i][j] - target[i][j]
-            if not r.is_zero():
+            if r:
                 residuals.append((i, j, r))
     if residuals:
         raise MatchError(f"{len(residuals)} entries fail verification",
@@ -529,14 +516,15 @@ def prym_family(match, family, module, anchor=None):
     and must equal it entry for entry; a mismatch is fatal since the
     anchor is the one exact fiber the family is built around.
     """
-    C, Binv = match.block_matrix(), module.basis_inverse()
+    C, Binv = match.block_matrix(), intlat.unimodular_inverse(module.basis)
     pm = PeriodMatrix.from_coeffs(
-        3, family.params, [matmul(matmul(C, P), Binv) for P in family.coeffs],
+        3, family.params,
+        [intlat.matmul(intlat.matmul(C, P), Binv) for P in family.coeffs],
         module.pairing)
     if anchor is not None:
         at_star = pm.evaluate(match.point())
         bad = [(i, j) for i in range(3) for j in range(6)
-               if not (at_star[i][j] - anchor[i][j]).is_zero()]
+               if at_star[i][j] != anchor[i][j]]
         if bad:
             raise AnchorError(f"family misses its anchor fiber at {bad}")
     return pm

@@ -2,8 +2,8 @@
 
 A PeriodMatrix is stored as P = P_0 + sum_k t_k P_k: one dense g x 2g
 tower matrix for the constant part and one per declared parameter, in
-params order.  Every product goes through matmul, which takes int,
-Fraction or TowerElem entries and skips zero factors, so a sparse
+params order.  Every product goes through intlat.matmul, which takes
+int, Fraction or TowerElem entries and skips zero factors, so a sparse
 rational polarization inverse, lattice action or base change costs only
 its nonzero entries.  AffineForm is the entry type of the JSON format and
 of the derived `entries` view.
@@ -19,6 +19,8 @@ real tower elements whose signs real_sign settles, and a precision only
 sizes the decimal ranges printed next to the verdict.
 """
 
+import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -149,39 +151,6 @@ class AffineForm:
 
 # -- matrices over the tower ----------------------------------------------
 
-def _product_rows(A, B):
-    """The rows of A B one at a time; see matmul."""
-    if A and len(A[0]) != len(B):
-        raise ValueError("matrix dimensions do not match")
-    width = len(B[0]) if B else 0
-    nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in B]
-    for row in A:
-        acc = [None] * width
-        for a, terms in zip(row, nonzero):
-            if a:
-                for j, b in terms:
-                    t = a * b
-                    acc[j] = t if acc[j] is None else acc[j] + t
-        yield [ZERO if x is None else TowerElem.coerce(x) for x in acc]
-
-
-def matmul(A, B):
-    """A B as a tower matrix, for entries that are int, Fraction or TowerElem.
-
-    Zero factors are skipped, so a sparse operand costs only its nonzero
-    entries.
-    """
-    return list(_product_rows(A, B))
-
-
-def tower_identity(n):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def tower_transpose(A):
-    return [[A[i][j] for i in range(len(A))] for j in range(len(A[0]))]
-
-
 def tower_conj(A):
     return [[x.conjugate() for x in row] for row in A]
 
@@ -207,27 +176,6 @@ def tower_det(rows):
         acc = term if acc is None else acc + term
         sign = -sign
     return acc
-
-
-def tower_inv(A):
-    """Inverse of a square tower matrix by Gauss-Jordan elimination."""
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise ValueError("tower inverse needs a square matrix")
-    M = [[A[i][j] for j in range(n)]
-         + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not M[r][col].is_zero()), None)
-        if piv is None:
-            raise ValueError("matrix is singular over the tower")
-        M[col], M[piv] = M[piv], M[col]
-        inv = M[col][col].inverse()
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and not M[r][col].is_zero():
-                f = M[r][col]
-                M[r] = [M[r][j] - f * M[col][j] for j in range(2 * n)]
-    return [row[n:] for row in M]
 
 
 class PeriodMatrix:
@@ -340,7 +288,9 @@ class PeriodMatrix:
             pol = intlat.mat_from_json(obj["polarization"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed period matrix object: {exc}") from exc
-        return cls(g, params, entries, pol)
+        pm = cls(g, params, entries, pol)
+        _polarization_inverse(pm)       # a degenerate polarization is refused here
+        return pm
 
 
 def _polarization_inverse(pm):
@@ -354,8 +304,8 @@ def _polarization_inverse(pm):
 @lru_cache(maxsize=16)
 def _rational_inverse(M):
     """Inverse of a rational matrix given as a tuple of tuples; None if singular."""
-    det, inv = intlat.exact_det_inv(M)
-    return None if det == 0 or inv is None else tuple(map(tuple, inv))
+    inv = intlat.inverse(M)
+    return None if inv is None else tuple(map(tuple, inv))
 
 
 def riemann_first_relation(pm):
@@ -369,13 +319,13 @@ def riemann_first_relation(pm):
     """
     Einv = _polarization_inverse(pm)
     names = [()] + [(p,) for p in pm.params]
-    PE = [matmul(P, Einv) for P in pm.coeffs]
-    PT = [tower_transpose(P) for P in pm.coeffs]
+    PE = [intlat.matmul(P, Einv) for P in pm.coeffs]
+    PT = [intlat.transpose(P) for P in pm.coeffs]
     g = pm.g
     out = {}
     for a in range(len(names)):
         for b in range(a, len(names)):
-            M = matmul(PE[a], PT[b])
+            M = intlat.matmul(PE[a], PT[b])
             if a != b:
                 M = [[M[i][j] - M[j][i] for j in range(g)] for i in range(g)]
             if any(x for row in M for x in row):
@@ -392,8 +342,8 @@ def positivity_gram(pm, point, sign=1):
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     P = pm.evaluate(point)
-    H = matmul(matmul(P, _polarization_inverse(pm)),
-               tower_transpose(tower_conj(P)))
+    H = intlat.matmul(intlat.matmul(P, _polarization_inverse(pm)),
+                      intlat.transpose(tower_conj(P)))
     unit = IUNIT if sign == 1 else -IUNIT
     return [[x * unit for x in row] for row in H]
 
@@ -406,18 +356,28 @@ def riemann_positivity(pm, point, prec=128, sign=1):
     (verdict, evidence): "positive" when every minor is > 0, else
     "not-positive" at the first minor that is not.  Evidence lists
     (k, lo, hi) for the minors up to that one, with [lo, hi] the real
-    range of the minor embedded at prec bits; prec sizes these printed
-    ranges only and never changes the verdict.
+    range of the minor embedded at prec bits, as doubles (see _double);
+    prec sizes these printed ranges only and never changes the verdict.
     """
     H = positivity_gram(pm, point, sign)
     evidence = []
     for k in range(1, pm.g + 1):
         d = tower_det([row[:k] for row in H[:k]])
         lo, hi = embed(d, prec).real_range()
-        evidence.append((k, float(lo), float(hi)))
+        evidence.append((k, _double(lo, up=False), _double(hi, up=True)))
         if real_sign(d) <= 0:
             return "not-positive", evidence
     return "positive", evidence
+
+
+def _double(q, up):
+    """The Fraction q as its nearest double; past the double range, rounded
+    outward (up if up, else down) to the largest finite double or infinity."""
+    try:
+        return float(q)
+    except OverflowError:
+        edge = math.inf if (q > 0) == up else sys.float_info.max
+        return edge if q > 0 else -edge
 
 
 # -- splitting off an elliptic factor -----------------------------------
@@ -480,17 +440,11 @@ def intertwines(pm, A, R):
     coefficient matrix, stopping at the first row that differs.
     """
     for P in pm.coeffs:
-        for left, right in zip(_product_rows(A, P), _product_rows(P, R)):
+        for left, right in zip(intlat.product_rows(A, P),
+                               intlat.product_rows(P, R)):
             if left != right:
                 return False
     return True
-
-
-def _integer_inverse(R):
-    det, inv = intlat.exact_det_inv(R)
-    if det == 0 or abs(det) != 1:
-        raise ValueError("lattice action must be unimodular")
-    return [[int(x) for x in row] for row in inv]
 
 
 def intertwiner_search(pm, exponents, R, signs=(1, -1)):
@@ -503,7 +457,7 @@ def intertwiner_search(pm, exponents, R, signs=(1, -1)):
     """
     if len(exponents) != pm.g:
         raise ValueError("need one weight exponent per row")
-    Rinv = _integer_inverse(R)
+    Rinv = intlat.unimodular_inverse(R)
     variants = [("plain", R),
                 ("inverse", Rinv),
                 ("transpose", intlat.transpose(R)),
@@ -547,5 +501,5 @@ def combine_split_family(top_forms, top_cols, sub, sub_cols,
         for r, row in enumerate(sub_coeffs.get(name, ())):
             for c, x in zip(sub_cols, row):
                 big[1 + r][c] = x
-        coeffs.append(matmul(big, Binv))
+        coeffs.append(intlat.matmul(big, Binv))
     return PeriodMatrix.from_coeffs(g, params, coeffs, polarization)

@@ -64,7 +64,7 @@ class SuiteContext:
     @property
     def match_target(self):
         def build():
-            return periods.matmul(stcurve.prym_special(), self.module.basis)
+            return intlat.matmul(stcurve.prym_special(), self.module.basis)
         return self._get("match_target", build)
 
     @property
@@ -105,11 +105,6 @@ def _register(id, tag):
         CHECKS.append((id, tag, fn))
         return fn
     return wrap
-
-
-def _tower_eq(A, B):
-    return all((A[i][j] - B[i][j]).is_zero()
-               for i in range(len(A)) for j in range(len(A[0])))
 
 
 def _submatrix(M, rows, cols):
@@ -186,7 +181,7 @@ def _check_covers(ctx, strict):
 def _check_split(ctx, strict):
     pm = stcurve.genus4_period_matrix()
     # Z B = Z0 + tau Zt against the blocks its columns must carry
-    Z0, Zt = (periods.matmul(P, stcurve.SPLITTING_BASIS) for P in pm.coeffs)
+    Z0, Zt = (intlat.matmul(P, stcurve.SPLITTING_BASIS) for P in pm.coeffs)
     want0 = [[ZERO] * 8 for _ in range(4)]
     want_t = [[ZERO] * 8 for _ in range(4)]
     e0, e1 = stcurve.ELL_COLS
@@ -291,7 +286,7 @@ def _check_module_form(ctx, strict):
     grams_ok = (module.g0 == stcurve.REF_PAIRING_GRAM
                 and module.g1 == stcurve.REF_SHIFT_GRAM)
     T = ctx.skew_form
-    displayed_ok = _tower_eq(T, stcurve.REF_SKEW_T)
+    displayed_ok = T == stcurve.REF_SKEW_T
     sig = pel.signature(T)
     integral_ok, offenders = pel.integrality_check(module, T)
     ok = grams_ok and displayed_ok and sig == (2, 1) and integral_ok
@@ -319,10 +314,8 @@ def _check_diagonal(ctx, strict):
 @_register("ball-point", "match")
 def _check_match(ctx, strict):
     m = ctx.match
-    point_ok = ((m.z1 - stcurve.MATCH_POINT["z1"]).is_zero()
-                and (m.z2 - stcurve.MATCH_POINT["z2"]).is_zero())
-    coeff_ok = all((m.coeffs[k] - stcurve.MATCH_COEFFS[k]).is_zero()
-                   for k in stcurve.MATCH_COEFFS)
+    point_ok = m.point() == stcurve.MATCH_POINT
+    coeff_ok = m.coeffs == stcurve.MATCH_COEFFS
     inside = m.in_unit_ball()
     norm = embed(m.ball_norm(), prec=96)
     ok = point_ok and coeff_ok and inside
@@ -337,7 +330,7 @@ def _check_match(ctx, strict):
 @_register("special-fiber", "family")
 def _check_special_fiber(ctx, strict):
     at_star = ctx.prym_family.evaluate(ctx.match.point())
-    fiber_ok = _tower_eq(at_star, stcurve.prym_special())
+    fiber_ok = at_star == stcurve.prym_special()
     assembled = ctx.genus4_family.subs(ctx.match.point())
     base = stcurve.genus4_period_matrix()
     genus4_ok = (assembled.params == base.params
@@ -399,7 +392,7 @@ def _check_display_audit(ctx, strict):
                  if computed[i][j] != displayed[i][j]]
     diverg["family_module_coords"] = fam_diffs
     first_row_ok = not any(i == 0 for i, _ in fam_diffs)
-    c11_ok = (ctx.match.coeffs["c11"] - stcurve.MATCH_COEFFS["c11"]).is_zero()
+    c11_ok = ctx.match.coeffs["c11"] == stcurve.MATCH_COEFFS["c11"]
 
     res = pel.defw_residual(stcurve.REF_STANDALONE_W, ctx.skew_form)
     diverg["standalone_W_residual"] = [[i, j] for i in range(3)

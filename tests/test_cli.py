@@ -200,6 +200,25 @@ def test_verify_strict_flags_display_divergences(runner):
     assert "FAIL" in result.output
 
 
+def test_prec_is_bounded_above(runner, tmp_path):
+    # paths that never embed at the full precision, so the accepted side
+    # is as quick as the refused one
+    top, over = str(cli.MAX_PREC), str(cli.MAX_PREC + 1)
+    result = runner.invoke(cli.main, ["verify", "--only", "snf", "--prec", top])
+    assert result.exit_code == 0
+    result = runner.invoke(cli.main, ["verify", "--only", "snf", "--prec", over])
+    assert result.exit_code == 2 and "--prec" in _text(result)
+    result = runner.invoke(cli.main, ["emit", "prym", "--special", "--prec", top])
+    assert result.exit_code == 0
+    result = runner.invoke(cli.main, ["emit", "prym", "--special", "--prec", over])
+    assert result.exit_code == 2 and "--prec" in _text(result)
+    path = tmp_path / "pm.json"
+    path.write_text(json.dumps(stcurve.genus4_period_matrix().to_json()))
+    result = runner.invoke(cli.main, ["tools", "riemann-check", "--file", str(path),
+                                      "--at", "tau=i", "--prec", over])
+    assert result.exit_code == 2 and "--prec" in _text(result)
+
+
 def test_verify_usage_errors(runner):
     result = runner.invoke(cli.main, ["verify", "--prec", "8"])
     assert result.exit_code == 2
@@ -436,6 +455,39 @@ def test_tools_riemann_check_is_exact_near_the_real_axis(runner, tmp_path):
                             "--at", "tau=(1/2)^200*i"])
     assert result.exit_code == 0
     assert json.loads(result.output)["positivity"] == "positive"
+
+
+def test_tools_riemann_check_reports_minors_past_the_double_range(runner, tmp_path):
+    path = tmp_path / "pm.json"
+    path.write_text(json.dumps(stcurve.genus4_period_matrix().to_json()))
+    result = runner.invoke(cli.main,
+                           ["tools", "riemann-check", "--file", str(path),
+                            "--at", "tau=i*(2^1024)"])
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload["positivity"] == "positive"
+    # each bound is rounded outward: the largest double below, infinity above
+    assert payload["minor_ranges"] == [[k, 1.7976931348623157e308, float("inf")]
+                                       for k in range(1, 5)]
+    result = runner.invoke(cli.main,
+                           ["tools", "riemann-check", "--file", str(path),
+                            "--at", "tau=-i*(2^1024)"])
+    assert result.exit_code == 1
+    assert json.loads(result.output)["minor_ranges"] == [
+        [1, float("-inf"), -1.7976931348623157e308]]
+
+
+def test_tools_riemann_check_refuses_a_degenerate_polarization(runner, tmp_path):
+    obj = stcurve.genus4_period_matrix().to_json()
+    obj["polarization"]["data"] = [[0] * 8 for _ in range(8)]
+    path = tmp_path / "pm.json"
+    path.write_text(json.dumps(obj))
+    result = runner.invoke(cli.main,
+                           ["tools", "riemann-check", "--file", str(path),
+                            "--at", "tau=i"])
+    assert result.exit_code == 2
+    assert "polarization is degenerate" in _text(result)
+    assert "Traceback" not in _text(result)
 
 
 def test_tools_covers(runner):

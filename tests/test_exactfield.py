@@ -18,6 +18,7 @@ try:
 except ImportError:         # so is mpmath
     mpmath = None
 
+from cycloperiods import intlat, periods
 from cycloperiods.exactfield import (
     HALF,
     INV_ROOT4_3,
@@ -276,6 +277,23 @@ def _model_coords(p):
     assert rem.degree(_a) < 2 and rem.degree(_z) < 4
     coeffs = [rem.coeff_monomial((i, k)) for i in range(2) for k in range(4)]
     return tuple(Fraction(int(q.numerator), int(q.denominator)) for q in coeffs)
+
+
+def _wide_square(n):
+    return st.lists(st.lists(st.one_of(_wide, st.just(ZERO)), min_size=n, max_size=n),
+                    min_size=n, max_size=n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(_wide_square), st.booleans(), _wide)
+def test_wide_tower_matrix_inverse(A, dependent, c):
+    if dependent and len(A) > 1:
+        A[-1] = [x * c for x in A[0]]       # singular by construction
+    inv = intlat.inverse(A)
+    if periods.tower_det(A) == 0:
+        assert inv is None
+        return
+    assert intlat.matmul(A, inv) == intlat.identity(len(A))
 
 
 @_needs_sympy

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+try:
+    import sympy
+except ImportError:         # sympy is a test-only dependency
+    sympy = None
+
 from cycloperiods import intlat
+from cycloperiods.exactfield import IUNIT, ZERO
 
 _entry = st.integers(min_value=-6, max_value=6)
 
@@ -113,10 +119,9 @@ def test_bareiss_det_matches_laplace(A):
 
 @settings(max_examples=300, deadline=None)
 @given(_squares)
-def test_exact_det_inv(A):
-    det, inv = intlat.exact_det_inv(A)
-    assert det == _det_laplace(A)
-    if det == 0:
+def test_inverse(A):
+    inv = intlat.inverse(A)
+    if _det_laplace(A) == 0:
         assert inv is None
         return
     n = len(A)
@@ -126,9 +131,44 @@ def test_exact_det_inv(A):
                     for i in range(n)]
 
 
-def test_exact_det_inv_rejects_nonsquare():
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@settings(max_examples=300, deadline=None)
+@given(_squares)
+def test_inverse_matches_sympy(A):
+    M = sympy.Matrix(A)
+    inv = intlat.inverse(A)
+    if M.det() == 0:
+        assert inv is None
+        return
+    want = M.inv()
+    assert [[Fraction(int(want[i, j].p), int(want[i, j].q)) for j in range(M.cols)]
+            for i in range(M.rows)] == inv
+
+
+def test_inverse_rejects_nonsquare():
     with pytest.raises(ValueError):
-        intlat.exact_det_inv([[1, 2, 3], [4, 5, 6]])
+        intlat.inverse([[1, 2, 3], [4, 5, 6]])
+
+
+def test_unimodular_inverse():
+    assert intlat.unimodular_inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+    for A in ([[2, 0], [0, 1]], [[1, 2], [2, 4]]):
+        with pytest.raises(ValueError):
+            intlat.unimodular_inverse(A)
+
+
+def test_matmul_skips_zero_factors_and_mixes_entry_types():
+    A = [[2, 0], [Fraction(1, 3), IUNIT]]
+    B = [[IUNIT, 0], [0, Fraction(3, 2)]]
+    assert intlat.matmul(A, B) == [[IUNIT * 2, ZERO],
+                                   [IUNIT * Fraction(1, 3), IUNIT * Fraction(3, 2)]]
+    # results are not coerced: an entry without a nonzero term is the int 0
+    # and integer products stay integers
+    assert intlat.matmul([[0, 0]], B) == [[0, 0]]
+    assert all(type(x) is int for x in intlat.matmul([[0, ZERO]], B)[0])
+    assert intlat.matmul([[1, 2]], [[3], [4]]) == [[11]]
+    with pytest.raises(ValueError):
+        intlat.matmul(A, [[1, 2]])
 
 
 @settings(max_examples=300, deadline=None)
