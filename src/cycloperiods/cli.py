@@ -12,9 +12,9 @@ from fractions import Fraction
 
 import click
 
-from . import covers, intlat, pel, periods, report, stcurve, suite
-from .exactfield import (HALF, IUNIT, RHO, ROOT4_3, SQRT3, ZETA,
-                         TowerElem, embed, real_sign)
+from . import covers, intlat, pel, periods, stcurve, suite
+from .exactfield import (IUNIT, RHO, ROOT4_3, SQRT3, ZETA, TowerElem, embed,
+                         real_sign)
 
 
 # -- tower literals --------------------------------------------------------

@@ -55,16 +55,6 @@ class CyclicCover:
         self.n = n
         self.exponents = tuple(pts)
 
-    @classmethod
-    def from_json(cls, obj):
-        try:
-            return cls(obj["n"], [(str(l), int(a)) for l, a in obj["exponents"]])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed cover object: {exc}") from exc
-
-    def to_json(self):
-        return {"n": self.n, "exponents": [[l, a] for l, a in self.exponents]}
-
     def genus(self):
         # 2g - 2 = -2n + sum over points of (n - #preimages)
         total = sum(self.n - gcd(a, self.n) for _, a in self.exponents)
@@ -121,13 +111,6 @@ class HomologyModel:
 
     def shift_matrix(self):
         return intlat.permutation_matrix(self.shift)
-
-    def to_json(self):
-        return {"pairing": intlat.mat_to_json(self.pairing), "shift": self.shift}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(intlat.mat_from_json(obj["pairing"]), list(obj["shift"]))
 
 
 def six_loop_shift(pairs=6):

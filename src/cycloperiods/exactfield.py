@@ -243,17 +243,6 @@ class TowerElem:
             raise ValueError("element is not rational")
         return Fraction(self.n[0], self.d)
 
-    def in_K(self):
-        """Membership in K = Q(rho), rho = zeta^4 = zeta^2 - 1."""
-        return self.n[4:] == _Z4 and self.n[1] == 0 == self.n[3]
-
-    def as_K_pair(self):
-        """Write an element of K as (p, q) with value p + q*rho."""
-        if not self.in_K():
-            raise ValueError("element is not in Q(rho)")
-        n, d = self.n, self.d   # c0 + c2 zeta^2 = (c0 + c2) + c2 rho
-        return (Fraction(n[0] + n[2], d), Fraction(n[2], d))
-
     def is_real(self):
         return self == self.conjugate()
 
@@ -310,15 +299,6 @@ HALF = TowerElem.rational(Fraction(1, 2))
 def cyclo(c0=0, c1=0, c2=0, c3=0):
     """Shorthand: c0 + c1 zeta + c2 zeta^2 + c3 zeta^3."""
     return TowerElem((c0, c1, c2, c3))
-
-
-def trace_K(x):
-    """Trace from K = Q(rho) down to Q; errors if x is not in K."""
-    x = TowerElem.coerce(x)
-    if not x.in_K():
-        raise ValueError("trace_K requires an element of Q(rho)")
-    p, q = x.as_K_pair()
-    return 2 * p - q        # rho + conj(rho) = -1
 
 
 def _sqrt3_pair_sign(s, t):

@@ -278,30 +278,6 @@ def integer_kernel(A):
     return ker
 
 
-def lattice_contains(gens, v):
-    """Is the integer vector v in the Z-span of the integer vectors gens?"""
-    n = len(v)
-    k = len(gens)
-    if k == 0:
-        return all(x == 0 for x in v)
-    G = [[gens[j][i] for j in range(k)] for i in range(n)]
-    U, D, _ = smith_normal_form(G)
-    w = [sum(U[i][t] * v[t] for t in range(n)) for i in range(n)]
-    for i in range(n):
-        d = D[i][i] if i < min(n, k) else 0
-        if d != 0:
-            if w[i] % d:
-                return False
-        elif w[i] != 0:
-            return False
-    return True
-
-
-def lattice_equal(gens1, gens2):
-    return (all(lattice_contains(gens1, v) for v in gens2)
-            and all(lattice_contains(gens2, v) for v in gens1))
-
-
 # -- symplectic basis ----------------------------------------------------
 
 class DegenerateFormError(ValueError):

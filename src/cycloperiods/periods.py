@@ -55,15 +55,6 @@ class AffineForm:
     def variable(name, coeff=ONE):
         return AffineForm(ZERO, {name: coeff})
 
-    def params(self):
-        return set(self.coeffs)
-
-    def is_constant(self):
-        return not self.coeffs
-
-    def is_zero(self):
-        return self.const.is_zero() and not self.coeffs
-
     def __add__(self, other):
         if isinstance(other, (TowerElem, int, Fraction)):
             other = AffineForm.coerce(other)
@@ -85,9 +76,6 @@ class AffineForm:
         if not isinstance(other, AffineForm):
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         """Scalar multiple; a product of two forms is not affine."""
@@ -114,24 +102,6 @@ class AffineForm:
         for name in sorted(self.coeffs):
             parts.append(f"({self.coeffs[name]!r})*{name}")
         return " + ".join(parts) if parts else "0"
-
-    def subs(self, assignment):
-        """Substitute tower values for a subset of the parameters."""
-        const = self.const
-        coeffs = {}
-        for name, v in self.coeffs.items():
-            if name in assignment:
-                const = const + v * TowerElem.coerce(assignment[name])
-            else:
-                coeffs[name] = v
-        return AffineForm(const, coeffs)
-
-    def evaluate(self, assignment):
-        out = self.subs(assignment)
-        if out.coeffs:
-            missing = sorted(out.coeffs)
-            raise ValueError(f"unassigned parameters: {missing}")
-        return out.const
 
     def to_json(self):
         obj = {"const": self.const.to_json()}
@@ -356,8 +326,9 @@ def riemann_positivity(pm, point, prec=128, sign=1):
     (verdict, evidence): "positive" when every minor is > 0, else
     "not-positive" at the first minor that is not.  Evidence lists
     (k, lo, hi) for the minors up to that one, with [lo, hi] the real
-    range of the minor embedded at prec bits, as doubles (see _double);
-    prec sizes these printed ranges only and never changes the verdict.
+    range of the minor embedded at prec bits, rounded outward to doubles
+    (see _double); prec sizes these printed ranges only and never changes
+    the verdict.
     """
     H = positivity_gram(pm, point, sign)
     evidence = []
@@ -371,63 +342,17 @@ def riemann_positivity(pm, point, prec=128, sign=1):
 
 
 def _double(q, up):
-    """The Fraction q as its nearest double; past the double range, rounded
-    outward (up if up, else down) to the largest finite double or infinity."""
+    """The Fraction q rounded outward to a double: to the least double >= q
+    if up, else to the greatest double <= q.  Past the double range that is
+    the largest finite double or infinity."""
     try:
-        return float(q)
+        x = float(q)
     except OverflowError:
         edge = math.inf if (q > 0) == up else sys.float_info.max
         return edge if q > 0 else -edge
-
-
-# -- splitting off an elliptic factor -----------------------------------
-
-class SplitResult:
-    """Integer column combinations separating the first coordinate."""
-
-    def __init__(self, elliptic, prym, elliptic_gram, prym_gram):
-        self.elliptic = elliptic
-        self.prym = prym
-        self.elliptic_gram = elliptic_gram
-        self.prym_gram = prym_gram
-
-
-def _coordinate_rows(pm, i):
-    """Rational constraint rows forcing a combination of row i's entries to vanish."""
-    rows = []
-    for C in pm.coeffs:
-        for k in range(8):
-            row = [Fraction(x.n[k], x.d) for x in C[i]]
-            if any(row):
-                rows.append(row)
-    return rows
-
-
-def isogeny_split(pm):
-    """Split the column lattice against the first row.
-
-    Elliptic combinations kill every row but the first; the complementary
-    ones kill the first row.  Returns the two integer sublattices with
-    the polarization Gram form restricted to each.
-    """
-    n = 2 * pm.g
-    ell_rows = []
-    for i in range(1, pm.g):
-        ell_rows.extend(_coordinate_rows(pm, i))
-    prym_rows = _coordinate_rows(pm, 0)
-    ell = intlat.integer_kernel(ell_rows) if ell_rows else []
-    prym = intlat.integer_kernel(prym_rows) if prym_rows else []
-    if len(ell) + len(prym) != n:
-        raise ValueError(f"split ranks {len(ell)} + {len(prym)} "
-                         f"do not fill the lattice of rank {n}")
-    E = pm.polarization
-
-    def gram(vs):
-        return [[sum(vs[a][i] * E[i][j] * vs[b][j]
-                     for i in range(n) for j in range(n))
-                 for b in range(len(vs))] for a in range(len(vs))]
-
-    return SplitResult(ell, prym, gram(ell), gram(prym))
+    if (Fraction(x) < q) if up else (Fraction(x) > q):
+        x = math.nextafter(x, math.inf if up else -math.inf)
+    return x
 
 
 # -- symmetries ----------------------------------------------------------

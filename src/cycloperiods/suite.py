@@ -409,6 +409,9 @@ def _check_display_audit(ctx, strict):
     ref_results = covers.verify_homology_model(ref_model, ref_combos)
     diverg["cycle_display_failed_checks"] = [cid for cid, passed, _
                                              in ref_results if not passed]
+    working = stcurve.cycle_combo_columns(stcurve.CYCLE_COMBOS)
+    diverg["cycle_combos"] = [j for j in range(len(working))
+                              if ref_combos[j] != working[j]]
 
     lat = ctx.prym_family.entries
     lat_disp = stcurve.prym_family_display()

@@ -120,4 +120,5 @@ def test_criterion_13_display_audit():
     assert div["standalone_W_residual"] == [
         [1, 1], [1, 2], [2, 1], [2, 2]]
     assert div["cycle_display_failed_checks"] == ["combo-gram"]
+    assert div["cycle_combos"] == [2, 3, 6, 7]      # e3, e4, e7, e8
     assert len(div["family_lattice_coords"]) == 13

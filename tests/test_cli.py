@@ -200,6 +200,21 @@ def test_verify_strict_flags_display_divergences(runner):
     assert "FAIL" in result.output
 
 
+def test_verify_strict_json_sees_a_slip_in_the_displayed_cycle_combos(
+        runner, monkeypatch):
+    before = runner.invoke(cli.main, ["verify", "--strict", "--json"])
+    mutant = [list(row) for row in stcurve.REF_CYCLE_COMBOS]
+    mutant[0][0] += 1       # e1 = 2 * loop 1 instead of loop 1
+    monkeypatch.setattr(stcurve, "REF_CYCLE_COMBOS", mutant)
+    after = runner.invoke(cli.main, ["verify", "--strict", "--json"])
+    assert after.output != before.output
+    assert after.exit_code == before.exit_code == 1
+    old, new = (json.loads(r.output)["checks"] for r in (before, after))
+    assert [c["verdict"] for c in old] == [c["verdict"] for c in new]
+    (audit,) = [c for c in new if c["id"] == "display-audit"]
+    assert audit["evidence"]["divergences"]["cycle_combos"] == [0, 2, 3, 6, 7]
+
+
 def test_prec_is_bounded_above(runner, tmp_path):
     # paths that never embed at the full precision, so the accepted side
     # is as quick as the refused one

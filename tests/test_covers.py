@@ -63,14 +63,6 @@ def test_cover_character_bookkeeping(data):
         assert dims[k] + dims[n - k] == ranks[k]
 
 
-def test_cover_json_roundtrip():
-    cover = stcurve.CURVE_COVER
-    back = covers.CyclicCover.from_json(cover.to_json())
-    assert back.n == cover.n and back.exponents == cover.exponents
-    with pytest.raises(ValueError):
-        covers.CyclicCover.from_json({"n": 6})
-
-
 def test_six_loop_shift_is_two_six_cycles():
     sig = covers.six_loop_shift()
     assert sorted(sig) == list(range(12))
@@ -90,13 +82,6 @@ def test_homology_model_validation():
         covers.HomologyModel([[0, 1], [-1, 0], [0, 0]], [0, 1])
     with pytest.raises(ValueError):
         covers.HomologyModel([[0, 1], [-1, 0]], [0, 0])
-
-
-def test_homology_model_json_roundtrip():
-    model = stcurve.homology_model()
-    back = covers.HomologyModel.from_json(model.to_json())
-    assert back.pairing == model.pairing
-    assert back.shift == model.shift
 
 
 def test_corrected_model_passes_all_checks():

@@ -33,11 +33,16 @@ from cycloperiods.exactfield import (
     cyclo,
     embed,
     real_sign,
-    trace_K,
     zeta_power,
 )
 
-_rat = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# the 97 fractions in [-4, 4] with denominator at most 6, which is the set
+# st.fractions(-4, 4, max_denominator=6) draws from; sampling them from a
+# list costs a fraction of its generation time.  Simplest first, so that
+# shrinking heads for 0, 1, -1, ...
+_rat = st.sampled_from(sorted({Fraction(n, d) for d in range(1, 7)
+                               for n in range(-4 * d, 4 * d + 1)},
+                              key=lambda q: (q.denominator, abs(q), q < 0)))
 _coords = st.tuples(_rat, _rat, _rat, _rat)
 _elems = st.builds(TowerElem, _coords, _coords)
 _nonzero = _elems.filter(lambda x: not x.is_zero())
@@ -87,18 +92,6 @@ def test_rational_detection():
     assert not ZETA.is_rational()
     x = ZETA ** 6
     assert x.is_rational() and x.as_rational() == -1
-
-
-def test_subfield_membership():
-    a, b = Fraction(5, 2), Fraction(-3)
-    x = TowerElem.rational(a) + RHO * b
-    assert x.in_K()
-    assert x.as_K_pair() == (a, b)
-    assert not ZETA.in_K()
-    assert trace_K(x) == 2 * a - b
-    assert trace_K(RHO) == -1
-    with pytest.raises(ValueError):
-        trace_K(ZETA)
 
 
 def test_sqrt3_pair_roundtrip():

@@ -192,34 +192,6 @@ def test_integer_kernel_clears_denominators():
     assert v[0] * Fraction(1, 2) + v[1] * Fraction(1, 3) == 0
 
 
-def test_lattice_contains_basics():
-    gens = [[2, 0], [0, 3]]
-    assert intlat.lattice_contains(gens, [4, -3])
-    assert not intlat.lattice_contains(gens, [1, 0])
-    assert intlat.lattice_contains([], [0, 0])
-    assert not intlat.lattice_contains([], [1, 0])
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(_entry, min_size=3, max_size=3),
-                min_size=2, max_size=3),
-       st.lists(_entry, min_size=2, max_size=3))
-def test_lattice_contains_integer_combinations(gens, coeffs):
-    v = [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(3)]
-    assert intlat.lattice_contains(gens, v)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(_entry, min_size=3, max_size=3),
-                min_size=1, max_size=3))
-def test_lattice_equal_under_row_shuffle_and_sign(gens):
-    flipped = [[-x for x in g] for g in reversed(gens)]
-    assert intlat.lattice_equal(gens, flipped)
-    doubled = [[2 * x for x in g] for g in gens]
-    has_content = any(any(x for x in g) for g in gens)
-    assert intlat.lattice_equal(gens, doubled) == (not has_content)
-
-
 def test_permutation_matrix_and_alternating():
     P = intlat.permutation_matrix([1, 2, 0])
     assert intlat.matmul(P, [[1], [0], [0]]) == [[0], [1], [0]]

@@ -64,27 +64,32 @@ def test_solve_T_reproduces_frozen_form():
 
 
 def _random_skew_hermitian(rng):
-    """T with entries p + q rho, q = 2p on the diagonal."""
+    """T with entries p + q rho, q = 2p on the diagonal, and their (p, q)."""
     T = [[None] * 3 for _ in range(3)]
+    pq = [[None] * 3 for _ in range(3)]
     for i in range(3):
         p = Fraction(rng.randint(-9, 9))
         T[i][i] = TowerElem.rational(p) + RHO * (2 * p)
+        pq[i][i] = (p, 2 * p)
         for j in range(i + 1, 3):
             p, q = rng.randint(-9, 9), rng.randint(-9, 9)
             T[i][j] = TowerElem.rational(p) + RHO * q
             T[j][i] = -T[i][j].conjugate()
-    return T
+            # -conj(p + q rho) = (q - p) + q rho, as conj(rho) = -1 - rho
+            pq[i][j] = (Fraction(p), Fraction(q))
+            pq[j][i] = (Fraction(q - p), Fraction(q))
+    return T, pq
 
 
 def test_solve_T_roundtrip_on_random_forms():
     rng = random.Random(20240817)
     for _ in range(200):
-        T = _random_skew_hermitian(rng)
+        T, pq = _random_skew_hermitian(rng)
         g0, g1 = [], []
         for i in range(3):
             r0, r1 = [], []
             for j in range(3):
-                p, q = T[i][j].as_K_pair()
+                p, q = pq[i][j]
                 r0.append(2 * p - q)   # tr(x)
                 r1.append(-p - q)      # tr(rho x)
             g0.append(r0)

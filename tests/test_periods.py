@@ -7,7 +7,7 @@ import pytest
 
 from cycloperiods import intlat, periods, stcurve, suite
 from cycloperiods.exactfield import (
-    HALF, IUNIT, ONE, ZERO, TowerElem, cyclo, embed, zeta_power,
+    HALF, IUNIT, ONE, ZERO, TowerElem, cyclo, embed, real_sign, zeta_power,
 )
 from cycloperiods.periods import AffineForm, PeriodMatrix
 
@@ -21,15 +21,11 @@ def _genus4():
 def test_affine_form_arithmetic():
     z = AffineForm.variable("z")
     f = z * 2 + ONE
-    assert f.params() == {"z"}
-    assert not f.is_constant()
-    assert f.subs({"z": HALF}).is_constant()
-    assert f.evaluate({"z": HALF}) == TowerElem.rational(2)
-    assert (f - f).is_zero()
+    assert f == AffineForm(ONE, {"z": 2})
+    assert f - f == AffineForm()
+    assert f - ONE == 2 * z
     assert 1 + z == z + 1
-    assert 1 - z == -(z - 1)
-    with pytest.raises(ValueError):
-        f.evaluate({})
+    assert z - 1 == -(-z + 1)
 
 
 def test_affine_form_products_need_quadforms():
@@ -51,8 +47,7 @@ def test_genus4_matrix_shape():
     assert pm.g == 4 and pm.params == ("tau",)
     assert pm.polarization == intlat.standard_symplectic(4)
     # the first row is affine in tau, the rest is constant
-    assert all(not pm.entries[i][j].params()
-               for i in range(1, 4) for j in range(8))
+    assert all(not x for row in pm.coeffs[1][1:] for x in row)
     assert pm.entries[0][0] == AffineForm.variable("tau")
 
 
@@ -187,6 +182,32 @@ def test_positivity_on_the_real_axis_is_not_positive():
     assert minors == [(1, 0.0, 0.0)]
 
 
+@pytest.mark.parametrize("prec", [64, 128, 512])
+def test_printed_minor_ranges_enclose_their_minors(monkeypatch, prec):
+    # record every positivity call of the riemann-positive check, then
+    # decide lo <= minor <= hi exactly in the tower for each printed range
+    calls = []
+    real = periods.riemann_positivity
+
+    def recording(pm, point, prec=128, sign=1):
+        verdict, minors = real(pm, point, prec=prec, sign=sign)
+        calls.append((pm, point, sign, minors))
+        return verdict, minors
+
+    monkeypatch.setattr(periods, "riemann_positivity", recording)
+    (check,) = suite.run_all(prec=prec, only="riemann-positive").checks
+    assert check.verdict == "pass"
+    assert [ev["minor_ranges"] for ev in check.evidence.values()] == [
+        [list(r) for r in minors] for *_, minors in calls]
+    assert len(calls) == 7
+    for pm, point, sign, minors in calls:
+        H = periods.positivity_gram(pm, point, sign)
+        for k, lo, hi in minors:
+            d = periods.tower_det([row[:k] for row in H[:k]])
+            assert real_sign(d - Fraction(lo)) >= 0, (k, lo, point)
+            assert real_sign(Fraction(hi) - d) >= 0, (k, hi, point)
+
+
 def test_tower_det_matches_the_integer_determinant():
     A = [[2, -1, 0, 3], [1, 4, -2, 0], [0, 5, 1, -1], [3, 0, 2, 2]]
     for n in range(1, 5):
@@ -237,23 +258,6 @@ def test_eval_ball_matches_exact_evaluation():
     for i in range(4):
         for j in range(8):
             assert (balls[i][j] - embed(exact[i][j], 64)).contains_zero()
-
-
-def test_isogeny_split_recovers_frozen_sublattices():
-    split = periods.isogeny_split(_genus4())
-    B = stcurve.SPLITTING_BASIS
-    ell_cols = [[B[i][c] for i in range(8)] for c in stcurve.ELL_COLS]
-    prym_cols = [[B[i][c] for i in range(8)] for c in stcurve.PRYM_COLS]
-    assert len(split.elliptic) == 2 and len(split.prym) == 6
-    assert intlat.lattice_equal(split.elliptic, ell_cols)
-    assert intlat.lattice_equal(split.prym, prym_cols)
-    # restricted polarizations: type (3) on the elliptic side, (1,1,3) on
-    # the complement, whatever basis the kernel computation picked
-    assert intlat.snf_divisors(split.elliptic_gram) == [3, 3]
-    _, divs = intlat.symplectic_basis(split.prym_gram)
-    assert list(divs) == [1, 1, 3]
-    _, ell_divs = intlat.symplectic_basis(split.elliptic_gram)
-    assert list(ell_divs) == [3]
 
 
 def test_split_blocks_of_frozen_basis():
