@@ -94,6 +94,18 @@ def test_rational_detection():
     assert x.is_rational() and x.as_rational() == -1
 
 
+def test_rho_subfield_trace_and_norm():
+    # x = a + b rho in K = Q(rho): x + conj(x) = 2a - b, x conj(x) = a^2 - ab + b^2
+    a, b = Fraction(5, 2), Fraction(-3)
+    x = TowerElem.rational(a) + RHO * b
+    assert (x + x.conjugate()).as_rational() == 2 * a - b
+    assert (x * x.conjugate()).as_rational() == a * a - a * b + b * b
+    assert (RHO + RHO.conjugate()).as_rational() == -1
+    assert (RHO * RHO.conjugate()).as_rational() == 1
+    # zeta12 is outside K: its trace down to Q(sqrt3) is sqrt3, not rational
+    assert ZETA + ZETA.conjugate() == SQRT3
+
+
 def test_sqrt3_pair_roundtrip():
     s, t = Fraction(1, 3), Fraction(-2)
     x = TowerElem.rational(s) + SQRT3 * t

@@ -192,6 +192,38 @@ def test_integer_kernel_clears_denominators():
     assert v[0] * Fraction(1, 2) + v[1] * Fraction(1, 3) == 0
 
 
+def _nonzero_divisors(gens):
+    return [d for d in intlat.snf_divisors(gens) if d]
+
+
+def test_snf_divisors_see_lattice_membership():
+    # the nonzero divisors depend only on the lattice the rows generate
+    gens = [[2, 0], [0, 3]]
+    assert _nonzero_divisors(gens) == [1, 6]
+    assert _nonzero_divisors(gens + [[4, -3]]) == [1, 6]    # in the lattice
+    assert _nonzero_divisors(gens + [[1, 0]]) == [1, 3]     # not in it
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_entry, min_size=3, max_size=3),
+                min_size=2, max_size=3),
+       st.lists(_entry, min_size=2, max_size=3))
+def test_snf_divisors_ignore_an_appended_integer_combination(gens, coeffs):
+    v = [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(3)]
+    assert _nonzero_divisors(gens + [v]) == _nonzero_divisors(gens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_entry, min_size=3, max_size=3),
+                min_size=1, max_size=3))
+def test_snf_divisors_under_row_shuffle_sign_and_doubling(gens):
+    flipped = [[-x for x in g] for g in reversed(gens)]
+    assert intlat.snf_divisors(flipped) == intlat.snf_divisors(gens)
+    doubled = [[2 * x for x in g] for g in gens]
+    assert intlat.snf_divisors(doubled) == [
+        2 * d for d in intlat.snf_divisors(gens)]
+
+
 def test_permutation_matrix_and_alternating():
     P = intlat.permutation_matrix([1, 2, 0])
     assert intlat.matmul(P, [[1], [0], [0]]) == [[0], [1], [0]]

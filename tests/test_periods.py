@@ -272,6 +272,46 @@ def test_split_blocks_of_frozen_basis():
                for i in stcurve.ELL_COLS for j in stcurve.PRYM_COLS)
 
 
+def test_period_matrix_splits_along_the_frozen_sublattices():
+    # the column combinations killing rows 1-3 of Z = Z0 + tau Zt form a
+    # rank-2 lattice, those killing row 0 a rank-6 one.  The elliptic and
+    # Prym columns of the frozen basis lie in those kernels and each block
+    # is primitive (unit divisors), so they are exactly the two sublattices;
+    # together they have index 9, the degree of the isogeny
+    pm = _genus4()
+
+    def constraints(rows):
+        # one rational row per (coefficient matrix, row, tower coordinate)
+        out = []
+        for C in pm.coeffs:
+            for i in rows:
+                xs = [TowerElem.coerce(x) for x in C[i]]
+                out.extend([Fraction(x.n[k], x.d) for x in xs]
+                           for k in range(8))
+        return out
+
+    assert len(intlat.integer_kernel(constraints((1, 2, 3)))) == 2
+    assert len(intlat.integer_kernel(constraints((0,)))) == 6
+    B = stcurve.SPLITTING_BASIS
+    for cols in (stcurve.ELL_COLS, stcurve.PRYM_COLS):
+        block = [[row[c] for c in cols] for row in B]
+        assert intlat.snf_divisors(block) == [1] * len(cols)
+    assert abs(intlat.bareiss_det(B)) == 9
+    for C in pm.coeffs:
+        CB = intlat.matmul(C, B)
+        assert all(not CB[i][j] for i in (1, 2, 3) for j in stcurve.ELL_COLS)
+        assert all(not CB[0][j] for j in stcurve.PRYM_COLS)
+    # restricted polarizations: type (3) on the elliptic side, (1,1,3) on
+    # the complement
+    J = intlat.standard_symplectic(4)
+    G = intlat.matmul(intlat.transpose(B), intlat.matmul(J, B))
+    ell = [[G[i][j] for j in stcurve.ELL_COLS] for i in stcurve.ELL_COLS]
+    prym = [[G[i][j] for j in stcurve.PRYM_COLS] for i in stcurve.PRYM_COLS]
+    assert intlat.snf_divisors(ell) == [3, 3]
+    assert list(intlat.symplectic_basis(ell)[1]) == [3]
+    assert list(intlat.symplectic_basis(prym)[1]) == [1, 1, 3]
+
+
 def test_deck_intertwiner_search():
     hits = periods.intertwiner_search(_genus4(),
                                       stcurve.FORM_WEIGHT_EXPONENTS,
