@@ -18,13 +18,19 @@ Inverses are closed form: 1/(b + a alpha) = (b - a alpha)/(b^2 - a^2 sqrt3),
 1/x = conj(x)/(x conj(x)) in Q(zeta12), and 1/(s + t sqrt3) =
 (s - t sqrt3)/(s^2 - 3t^2).  The embedding zeta -> exp(i*pi/6), alpha ->
 +3^(1/4) is fixed; `embed` returns a certified ComplexBall for it, and
-equality testing never falls back on numerics.
+equality testing never falls back on numerics.  Per precision, the balls
+of zeta^k and alpha*zeta^k (k = 0..3) are built once from isqrt and kept
+as integer vectors re, im, rad over one 2^E, so `embed` is three integer
+dot products with the numerators n over the denominator d*2^E: no gcd,
+no Fraction.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from functools import lru_cache
+from math import gcd, isqrt, lcm
+from operator import mul
 
-from .balls import ComplexBall, sqrt3_ball, root4_3_ball
+from .balls import ComplexBall
 
 _Z4 = (0, 0, 0, 0)
 _Z7 = (0,) * 7
@@ -336,19 +342,28 @@ def real_sign(x):
 
 # -- certified embedding ----------------------------------------------
 
-_BASIS_CACHE = {}
+def _mag_upper(x, y):
+    """Upper bound (isqrt(n d) + 1)/d for |x + y i|, with n/d = x^2 + y^2 reduced."""
+    q = Fraction(x * x + y * y)
+    return Fraction(isqrt(q.numerator * q.denominator) + 1, q.denominator)
 
 
-def _basis_balls(prec):
-    """Balls for zeta^k and alpha*zeta^k, k = 0..3, at the working precision."""
-    if prec in _BASIS_CACHE:
-        return _BASIS_CACHE[prec]
-    s3, alpha, half = sqrt3_ball(prec), root4_3_ball(prec), Fraction(1, 2)
-    zpow = [ComplexBall.exact(1), ComplexBall(s3.re * half, half, s3.rad * half),
-            ComplexBall(half, s3.re * half, s3.rad * half), ComplexBall.exact(0, 1)]
-    basis = zpow + [alpha * z for z in zpow]
-    _BASIS_CACHE[prec] = basis
-    return basis
+@lru_cache(maxsize=16)
+def _basis(prec):
+    """Integer (re, im, rad) vectors over 2^E for the balls of zeta^k and
+    alpha*zeta^k, k = 0..3, at the working precision; returns them and E."""
+    n = isqrt(3 << (2 * prec))                  # n <= sqrt3 2^prec < n + 1
+    t = isqrt(isqrt(3 << (4 * prec)))           # t <= alpha 2^prec < t + 2
+    h, s = Fraction(1, 2), Fraction(2 * n + 1, 2 ** (prec + 2))
+    a, ra = Fraction(t + 1, 2 ** prec), Fraction(1, 2 ** prec)
+    r = Fraction(1, 2 ** (prec + 2))
+    zpow = [(1, 0, 0), (s, h, r), (h, s, r), (0, 1, 0)]     # cos, sin, rad
+    # alpha*zeta^k as a ball product: |xy - m1 m2| <= |m1| r2 + |m2| r1 + r1 r2
+    ma = _mag_upper(a, 0)
+    balls = zpow + [(a * x, a * y, ma * rz + _mag_upper(x, y) * ra + ra * rz)
+                    for x, y, rz in zpow]
+    e = 3 * prec + 4                            # every denominator divides 2^e
+    return tuple(tuple(int(b[j] * (1 << e)) for b in balls) for j in range(3)), e
 
 
 def embed(x, prec=128):
@@ -356,9 +371,7 @@ def embed(x, prec=128):
     if prec < 16:
         raise ValueError("embedding precision must be at least 16 bits")
     x = TowerElem.coerce(x)
-    basis = _basis_balls(prec)
-    acc = ComplexBall.exact(0)
-    for k, v in enumerate(x.n):
-        if v:
-            acc = acc + basis[k].scale(Fraction(v, x.d))
-    return acc
+    (re, im, rad), e = _basis(prec)
+    n = x.n
+    return ComplexBall(sum(map(mul, n, re)), sum(map(mul, n, im)),
+                       sum(map(mul, map(abs, n), rad)), x.d << e)

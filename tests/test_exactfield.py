@@ -1,6 +1,7 @@
 """Exact arithmetic in Q(zeta12)(alpha) and the certified embedding."""
 
 import json
+import sys
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -49,12 +50,37 @@ _nonzero = _elems.filter(lambda x: not x.is_zero())
 
 
 def _ball_sign(x, prec=128):
-    b = embed(x, prec)
-    if b.real_is_positive():
-        return 1
-    if b.real_is_negative():
-        return -1
-    return 0
+    lo, hi = embed(x, prec).real_range()
+    return 1 if lo > 0 else -1 if hi < 0 else 0
+
+
+# -- interval checks on the exact ball data, as (re, im, rad) Fraction triples
+
+def _sqrt_upper(q):
+    """Upper bound (isqrt(n d) + 1)/d for sqrt(q), q = n/d >= 0 reduced."""
+    q = Fraction(q)
+    return Fraction(isqrt(q.numerator * q.denominator) + 1, q.denominator)
+
+
+def _triple(b):
+    return (b.re, b.im, b.rad)
+
+
+def _ball_add(p, q):
+    return (p[0] + q[0], p[1] + q[1], p[2] + q[2])
+
+
+def _ball_mul(p, q):
+    """|xy - m1 m2| <= |m1| r2 + |m2| r1 + r1 r2."""
+    (a, b, r), (c, d, s) = p, q
+    return (a * c - b * d, a * d + b * c,
+            _sqrt_upper(a * a + b * b) * s + _sqrt_upper(c * c + d * d) * r + r * s)
+
+
+def _discs_meet(p, q):
+    """Whether the discs p and q share a point: |m1 - m2| <= r1 + r2."""
+    dr, di = p[0] - q[0], p[1] - q[1]
+    return dr * dr + di * di <= (p[2] + q[2]) ** 2
 
 
 def test_generator_relations():
@@ -199,18 +225,17 @@ def test_json_roundtrip(x):
 @settings(max_examples=500, deadline=None)
 @given(_elems, _elems)
 def test_embedding_is_a_homomorphism(x, y):
-    # both balls contain the true value, so their difference straddles zero
-    d = embed(x, 64) * embed(y, 64) - embed(x * y, 64)
-    assert d.contains_zero()
-    d = embed(x, 64) + embed(y, 64) - embed(x + y, 64)
-    assert d.contains_zero()
+    # both discs contain the true value, so they meet
+    bx, by = _triple(embed(x, 64)), _triple(embed(y, 64))
+    assert _discs_meet(_ball_mul(bx, by), _triple(embed(x * y, 64)))
+    assert _discs_meet(_ball_add(bx, by), _triple(embed(x + y, 64)))
 
 
 @settings(max_examples=500, deadline=None)
 @given(_elems)
 def test_embedding_commutes_with_conjugation(x):
-    d = embed(x, 64).conjugate() - embed(x.conjugate(), 64)
-    assert d.contains_zero()
+    re, im, rad = _triple(embed(x, 64))
+    assert _discs_meet((re, -im, rad), _triple(embed(x.conjugate(), 64)))
 
 
 @settings(max_examples=500, deadline=None)
@@ -417,3 +442,72 @@ def test_real_sign_matches_mpmath(x):
         # the value must stand clear of mpmath's rounding for the sign to count
         assert abs(v.real) > mpmath.mpf(10) ** (60 - _MP_DPS) * (1 + abs(v))
         assert got == (1 if v.real > 0 else -1)
+
+
+# -- embed's integer dot product against the Fraction-ball sum ----------------
+
+def _reference_basis(prec):
+    """Balls of zeta^k and alpha*zeta^k, k = 0..3, built from isqrt as
+    Fraction triples: sqrt3 to 2^-(prec+1), 3^(1/4) to 2^-prec, and the
+    alpha column by the ball product."""
+    n = isqrt(3 << (2 * prec))                      # n <= sqrt3 2^prec < n + 1
+    s3 = (Fraction(2 * n + 1, 2 ** (prec + 1)), 0, Fraction(1, 2 ** (prec + 1)))
+    t = isqrt(isqrt(3 << (4 * prec)))               # t <= alpha 2^prec < t + 2
+    alpha = (Fraction(t + 1, 2 ** prec), 0, Fraction(1, 2 ** prec))
+    half = Fraction(1, 2)
+    zpow = [(1, 0, 0), (s3[0] * half, half, s3[2] * half),
+            (half, s3[0] * half, s3[2] * half), (0, 1, 0)]
+    return zpow + [_ball_mul(alpha, z) for z in zpow]
+
+
+def _truncate(q, digits):
+    """The Fraction q truncated toward zero to `digits` fractional digits."""
+    whole, frac = divmod(int(abs(q) * 10 ** digits), 10 ** digits)
+    return f"{'-' if q < 0 else ''}{whole}.{str(frac).zfill(digits)}"
+
+
+@st.composite
+def _tall(draw):
+    """Elements whose 8 coordinates have numerators and denominators of up
+    to h bits, h in 4..3000; numerators of either sign or zero."""
+    h = draw(st.integers(4, 3000))
+    coords = [Fraction(draw(st.sampled_from([1, -1, 0]))
+                       * draw(st.integers(2 ** (h - 1), 2 ** h)),
+                       draw(st.integers(1, 2 ** h))) for _ in range(8)]
+    return TowerElem(coords[:4], coords[4:])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(_tall(), st.just(ZERO), _elems),
+       st.sampled_from([16, 128, 512, 2048]), st.integers(0, 700))
+def test_embed_dot_product_matches_the_fraction_ball_sum(x, prec, digits):
+    ref = (Fraction(0), Fraction(0), Fraction(0))
+    for v, (re, im, rad) in zip(x.n, _reference_basis(prec)):
+        q = Fraction(v, x.d)
+        ref = _ball_add(ref, (q * re, q * im, abs(q) * rad))
+    b = embed(x, prec)
+    assert _triple(b) == ref
+    assert b.real_range() == (ref[0] - ref[2], ref[0] + ref[2])
+    assert b.decimal(digits) == (_truncate(ref[0], digits), _truncate(ref[1], digits))
+
+
+def test_embed_takes_no_gcd_and_builds_no_fraction():
+    x = TowerElem((Fraction(-7, 3), 5), (0, Fraction(2 ** 90, 11)))
+    embed(x, 256)                           # the per-precision basis is cached
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            seen.append(arg)
+        elif event == "call":
+            seen.append(frame.f_code.co_filename)
+
+    sys.setprofile(profile)
+    try:
+        b = embed(x, 256)
+    finally:
+        sys.setprofile(None)
+    assert gcd not in seen
+    assert not [f for f in seen if isinstance(f, str) and f.endswith("fractions.py")]
+    scale = b.den // x.d                    # the common denominator d 2^E
+    assert b.den == x.d * scale and scale & (scale - 1) == 0
