@@ -36,6 +36,8 @@ MAX_NESTING = 64
 # largest --prec, which sizes every embed: verify --only positivity takes
 # 1.5 s here and 22 s at 262,144 bits (Python 3.11, 2-core Xeon VM)
 MAX_PREC = 1 << 16
+# largest --digits: Python turns no integer of more digits into a string
+MAX_DIGITS = 4300
 
 _NAMES = {"i": IUNIT, "zeta": ZETA, "alpha": ROOT4_3,
           "rho": RHO, "sqrt3": SQRT3}
@@ -272,6 +274,11 @@ def _check_prec(prec):
         raise click.UsageError(f"--prec must be between 16 and {MAX_PREC}")
 
 
+def _check_digits(digits):
+    if not 0 <= digits <= MAX_DIGITS:
+        raise click.UsageError(f"--digits must be between 0 and {MAX_DIGITS}")
+
+
 def _pipeline(prec):
     """Shared context, mapping an unresolved convention search to exit 3."""
     ctx = suite.SuiteContext(prec)
@@ -331,46 +338,33 @@ def verify(prec, everything, only, strict, as_json):
 def emit(which, special, tau, z1, z2, fmt, prec, digits):
     """Print a period matrix at an exact parameter point."""
     _check_prec(prec)
+    _check_digits(digits)
     have_z = z1 is not None or z2 is not None
     if special and have_z:
         raise click.UsageError("--special excludes --z1/--z2")
     if have_z and (z1 is None or z2 is None):
         raise click.UsageError("need both --z1 and --z2")
-
-    if which == "prym":
-        if tau is not None:
-            raise click.UsageError("prym takes no --tau")
-        if special or not have_z:
-            rows = stcurve.prym_special()
-            _echo_json(_emit_payload, rows, stcurve.PRYM_POLARIZATION,
-                       {}, fmt, prec, digits)
-            return
-        z1v = _parse_or_usage(z1, "--z1")
-        z2v = _parse_or_usage(z2, "--z2")
-        _require_in_ball(z1v, z2v, prec, digits)
-        ctx = _pipeline(prec)
-        point = {"z1": z1v, "z2": z2v}
-        rows = ctx.prym_family.evaluate(point)
-        _echo_json(_emit_payload, rows, stcurve.PRYM_POLARIZATION,
-                   point, fmt, prec, digits)
-        return
-
-    if tau is None:
+    if which == "prym" and tau is not None:
+        raise click.UsageError("prym takes no --tau")
+    if which == "genus4" and tau is None:
         raise click.UsageError("genus4 needs --tau")
-    tauv = _parse_or_usage(tau, "--tau")
-    _require_upper_half(tauv)
-    pol = intlat.standard_symplectic(4)
-    if not have_z:
-        rows = stcurve.genus4_period_matrix().evaluate({"tau": tauv})
-        _echo_json(_emit_payload, rows, pol, {"tau": tauv}, fmt, prec, digits)
-        return
-    z1v = _parse_or_usage(z1, "--z1")
-    z2v = _parse_or_usage(z2, "--z2")
-    _require_in_ball(z1v, z2v, prec, digits)
-    ctx = _pipeline(prec)
-    point = {"tau": tauv, "z1": z1v, "z2": z2v}
-    rows = ctx.genus4_family.evaluate(point)
-    _echo_json(_emit_payload, rows, pol, point, fmt, prec, digits)
+
+    point = {}
+    if tau is not None:
+        point["tau"] = _parse_or_usage(tau, "--tau")
+        _require_upper_half(point["tau"])
+    if have_z:
+        point["z1"] = _parse_or_usage(z1, "--z1")
+        point["z2"] = _parse_or_usage(z2, "--z2")
+        _require_in_ball(point["z1"], point["z2"], prec, digits)
+        ctx = _pipeline(prec)
+        pm = ctx.prym_family if which == "prym" else ctx.genus4_family
+    elif which == "prym":
+        pm = stcurve.prym_special_matrix()
+    else:
+        pm = stcurve.genus4_period_matrix()
+    _echo_json(_emit_payload, pm.evaluate(point), pm.polarization,
+               point, fmt, prec, digits)
 
 
 @main.group()

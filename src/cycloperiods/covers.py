@@ -120,13 +120,14 @@ def six_loop_shift(pairs=6):
             for i in range(2 * pairs)]
 
 
-def verify_homology_model(model, combos, expected_rank=8,
+def verify_homology_model(model, X, expected_rank=8,
                           minor_index=(0, 1, 2, 3, 6, 7, 8, 9)):
     """Run the forced checks on a homology model and a symplectic combination.
 
-    combos: list of integer vectors (in loop coordinates) whose Gram matrix
-    under the pairing should be the standard symplectic form.  Returns a
-    list of (check id, passed, evidence) triples, one per check.
+    X: integer matrix whose columns are the combinations in loop
+    coordinates; their Gram matrix X^T M X under the pairing M should be
+    the standard symplectic form.  Returns a list of (check id, passed,
+    evidence) triples, one per check.
     """
     M = model.pairing
     n = model.size
@@ -150,8 +151,7 @@ def verify_homology_model(model, combos, expected_rank=8,
     results.append(("principal-minor", d != 0,
                     f"det of the {len(minor_index)}x{len(minor_index)} minor is {d}"))
 
-    g2 = len(combos)
-    X = [[combos[j][i] for j in range(g2)] for i in range(n)]
+    g2 = len(X[0])
     gram = intlat.matmul(intlat.transpose(X), intlat.matmul(M, X))
     expected = intlat.standard_symplectic(g2 // 2)
     ok = gram == expected
@@ -167,18 +167,15 @@ def model_passes(results):
     return all(ok for _, ok, _ in results)
 
 
-def deck_action_matrix(model, combos):
-    """Matrix of the deck shift on the span of the combos.
+def deck_action_matrix(model, X):
+    """Matrix of the deck shift on the span of the columns of X.
 
-    With X the coefficient matrix of the combos and E = X^T M X their
-    (nondegenerate) Gram form, the shift acts by R = E^{-1} X^T M P X.
-    Entries must come out integral, otherwise the combos do not span a
-    shift-stable primitive sublattice and a ValueError is raised.
+    With E = X^T M X the (nondegenerate) Gram form of the columns, the
+    shift acts by R = E^{-1} X^T M P X.  Entries must come out integral,
+    otherwise the columns do not span a shift-stable primitive sublattice
+    and a ValueError is raised.
     """
     M = model.pairing
-    n = model.size
-    g2 = len(combos)
-    X = [[combos[j][i] for j in range(g2)] for i in range(n)]
     Xt = intlat.transpose(X)
     E = intlat.matmul(Xt, intlat.matmul(M, X))
     Einv = intlat.inverse(E)

@@ -12,6 +12,7 @@ the lattice coordinates it came from.
 
 from fractions import Fraction
 import itertools
+from math import isqrt
 
 from . import intlat
 from .exactfield import (TowerElem, ZERO, ONE, IUNIT, RHO, SQRT3, ROOT4_3,
@@ -47,9 +48,7 @@ class PELModule:
     """Rank-6 lattice with an order-3 action and a chosen triple of
     generators u1, u2, u3 such that (u, action*u) is a Z-basis."""
 
-    def __init__(self, action, gens, pairing, basis, g0full, g1full):
-        self.action = action
-        self.gens = gens
+    def __init__(self, pairing, basis, g0full, g1full):
         self.pairing = pairing
         self.basis = basis          # columns u1,u2,u3,rho u1,rho u2,rho u3
         self.g0full = g0full        # basis^T pairing basis
@@ -62,12 +61,6 @@ class PELModule:
     @property
     def g1(self):
         return [row[:3] for row in self.g1full[:3]]
-
-    def generator_in_kvec(self, i):
-        """Basis vector i as a column of K^3: u_i -> e_i, u_{3+k} -> rho e_k."""
-        v = [ZERO, ZERO, ZERO]
-        v[i % 3] = ONE if i < 3 else RHO
-        return v
 
 
 def build_module(action, gens, pairing):
@@ -102,8 +95,7 @@ def build_module(action, gens, pairing):
     g0full = intlat.matmul(bt, intlat.matmul(pairing, basis))
     g1full = intlat.matmul(bt, intlat.matmul(intlat.transpose(action),
                                              intlat.matmul(pairing, basis)))
-    return PELModule(action, [list(g) for g in gens], pairing,
-                     basis, g0full, g1full)
+    return PELModule(pairing, basis, g0full, g1full)
 
 
 def solve_T(g0, g1):
@@ -128,22 +120,21 @@ def solve_T(g0, g1):
     return T
 
 
-def trace_pairing(module, T):
-    """All 36 trace pairings tr(a^T T conj(b)) over the module basis."""
-    vecs = [module.generator_in_kvec(i) for i in range(6)]
+def trace_pairing(T):
+    """All 36 trace pairings tr(a^T T conj(b)) over the module basis.
+
+    The basis u_k, rho u_k is the columns of V = (I | rho I) in K^3, so the
+    pairings are the traces x + conj(x) of the entries of V^T T conj(V).
+    """
+    V = [[1 if j == i else RHO if j == i + 3 else 0 for j in range(6)]
+         for i in range(3)]
+    P = intlat.matmul(intlat.transpose(V), intlat.matmul(T, tower_conj(V)))
     out = []
-    for a in vecs:
-        row = []
-        for b in vecs:
-            s = ZERO
-            for i in range(3):
-                for j in range(3):
-                    s = s + a[i] * T[i][j] * b[j].conjugate()
-            t = s + s.conjugate()
-            if not t.is_rational():
-                raise ValueError("trace pairing left the rationals")
-            row.append(t.as_rational())
-        out.append(row)
+    for row in P:
+        traces = [TowerElem.coerce(x + x.conjugate()) for x in row]
+        if not all(t.is_rational() for t in traces):
+            raise ValueError("trace pairing left the rationals")
+        out.append([t.as_rational() for t in traces])
     return out
 
 
@@ -152,7 +143,7 @@ def integrality_check(module, T):
 
     Returns (ok, offenders); each offender is (i, j, got, expected).
     """
-    pairs = trace_pairing(module, T)
+    pairs = trace_pairing(T)
     offenders = []
     for i in range(6):
         for j in range(6):
@@ -169,8 +160,8 @@ def ldl_hermitian(G):
     """Diagonalize a Hermitian tower matrix by congruence.
 
     Returns (D, S) with S G S^dagger = D diagonal, S invertible over the
-    tower.  When the working diagonal is all zero a row addition (by 1,
-    or by i when the pairing entry is purely imaginary) creates a pivot.
+    tower.  A working diagonal that is all zero ends the reduction, and
+    raises ValueError unless the rest of the matrix is zero too.
     """
     n = len(G)
     bad = [(i, j) for i in range(n) for j in range(n)
@@ -189,22 +180,7 @@ def ldl_hermitian(G):
     for k in range(n):
         piv = next((r for r in range(k, n) if A[r][r]), None)
         if piv is None:
-            pair = next(((r, s) for r in range(k, n) for s in range(k, n)
-                         if A[r][s]), None)
-            if pair is None:
-                break
-            r, s = pair
-            for unit in (ONE, IUNIT):
-                E = intlat.identity(n)
-                E[r][s] = unit
-                saved = ([row[:] for row in A], [row[:] for row in S])
-                apply(E)
-                if A[r][r]:
-                    break
-                A, S = saved
-            else:
-                raise ValueError("could not create a pivot")
-            piv = r
+            break
         if piv != k:
             E = intlat.identity(n)
             E[k][k] = E[piv][piv] = 0
@@ -242,55 +218,35 @@ def signature(T):
     return signs.count(1), signs.count(-1)
 
 
+def _rat_sqrt(q):
+    """The rational square root >= 0 of the Fraction q, or None."""
+    if q < 0:
+        return None
+    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
 def tower_sqrt(x):
     """Square root of a Q(sqrt3) element inside the tower, or None.
 
-    Candidates are s + t*sqrt3 and alpha*(s + t*sqrt3) with rational
-    s, t; each reduces to a rational quadratic in t^2.
+    The root is s + t*sqrt3 with square x, or alpha*(s + t*sqrt3) with
+    (s + t*sqrt3)^2 = x/sqrt3, for rational s and t >= 0.
     """
     a, b = x.as_sqrt3_pair()
-
-    def rat_sqrt(q):
-        q = Fraction(q)
-        if q < 0:
-            return None
-        from math import isqrt
-        rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-        if rn * rn == q.numerator and rd * rd == q.denominator:
-            return Fraction(rn, rd)
-        return None
-
-    if b == 0:
-        s = rat_sqrt(a)
-        if s is not None:
-            return TowerElem.rational(s)
-        t = rat_sqrt(a / 3)
-        if t is not None:
-            return TowerElem.rational(t) * SQRT3
-    if a == 0:
-        s = rat_sqrt(b)
-        if s is not None:
-            return TowerElem.rational(s) * ROOT4_3
-        s = rat_sqrt(Fraction(b, 3))
-        if s is not None:
-            return TowerElem.rational(s) * ROOT4_3 ** 3
-    # (s + t sqrt3)^2 = x: 12 t^4 - 4 a t^2 + b^2 = 0
-    disc = rat_sqrt(16 * a * a - 48 * b * b)
-    if disc is not None:
-        for tsq in ((4 * a + disc) / 24, (4 * a - disc) / 24):
-            t = rat_sqrt(tsq)
-            if t:
-                s = b / (2 * t)
-                return TowerElem.rational(s) + TowerElem.rational(t) * SQRT3
-    # (alpha (s + t sqrt3))^2 = 6st + (s^2 + 3t^2) sqrt3: 108 t^4 - 36 b t^2 + a^2 = 0
-    disc = rat_sqrt(Fraction(36 * b) ** 2 - 432 * a * a)
-    if disc is not None:
-        for tsq in ((36 * b + disc) / 216, (36 * b - disc) / 216):
-            t = rat_sqrt(tsq)
-            if t:
-                s = a / (6 * t)
+    for p, q, unit in ((a, b, ONE), (b, a / 3, ROOT4_3)):
+        # s^2 + 3t^2 = p and 2st = q: s^2 and 3t^2 are the roots (p +- e)/2
+        # of X^2 - pX + 3q^2/4, with e^2 = p^2 - 3q^2
+        e = _rat_sqrt(p * p - 3 * q * q)
+        if e is None:
+            continue
+        for s2, t2 in (((p + e) / 2, (p - e) / 6), ((p - e) / 2, (p + e) / 6)):
+            s, t = _rat_sqrt(s2), _rat_sqrt(t2)
+            if s is not None and t is not None:
+                s = -s if q < 0 else s
                 return (TowerElem.rational(s)
-                        + TowerElem.rational(t) * SQRT3) * ROOT4_3
+                        + TowerElem.rational(t) * SQRT3) * unit
     return None
 
 
@@ -300,14 +256,6 @@ def defw_residual(W, T):
     WDW = intlat.matmul(intlat.transpose(W),
                         [[d * x.conjugate() for x in row] for d, row in zip(D, W)])
     return [[x - t for x, t in zip(row, trow)] for row, trow in zip(WDW, T)]
-
-
-class DiagonalizerResult:
-    """Output of diagonalize_W: the tower matrix W and the pivots it came from."""
-
-    def __init__(self, W, pivots):
-        self.W = W
-        self.pivots = pivots
 
 
 def diagonalize_W(T):
@@ -336,7 +284,7 @@ def diagonalize_W(T):
     res = defw_residual(W, T)
     if any(x for row in res for x in row):
         raise ArithmeticError("exact diagonalizer failed its residual")
-    return DiagonalizerResult(W, pivots)
+    return W
 
 
 # -- the period family over the 2-ball -----------------------------------

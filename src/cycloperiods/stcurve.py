@@ -100,11 +100,6 @@ def homology_model(reference=False):
     return covers.HomologyModel(pairing, DECK_SHIFT_PERM)
 
 
-def cycle_combo_columns(combos):
-    """Columns of a 12x8 combination matrix, as verify_homology_model wants."""
-    return [[combos[i][j] for i in range(12)] for j in range(8)]
-
-
 # matrix of the deck shift on the corrected symplectic combinations;
 # cross-checked at runtime against covers.deck_action_matrix
 DECK_SYMPLECTIC_ACTION = [
@@ -289,7 +284,7 @@ def prym_family_display():
     return [left[i] + right[i] for i in range(3)]
 
 
-def genus4_family(prym, tau_name="tau"):
+def genus4_family(prym):
     """Reassemble a genus-4 matrix from a 3x6 Prym PeriodMatrix.
 
     Places 3*tau and 3*tau + 3 in the elliptic columns and the Prym
@@ -298,11 +293,10 @@ def genus4_family(prym, tau_name="tau"):
     genus4_period_matrix() up to the basis bookkeeping.
     """
     three = cyclo(3)
-    top = [AffineForm.variable(tau_name, three),
-           AffineForm(three, {tau_name: three})]
+    top = [AffineForm.variable("tau", three), AffineForm(three, {"tau": three})]
     return combine_split_family(
         top, ELL_COLS, prym, PRYM_COLS, SPLITTING_BASIS,
-        (tau_name,) + tuple(p for p in prym.params if p != tau_name),
+        ("tau",) + tuple(p for p in prym.params if p != "tau"),
         intlat.standard_symplectic(4))
 
 

@@ -27,8 +27,34 @@ RUN_CONVENTIONS = {
 }
 
 
+# stage name -> builder of its value from the context; the stages are the
+# shared pipeline of the checks, each built at most once per context
+STAGES = {
+    "module": lambda ctx: pel.build_module(
+        stcurve.PRYM_SHIFT, list(stcurve.MODULE_GENS),
+        stcurve.PRYM_POLARIZATION),
+    "skew_form": lambda ctx: pel.solve_T(ctx.module.g0, ctx.module.g1),
+    "diagonalizer": lambda ctx: pel.diagonalize_W(ctx.skew_form),
+    "match_target": lambda ctx: intlat.matmul(stcurve.prym_special(),
+                                              ctx.module.basis),
+    "resolution": lambda ctx: pel.resolve_conventions(
+        stcurve.FAMILY_W, ctx.module, ctx.match_target),
+    "conventions": lambda ctx: ctx.resolution[0],
+    "match": lambda ctx: ctx.resolution[1],
+    "family_u": lambda ctx: pel.family_periods(
+        stcurve.FAMILY_W, ctx.module, ctx.conventions),
+    "prym_family": lambda ctx: pel.prym_family(
+        ctx.match, ctx.family_u, ctx.module, anchor=stcurve.prym_special()),
+    "genus4_family": lambda ctx: stcurve.genus4_family(ctx.prym_family),
+}
+
+
 class SuiteContext:
-    """Lazy shared pipeline for the checks, built at a working precision."""
+    """Lazy shared pipeline for the checks, built at a working precision.
+
+    Each name of STAGES reads as an attribute; its builder runs on first
+    use, and the value or the exception it raised is kept for later reads.
+    """
 
     def __init__(self, prec=128):
         self.prec = prec
@@ -45,56 +71,10 @@ class SuiteContext:
             raise exc
         return value
 
-    @property
-    def module(self):
-        return self._get("module", lambda: pel.build_module(
-            stcurve.PRYM_SHIFT, list(stcurve.MODULE_GENS),
-            stcurve.PRYM_POLARIZATION))
-
-    @property
-    def skew_form(self):
-        return self._get("skew_form",
-                         lambda: pel.solve_T(self.module.g0, self.module.g1))
-
-    @property
-    def diagonalizer(self):
-        return self._get("diagonalizer",
-                         lambda: pel.diagonalize_W(self.skew_form))
-
-    @property
-    def match_target(self):
-        def build():
-            return intlat.matmul(stcurve.prym_special(), self.module.basis)
-        return self._get("match_target", build)
-
-    @property
-    def resolution(self):
-        return self._get("resolution", lambda: pel.resolve_conventions(
-            stcurve.FAMILY_W, self.module, self.match_target))
-
-    @property
-    def conventions(self):
-        return self.resolution[0]
-
-    @property
-    def match(self):
-        return self.resolution[1]
-
-    @property
-    def family_u(self):
-        return self._get("family_u", lambda: pel.family_periods(
-            stcurve.FAMILY_W, self.module, self.conventions))
-
-    @property
-    def prym_family(self):
-        return self._get("prym_family", lambda: pel.prym_family(
-            self.match, self.family_u, self.module,
-            anchor=stcurve.prym_special()))
-
-    @property
-    def genus4_family(self):
-        return self._get("genus4_family",
-                         lambda: stcurve.genus4_family(self.prym_family))
+    def __getattr__(self, name):
+        if name not in STAGES:
+            raise AttributeError(name)
+        return self._get(name, lambda: STAGES[name](self))
 
 
 CHECKS = []
@@ -138,10 +118,9 @@ def _check_snf(ctx, strict):
 @_register("cycle-basis", "homology")
 def _check_homology(ctx, strict):
     model = stcurve.homology_model()
-    combos = stcurve.cycle_combo_columns(stcurve.CYCLE_COMBOS)
-    results = covers.verify_homology_model(model, combos)
+    results = covers.verify_homology_model(model, stcurve.CYCLE_COMBOS)
     ok = covers.model_passes(results)
-    R = covers.deck_action_matrix(model, combos)
+    R = covers.deck_action_matrix(model, stcurve.CYCLE_COMBOS)
     J = intlat.standard_symplectic(4)
     symplectic = intlat.matmul(intlat.transpose(R), intlat.matmul(J, R)) == J
     order = None
@@ -302,7 +281,7 @@ def _check_module_form(ctx, strict):
 
 @_register("form-diagonal", "defw")
 def _check_diagonal(ctx, strict):
-    res = pel.defw_residual(ctx.diagonalizer.W, ctx.skew_form)
+    res = pel.defw_residual(ctx.diagonalizer, ctx.skew_form)
     ok = all(x.is_zero() for row in res for x in row)
     evidence = {"exact": True,
                 "residual_bound": "0 (exact)" if ok else "nonzero"}
@@ -405,13 +384,14 @@ def _check_display_audit(ctx, strict):
                                 if not (sp[i][j] - ref[i][j]).is_zero()]
 
     ref_model = stcurve.homology_model(reference=True)
-    ref_combos = stcurve.cycle_combo_columns(stcurve.REF_CYCLE_COMBOS)
-    ref_results = covers.verify_homology_model(ref_model, ref_combos)
+    ref_results = covers.verify_homology_model(ref_model,
+                                               stcurve.REF_CYCLE_COMBOS)
     diverg["cycle_display_failed_checks"] = [cid for cid, passed, _
                                              in ref_results if not passed]
-    working = stcurve.cycle_combo_columns(stcurve.CYCLE_COMBOS)
-    diverg["cycle_combos"] = [j for j in range(len(working))
-                              if ref_combos[j] != working[j]]
+    ref_cols = intlat.transpose(stcurve.REF_CYCLE_COMBOS)
+    cols = intlat.transpose(stcurve.CYCLE_COMBOS)
+    diverg["cycle_combos"] = [j for j in range(len(cols))
+                              if ref_cols[j] != cols[j]]
 
     lat = ctx.prym_family.entries
     lat_disp = stcurve.prym_family_display()

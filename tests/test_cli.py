@@ -307,23 +307,57 @@ def test_emit_genus4_point(runner):
     assert got == [list(r) for r in exact]
 
 
+# (arguments, the usage error that must win); the cases that combine two
+# faults pin the order in which emit checks its options
+EMIT_USAGE_ERRORS = [
+    (["genus4"], "genus4 needs --tau"),
+    (["genus4", "--tau=-i"], "tau must have positive imaginary part"),
+    (["prym", "--tau", "i"], "prym takes no --tau"),
+    (["prym", "--special", "--z1", "0", "--z2", "0"],
+     "--special excludes --z1/--z2"),
+    (["prym", "--z1", "0"], "need both --z1 and --z2"),
+    (["prym", "--z1", "bogus", "--z2", "0"],
+     "bad --z1 literal 'bogus': unexpected token 'bogus'"),
+    (["prym", "--tau", "i", "--z1", "("], "need both --z1 and --z2"),
+    (["prym", "--tau", "i", "--special"], "prym takes no --tau"),
+    (["prym", "--special", "--z1", "("], "--special excludes --z1/--z2"),
+    (["prym", "--z1", "1", "--z2", "("],
+     "bad --z2 literal '(': expected a token, got None"),
+    (["prym", "--prec", "8", "--tau", "i"], "--prec must be between 16 and"),
+    (["genus4", "--z1", "0", "--z2", "0"], "genus4 needs --tau"),
+    (["genus4", "--tau", "(", "--z1", "bogus", "--z2", "0"],
+     "bad --tau literal '(': expected a token, got None"),
+    (["genus4", "--tau", "-i", "--z1", "bogus", "--z2", "0"],
+     "tau must have positive imaginary part"),
+    (["genus4", "--tau", "-i", "--z1", "("], "need both --z1 and --z2"),
+    (["genus4", "--tau", "i", "--z1", "0", "--z2", "bogus"],
+     "bad --z2 literal 'bogus': unexpected token 'bogus'"),
+    (["genus4", "--tau", "i", "--z1", "1", "--z2", "1"],
+     "point outside the unit ball: |z1|^2 + |z2|^2 = 2.0000"),
+    (["genus4", "--special", "--z1", "0"], "--special excludes --z1/--z2"),
+    (["genus4", "--digits", "-1", "--tau", "-i"], "--digits must be between"),
+]
+
+
 def test_emit_usage_errors(runner):
-    result = runner.invoke(cli.main, ["emit", "genus4"])
-    assert result.exit_code == 2
-    result = runner.invoke(cli.main, ["emit", "genus4", "--tau=-i"])
-    assert result.exit_code == 2
-    assert "positive imaginary part" in _text(result)
-    result = runner.invoke(cli.main, ["emit", "prym", "--tau", "i"])
-    assert result.exit_code == 2
-    result = runner.invoke(cli.main,
-                           ["emit", "prym", "--special", "--z1", "0",
-                            "--z2", "0"])
-    assert result.exit_code == 2
-    result = runner.invoke(cli.main, ["emit", "prym", "--z1", "0"])
-    assert result.exit_code == 2
-    result = runner.invoke(cli.main,
-                           ["emit", "prym", "--z1", "bogus", "--z2", "0"])
-    assert result.exit_code == 2
+    for args, message in EMIT_USAGE_ERRORS:
+        result = runner.invoke(cli.main, ["emit", *args])
+        assert result.exit_code == 2, args
+        assert f"Error: {message}" in _text(result), args
+
+
+def test_digits_is_bounded(runner):
+    top = str(cli.MAX_DIGITS)
+    result = runner.invoke(cli.main, ["emit", "prym", "--special", "--format",
+                                      "decimal", "--prec", "16", "--digits", top])
+    assert result.exit_code == 0
+    assert len(json.loads(result.output)["entries"][0][0][0]) > cli.MAX_DIGITS
+    for bad in ("-1", str(cli.MAX_DIGITS + 1), str(10 ** 8)):
+        result = runner.invoke(cli.main, ["emit", "prym", "--special",
+                                          "--format", "decimal", "--digits", bad])
+        assert result.exit_code == 2, bad
+        assert (f"--digits must be between 0 and {cli.MAX_DIGITS}"
+                in _text(result)), bad
 
 
 # -- tools --------------------------------------------------------------------

@@ -86,8 +86,7 @@ def test_homology_model_validation():
 
 def test_corrected_model_passes_all_checks():
     model = stcurve.homology_model()
-    combos = stcurve.cycle_combo_columns(stcurve.CYCLE_COMBOS)
-    results = covers.verify_homology_model(model, combos)
+    results = covers.verify_homology_model(model, stcurve.CYCLE_COMBOS)
     assert [cid for cid, _, _ in results] == [
         "alternating", "shift-equivariant", "rank",
         "principal-minor", "combo-gram"]
@@ -96,8 +95,7 @@ def test_corrected_model_passes_all_checks():
 
 def test_displayed_pair_fails_only_the_gram_check():
     model = stcurve.homology_model(reference=True)
-    combos = stcurve.cycle_combo_columns(stcurve.REF_CYCLE_COMBOS)
-    results = covers.verify_homology_model(model, combos)
+    results = covers.verify_homology_model(model, stcurve.REF_CYCLE_COMBOS)
     failed = [cid for cid, ok, _ in results if not ok]
     assert failed == ["combo-gram"]
     assert not covers.model_passes(results)
@@ -114,8 +112,7 @@ def test_pairing_variants_are_swap_conjugate():
 
 def test_deck_action_matrix():
     model = stcurve.homology_model()
-    combos = stcurve.cycle_combo_columns(stcurve.CYCLE_COMBOS)
-    R = covers.deck_action_matrix(model, combos)
+    R = covers.deck_action_matrix(model, stcurve.CYCLE_COMBOS)
     assert R == stcurve.DECK_SYMPLECTIC_ACTION
     J = intlat.standard_symplectic(4)
     assert intlat.matmul(intlat.transpose(R), intlat.matmul(J, R)) == J
@@ -130,10 +127,9 @@ def test_deck_action_matrix():
 
 def test_deck_action_rejects_bad_spans():
     model = stcurve.homology_model()
-    combos = stcurve.cycle_combo_columns(stcurve.CYCLE_COMBOS)
+    X = stcurve.CYCLE_COMBOS
     with pytest.raises(ValueError):
-        covers.deck_action_matrix(model, combos[:1])
-    scaled = [list(c) for c in combos]
-    scaled[0] = [2 * x for x in scaled[0]]
+        covers.deck_action_matrix(model, [row[:1] for row in X])
+    scaled = [[2 * row[0]] + row[1:] for row in X]
     with pytest.raises(ValueError):
         covers.deck_action_matrix(model, scaled)

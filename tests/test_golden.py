@@ -28,6 +28,14 @@ GOLDEN = [
      "c8034923950a0c0e58acb2c28e2ae3e3609fdcf5ba533a015401d5ead0eab2ea"),
     (["emit", "prym", "--special", "--format", "decimal", "--prec", "300"], 0,
      "d2884929566d4e8b89b8affd41bb2ef70d13d990d1011c2c1f44da2a7ba35135"),
+    (["verify", "--strict", "--json"], 1,
+     "7a8f85098852454bee6cccb53820d26cce8679d86038e70819fb70661d278a12"),
+    (["verify"], 0,
+     "6b69cade9cb2c47b51257eb3104d5a16cf6eed7a425c5d33b0b6c057eb893ef4"),
+    (["emit", "genus4", "--tau", "i"], 0,
+     "63876732c55c7febc35741eff259cf05f2b6ad4e401efbea591661338d71c3c0"),
+    (["emit", "prym", *POINT[2:]], 0,
+     "e3c5e3492b1c5734b477505c7d9a7dee6adb5fdddf214ff24613b95ffcc15fbc"),
 ]
 
 

@@ -8,9 +8,14 @@ have been entered, except the entries of ALLOWED, each with its reason.
 Code that no path reaches is deleted rather than kept just in case, and
 ALLOWED names exactly what is left unreached.
 
+A second test reads the source with ast: a module-level import that its
+module never reads fails it, so a deletion leaves no dead import behind.
+__init__.py, which imports to re-export, is exempt.
+
 Run as a script, this file prints the reach as JSON.
 """
 
+import ast
 import importlib
 import inspect
 import json
@@ -151,6 +156,24 @@ def test_every_function_is_reached_by_a_cli_path():
     assert not missing, f"reached by no CLI path: {missing}"
     stale = sorted(set(ALLOWED) - unreached)
     assert not stale, f"reached now, drop from ALLOWED: {stale}"
+
+
+def _unread_imports(path):
+    """Names bound by the module-level imports of path that nothing reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = [alias.asname or alias.name.split(".")[0]
+             for node in tree.body
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_every_module_level_import_is_read():
+    package = Path(__file__).resolve().parents[1] / "src" / "cycloperiods"
+    unread = {path.name: names for path in sorted(package.glob("*.py"))
+              if path.name != "__init__.py" and (names := _unread_imports(path))}
+    assert not unread, f"imported but never read: {unread}"
 
 
 if __name__ == "__main__":
