@@ -83,6 +83,8 @@ class ComplexBall:
 
 
 def _dec(n, den, digits):
-    """n/den truncated toward zero to `digits` fractional digits."""
+    """n/den truncated toward zero to `digits` fractional digits; with
+    none, the whole part without a point."""
     whole, frac = divmod(abs(n) * 10 ** digits // den, 10 ** digits)
-    return f"{'-' if n < 0 else ''}{whole}.{str(frac).zfill(digits)}"
+    point = f".{str(frac).zfill(digits)}" if digits else ""
+    return f"{'-' if n < 0 else ''}{whole}{point}"

@@ -360,9 +360,9 @@ def emit(which, special, tau, z1, z2, fmt, prec, digits):
         ctx = _pipeline(prec)
         pm = ctx.prym_family if which == "prym" else ctx.genus4_family
     elif which == "prym":
-        pm = stcurve.prym_special_matrix()
+        pm = stcurve.PRYM_SPECIAL_MATRIX
     else:
-        pm = stcurve.genus4_period_matrix()
+        pm = stcurve.GENUS4
     _echo_json(_emit_payload, pm.evaluate(point), pm.polarization,
                point, fmt, prec, digits)
 

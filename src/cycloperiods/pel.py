@@ -37,7 +37,7 @@ class MatchError(ValueError):
 
 
 class ConventionError(ValueError):
-    """No (or no unique) convention choice survives the anchor."""
+    """No (or no unique) convention choice reproduces the target."""
 
     def __init__(self, message, candidates=None):
         super().__init__(message)
@@ -262,9 +262,9 @@ def diagonalize_W(T):
     """Find W over the tower with T = W^T diag(i, i, -i) conj(W).
 
     Works by congruence reduction of the Hermitian -iT; the two positive
-    pivots are routed to the first two slots, and the residual of the
-    result is zero exactly.  Raises ValueError when the signature is not
-    (2,1) or a pivot has no square root in the tower.
+    pivots are routed to the first two slots.  Raises ValueError when the
+    signature is not (2,1) or a pivot has no square root in the tower.
+    defw_residual measures how far the result is from T.
     """
     pivots, signs, S = pivot_signs(T)
     if signs.count(1) != 2 or signs.count(-1) != 1:
@@ -279,12 +279,8 @@ def diagonalize_W(T):
                              f"of its absolute value is not in the tower")
         roots.append(r)
     Sinv = intlat.inverse(S)
-    W = intlat.transpose([[Sinv[i][order[j]] * roots[j] for j in range(3)]
-                          for i in range(3)])
-    res = defw_residual(W, T)
-    if any(x for row in res for x in row):
-        raise ArithmeticError("exact diagonalizer failed its residual")
-    return W
+    return intlat.transpose([[Sinv[i][order[j]] * roots[j] for j in range(3)]
+                             for i in range(3)])
 
 
 # -- the period family over the 2-ball -----------------------------------
@@ -434,45 +430,31 @@ def resolve_conventions(W, module, target):
 
     Tries every (embedding, I2 reading, column order) combination and
     keeps those whose family admits an exact match against the target.
-    Exactly one must survive; anything else raises ConventionError.
+    Exactly one must survive, and (conventions, match, family) of it is
+    returned; anything else raises ConventionError.
     """
     winners = []
     for emb_choice in ("sigma", "sigmabar"):
         for i2 in ("identity", "i-identity"):
             for order in ("grouped", "interleaved"):
                 conv = Conventions(emb_choice, i2, order)
+                family = family_periods(W, module, conv)
                 try:
-                    sol = match_solver(family_periods(W, module, conv), target)
+                    sol = match_solver(family, target)
                 except MatchError:
                     continue
-                winners.append((conv, sol))
+                winners.append((conv, sol, family))
     if len(winners) != 1:
         raise ConventionError(
             f"{len(winners)} convention choices reproduce the target",
-            [c.to_json() for c, _ in winners])
+            [c.to_json() for c, _, _ in winners])
     return winners[0]
 
 
-class AnchorError(ValueError):
-    """The matched family does not pass through its defining fiber."""
-
-
-def prym_family(match, family, module, anchor=None):
-    """C * family rebased to lattice coordinates, with pairing polarization.
-
-    When anchor is given, the result is evaluated at the matched point
-    and must equal it entry for entry; a mismatch is fatal since the
-    anchor is the one exact fiber the family is built around.
-    """
+def prym_family(match, family, module):
+    """C * family rebased to lattice coordinates, with pairing polarization."""
     C, Binv = match.block_matrix(), intlat.unimodular_inverse(module.basis)
-    pm = PeriodMatrix.from_coeffs(
+    return PeriodMatrix.from_coeffs(
         3, family.params,
         [intlat.matmul(intlat.matmul(C, P), Binv) for P in family.coeffs],
         module.pairing)
-    if anchor is not None:
-        at_star = pm.evaluate(match.point())
-        bad = [(i, j) for i in range(3) for j in range(6)
-               if at_star[i][j] != anchor[i][j]]
-        if bad:
-            raise AnchorError(f"family misses its anchor fiber at {bad}")
-    return pm

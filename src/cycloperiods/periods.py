@@ -153,8 +153,8 @@ class PeriodMatrix:
 
     coeffs[0] is the constant tower matrix P_0 and coeffs[1 + k] the
     coefficient matrix of params[k], each a g x 2g tuple of tuples.  The
-    polarization is the alternating Gram matrix of the lattice basis
-    indexing the columns.  Parameter names are fixed up front so that
+    polarization, a 2g x 2g tuple of tuples, is the alternating Gram
+    matrix of the lattice basis indexing the columns.  Parameter names are fixed up front so that
     serialization and evaluation are unambiguous.
     """
 
@@ -188,7 +188,7 @@ class PeriodMatrix:
             raise ValueError(f"need {1 + len(params)} coefficient matrices")
         if any(len(C) != g or any(len(row) != 2 * g for row in C) for C in coeffs):
             raise ValueError(f"period matrix must be {g} x {2 * g}")
-        pol = [[int(x) for x in row] for row in polarization]
+        pol = tuple(tuple(int(x) for x in row) for row in polarization)
         if len(pol) != 2 * g or any(len(r) != 2 * g for r in pol):
             raise ValueError("polarization must be 2g x 2g")
         if not intlat.is_alternating(pol):
@@ -265,7 +265,7 @@ class PeriodMatrix:
 
 def _polarization_inverse(pm):
     """E^{-1} as a tuple of tuples, shared by every matrix with polarization E."""
-    Einv = _rational_inverse(tuple(map(tuple, pm.polarization)))
+    Einv = _rational_inverse(pm.polarization)
     if Einv is None:
         raise ValueError("polarization is degenerate")
     return Einv

@@ -10,6 +10,10 @@ display that fails its own exact consistency checks (transcription
 slips in the source tables); the plain variant is the corrected one
 that passes, with the correction pinned down by the algebra and not by
 choice.  verify reports every divergence between the two.
+
+The data are module constants built once at import.  The period
+matrices, the homology models and the displayed families are tuples of
+tuples, or hold them, so no caller can change them in place.
 """
 
 from fractions import Fraction
@@ -95,9 +99,8 @@ CYCLE_COMBOS = _combo_cols([
 ])
 
 
-def homology_model(reference=False):
-    pairing = REF_CYCLE_PAIRING if reference else CYCLE_PAIRING
-    return covers.HomologyModel(pairing, DECK_SHIFT_PERM)
+HOMOLOGY_MODEL = covers.HomologyModel(CYCLE_PAIRING, DECK_SHIFT_PERM)
+REF_HOMOLOGY_MODEL = covers.HomologyModel(REF_CYCLE_PAIRING, DECK_SHIFT_PERM)
 
 
 # matrix of the deck shift on the corrected symplectic combinations;
@@ -132,6 +135,9 @@ def genus4_period_matrix():
     return PeriodMatrix(4, ("tau",), rows, intlat.standard_symplectic(4))
 
 
+GENUS4 = genus4_period_matrix()
+
+
 # -- splitting into elliptic times Prym ----------------------------------
 
 # base change whose columns 1 and 5 (0-indexed 0 and 4) span the
@@ -163,27 +169,24 @@ ELLIPTIC_BLOCK = [[0, 3], [-3, 0]]
 # -- the special Prym period matrix --------------------------------------
 
 
-def prym_special(reference=False):
-    """The special 3x6 Prym matrix as a constant tower matrix.
-
-    The displayed variant differs in entry (2,2) only; the corrected
-    value is forced by the product (Z1|Z2)B and is what every exact
-    check downstream uses.
-    """
-    c = cyclo
-    row1 = [c(1, 0, -1), c(2, 0, -1), c(6, 0, -3),
-            c(0, 0, 1), c(0), c(3, 0, -3)]
-    mid = c(0, 1, 0, 2) if reference else c(0, 1, 0, -2)
-    row2 = [c(-1, 1, 2, -2), mid, c(0, 0, 3, -3),
-            c(2, -2, -1, 1), c(-1, -2, 2, 1), c(0, 3, 0, -3)]
-    row3 = [c(-1, -1, 2, 2), c(0, -1, 0, 2), c(0, 0, 3, 3),
-            c(2, 2, -1, -1), c(-1, 2, 2, -1), c(0, -3, 0, 3)]
-    return [row1, row2, row3]
-
-
-def prym_special_matrix(reference=False):
-    return PeriodMatrix(3, (), prym_special(reference), PRYM_POLARIZATION)
-
+# the special 3x6 Prym matrix as a constant tower matrix; its entry (2,2)
+# is forced by the product (Z1|Z2)B, and every exact check downstream
+# uses it
+PRYM_SPECIAL = (
+    (cyclo(1, 0, -1), cyclo(2, 0, -1), cyclo(6, 0, -3),
+     cyclo(0, 0, 1), cyclo(0), cyclo(3, 0, -3)),
+    (cyclo(-1, 1, 2, -2), cyclo(0, 1, 0, -2), cyclo(0, 0, 3, -3),
+     cyclo(2, -2, -1, 1), cyclo(-1, -2, 2, 1), cyclo(0, 3, 0, -3)),
+    (cyclo(-1, -1, 2, 2), cyclo(0, -1, 0, 2), cyclo(0, 0, 3, 3),
+     cyclo(2, 2, -1, -1), cyclo(-1, 2, 2, -1), cyclo(0, -3, 0, 3)),
+)
+# the displayed special matrix differs in entry (2,2) only
+REF_PRYM_SPECIAL = (
+    PRYM_SPECIAL[0],
+    PRYM_SPECIAL[1][:1] + (cyclo(0, 1, 0, 2),) + PRYM_SPECIAL[1][2:],
+    PRYM_SPECIAL[2],
+)
+PRYM_SPECIAL_MATRIX = PeriodMatrix(3, (), PRYM_SPECIAL, PRYM_POLARIZATION)
 
 # order-3 action on the Prym lattice
 PRYM_SHIFT = [
@@ -241,47 +244,41 @@ FAMILY_W = [
 # -- displayed family matrices --------------------------------------------
 
 
-def shimura_family_display():
-    """Displayed 3x6 family in module-generator coordinates (affine in z)."""
-    z1, z2 = AffineForm.variable("z1"), AffineForm.variable("z2")
-    zeta_inv = cyclo(0, 1, 0, -1)
-    row1 = [z2 * INV_ROOT4_3, z1 + 1,
-            z1 * cyclo(3, -1) + cyclo(3, 0, 0, -1)]
-    row2 = [AffineForm(), z1 + 1,
-            (z1 + 1) * cyclo(3, 0, 0, -1) + cyclo(3) - zeta_inv]
-    row3 = [AffineForm(INV_ROOT4_3), z2, z2 * cyclo(3, 0, 0, 1)]
-    mults = [cyclo(-1, 0, 1), cyclo(0, 0, -1), cyclo(0, 0, -1)]
-    rows = [row1, row2, row3]
-    return [rows[i] + [rows[i][j] * mults[i] for j in range(3)]
-            for i in range(3)]
+_Z1, _Z2 = AffineForm.variable("z1"), AffineForm.variable("z2")
 
+# displayed 3x6 family in module-generator coordinates (affine in z): the
+# right half of each row is its left half times the row's multiplier
+SHIMURA_FAMILY_DISPLAY = tuple(tuple(row + [x * m for x in row]) for row, m in [
+    ([_Z2 * INV_ROOT4_3, _Z1 + 1, _Z1 * cyclo(3, -1) + cyclo(3, 0, 0, -1)],
+     cyclo(-1, 0, 1)),
+    ([AffineForm(), _Z1 + 1,
+      (_Z1 + 1) * cyclo(3, 0, 0, -1) + cyclo(3) - cyclo(0, 1, 0, -1)],
+     cyclo(0, 0, -1)),
+    ([AffineForm(INV_ROOT4_3), _Z2, _Z2 * cyclo(3, 0, 0, 1)], cyclo(0, 0, -1)),
+])
 
-def prym_family_display():
-    """Displayed 3x6 family in the Prym lattice coordinates (affine in z)."""
-    z1, z2 = AffineForm.variable("z1"), AffineForm.variable("z2")
-    c = cyclo
-    a23 = z2 * (_A3 * c(-1, -2, 3, 3)) - (z1 - 1) * (3 * c(-1, -3, 1))
-    a33 = (z2 * (_A3 * c(-4, -1, 3, 3)) + z1 * c(-11, -17, 1, 10)
-           + c(-11, -13, 2, 8))
-    b13 = z1 * c(-3, -7, 3, 8) + c(-6, -8, 6, 10)
-    b23 = z1 * c(-3, 0, 0, 9) - z2 * (_A3 * c(9, -9, -3, 12)) + c(0, 0, -3, 9)
-    b33 = z1 * c(7, 10, 10, 1) - z2 * (_A3 * c(-3, -3, -1, 1)) + c(2, 8, 5, 5)
-    left = [
-        [z2 * (INV_ROOT4_3 * c(1, 3, 1)), (z1 + 1) * c(1, 3, 1),
-         (z1 + 1) * c(3, 8, 0, -1)],
-        [AffineForm(c(-1, 1, 2, -2)),
-         z2 * (_A3 * c(-1, 0, 1, 1)) - (z1 - 1) * c(0, 0, 3), a23],
-        [AffineForm(c(-1, -1, 2, 2)),
-         z2 * (_A3 * c(-1, 0, 1, 1)) + (z1 - 1) * c(-4, -5, 2, 4), a33],
-    ]
-    right = [
-        [z2 * (INV_ROOT4_3 * c(-2, -3, 1, 3)), (z1 + 1) * c(-2, -3, 1, 3), b13],
-        [AffineForm(c(2, -2, -1, 1)),
-         (z1 + 1) * 3 + z2 * (_A3 * c(1, -1, 0, 1)), b23],
-        [AffineForm(c(2, -2, -1, -1)),
-         z2 * (_A3 * c(1, 1, 0, -1)) + (z1 + 1) * c(2, 4, 2, 1), b33],
-    ]
-    return [left[i] + right[i] for i in range(3)]
+# displayed 3x6 family in the Prym lattice coordinates (affine in z)
+PRYM_FAMILY_DISPLAY = (
+    (_Z2 * (INV_ROOT4_3 * cyclo(1, 3, 1)), (_Z1 + 1) * cyclo(1, 3, 1),
+     (_Z1 + 1) * cyclo(3, 8, 0, -1),
+     _Z2 * (INV_ROOT4_3 * cyclo(-2, -3, 1, 3)), (_Z1 + 1) * cyclo(-2, -3, 1, 3),
+     _Z1 * cyclo(-3, -7, 3, 8) + cyclo(-6, -8, 6, 10)),
+    (AffineForm(cyclo(-1, 1, 2, -2)),
+     _Z2 * (_A3 * cyclo(-1, 0, 1, 1)) - (_Z1 - 1) * cyclo(0, 0, 3),
+     _Z2 * (_A3 * cyclo(-1, -2, 3, 3)) - (_Z1 - 1) * (3 * cyclo(-1, -3, 1)),
+     AffineForm(cyclo(2, -2, -1, 1)),
+     (_Z1 + 1) * 3 + _Z2 * (_A3 * cyclo(1, -1, 0, 1)),
+     _Z1 * cyclo(-3, 0, 0, 9) - _Z2 * (_A3 * cyclo(9, -9, -3, 12))
+     + cyclo(0, 0, -3, 9)),
+    (AffineForm(cyclo(-1, -1, 2, 2)),
+     _Z2 * (_A3 * cyclo(-1, 0, 1, 1)) + (_Z1 - 1) * cyclo(-4, -5, 2, 4),
+     _Z2 * (_A3 * cyclo(-4, -1, 3, 3)) + _Z1 * cyclo(-11, -17, 1, 10)
+     + cyclo(-11, -13, 2, 8),
+     AffineForm(cyclo(2, -2, -1, -1)),
+     _Z2 * (_A3 * cyclo(1, 1, 0, -1)) + (_Z1 + 1) * cyclo(2, 4, 2, 1),
+     _Z1 * cyclo(7, 10, 10, 1) - _Z2 * (_A3 * cyclo(-3, -3, -1, 1))
+     + cyclo(2, 8, 5, 5)),
+)
 
 
 def genus4_family(prym):
@@ -290,7 +287,7 @@ def genus4_family(prym):
     Places 3*tau and 3*tau + 3 in the elliptic columns and the Prym
     entries in the Prym columns of the splitting basis, then returns to
     the symplectic e-basis.  With the special Prym matrix this recovers
-    genus4_period_matrix() up to the basis bookkeeping.
+    GENUS4 up to the basis bookkeeping.
     """
     three = cyclo(3)
     top = [AffineForm.variable("tau", three), AffineForm(three, {"tau": three})]

@@ -35,17 +35,17 @@ STAGES = {
         stcurve.PRYM_POLARIZATION),
     "skew_form": lambda ctx: pel.solve_T(ctx.module.g0, ctx.module.g1),
     "diagonalizer": lambda ctx: pel.diagonalize_W(ctx.skew_form),
-    "match_target": lambda ctx: intlat.matmul(stcurve.prym_special(),
+    "match_target": lambda ctx: intlat.matmul(stcurve.PRYM_SPECIAL,
                                               ctx.module.basis),
     "resolution": lambda ctx: pel.resolve_conventions(
         stcurve.FAMILY_W, ctx.module, ctx.match_target),
     "conventions": lambda ctx: ctx.resolution[0],
     "match": lambda ctx: ctx.resolution[1],
-    "family_u": lambda ctx: pel.family_periods(
-        stcurve.FAMILY_W, ctx.module, ctx.conventions),
+    "family_u": lambda ctx: ctx.resolution[2],
     "prym_family": lambda ctx: pel.prym_family(
-        ctx.match, ctx.family_u, ctx.module, anchor=stcurve.prym_special()),
+        ctx.match, ctx.family_u, ctx.module),
     "genus4_family": lambda ctx: stcurve.genus4_family(ctx.prym_family),
+    "genus4_at_star": lambda ctx: ctx.genus4_family.subs(ctx.match.point()),
 }
 
 
@@ -91,6 +91,15 @@ def _submatrix(M, rows, cols):
     return [[M[i][j] for j in cols] for i in rows]
 
 
+def _diff_entries(A, B):
+    """[i, j] of each entry where the same-shaped matrices A and B differ.
+
+    Goes entry by entry, so a list matrix compares with a tuple one.
+    """
+    return [[i, j] for i, row in enumerate(A) for j, x in enumerate(row)
+            if x != B[i][j]]
+
+
 @_register("lattice-type", "snf")
 def _check_snf(ctx, strict):
     J = intlat.standard_symplectic(4)
@@ -117,9 +126,9 @@ def _check_snf(ctx, strict):
 
 @_register("cycle-basis", "homology")
 def _check_homology(ctx, strict):
-    model = stcurve.homology_model()
+    model = stcurve.HOMOLOGY_MODEL
     results = covers.verify_homology_model(model, stcurve.CYCLE_COMBOS)
-    ok = covers.model_passes(results)
+    ok = all(passed for _, passed in results)
     R = covers.deck_action_matrix(model, stcurve.CYCLE_COMBOS)
     J = intlat.standard_symplectic(4)
     symplectic = intlat.matmul(intlat.transpose(R), intlat.matmul(J, R)) == J
@@ -132,7 +141,7 @@ def _check_homology(ctx, strict):
             break
     ok = (ok and R == stcurve.DECK_SYMPLECTIC_ACTION
           and symplectic and order == 6)
-    evidence = {"model_checks": [[cid, passed] for cid, passed, _ in results],
+    evidence = {"model_checks": [[cid, passed] for cid, passed in results],
                 "deck_action_symplectic": symplectic,
                 "deck_action_order": order}
     return report.Check("cycle-basis",
@@ -158,22 +167,20 @@ def _check_covers(ctx, strict):
 
 @_register("split-product", "split")
 def _check_split(ctx, strict):
-    pm = stcurve.genus4_period_matrix()
+    pm = stcurve.GENUS4
     # Z B = Z0 + tau Zt against the blocks its columns must carry
     Z0, Zt = (intlat.matmul(P, stcurve.SPLITTING_BASIS) for P in pm.coeffs)
     want0 = [[ZERO] * 8 for _ in range(4)]
     want_t = [[ZERO] * 8 for _ in range(4)]
     e0, e1 = stcurve.ELL_COLS
     want0[0][e1] = want_t[0][e0] = want_t[0][e1] = 3
-    sp = stcurve.prym_special()
+    sp = stcurve.PRYM_SPECIAL
     for r in (1, 2, 3):
         for k, c in enumerate(stcurve.PRYM_COLS):
             want0[r][c] = sp[r - 1][k]
     bad = [[i, j] for i in range(4) for j in range(8)
            if Z0[i][j] != want0[i][j] or Zt[i][j] != want_t[i][j]]
-    ref = stcurve.prym_special(reference=True)
-    diffs = [[i, j] for i in range(3) for j in range(6)
-             if not (sp[i][j] - ref[i][j]).is_zero()]
+    diffs = _diff_entries(sp, stcurve.REF_PRYM_SPECIAL)
     ok = not bad and diffs == [[1, 1]]
     evidence = {"bad_entries": bad, "displayed_special_divergence": diffs}
     return report.Check("split-product",
@@ -183,8 +190,8 @@ def _check_split(ctx, strict):
 
 @_register("riemann-symbolic", "riemann")
 def _check_riemann(ctx, strict):
-    mats = [("genus4", stcurve.genus4_period_matrix()),
-            ("prym-special", stcurve.prym_special_matrix()),
+    mats = [("genus4", stcurve.GENUS4),
+            ("prym-special", stcurve.PRYM_SPECIAL_MATRIX),
             ("family-module-coords", ctx.family_u),
             ("prym-family", ctx.prym_family),
             ("genus4-family", ctx.genus4_family)]
@@ -208,7 +215,7 @@ CERTIFICATION_FLOOR = 64
 def _check_positivity(ctx, strict):
     iu = cyclo(0, 0, 0, 1)
     half = TowerElem.rational(Fraction(1, 2))
-    g4 = stcurve.genus4_period_matrix()
+    g4 = stcurve.GENUS4
     zstar = ctx.match.point()
     points = [("genus4 tau=i", g4, {"tau": iu}),
               ("genus4 tau=2i", g4, {"tau": iu * 2}),
@@ -309,9 +316,9 @@ def _check_match(ctx, strict):
 @_register("special-fiber", "family")
 def _check_special_fiber(ctx, strict):
     at_star = ctx.prym_family.evaluate(ctx.match.point())
-    fiber_ok = at_star == stcurve.prym_special()
-    assembled = ctx.genus4_family.subs(ctx.match.point())
-    base = stcurve.genus4_period_matrix()
+    fiber_ok = not _diff_entries(at_star, stcurve.PRYM_SPECIAL)
+    assembled = ctx.genus4_at_star
+    base = stcurve.GENUS4
     genus4_ok = (assembled.params == base.params
                  and assembled.coeffs == base.coeffs)
     ok = fiber_ok and genus4_ok
@@ -348,9 +355,8 @@ def _check_endo(ctx, strict):
     for i, e in enumerate(stcurve.FORM_WEIGHT_EXPONENTS):
         A4[i][i] = zeta_power(e)
     R6 = stcurve.DECK_SYMPLECTIC_ACTION
-    genus4_ok = periods.intertwines(stcurve.genus4_period_matrix(), A4, R6)
-    pinned = ctx.genus4_family.subs(ctx.match.point())
-    pinned_ok = periods.intertwines(pinned, A4, R6)
+    genus4_ok = periods.intertwines(stcurve.GENUS4, A4, R6)
+    pinned_ok = periods.intertwines(ctx.genus4_at_star, A4, R6)
     ok = rho_ok and prym_ok and genus4_ok and pinned_ok
     evidence = {"rho_endomorphism": rho_ok,
                 "prym_family_deck": prym_ok,
@@ -365,10 +371,8 @@ def _check_endo(ctx, strict):
 def _check_display_audit(ctx, strict):
     diverg = {}
 
-    computed = ctx.family_u.entries
-    displayed = stcurve.shimura_family_display()
-    fam_diffs = [[i, j] for i in range(3) for j in range(6)
-                 if computed[i][j] != displayed[i][j]]
+    fam_diffs = _diff_entries(ctx.family_u.entries,
+                              stcurve.SHIMURA_FAMILY_DISPLAY)
     diverg["family_module_coords"] = fam_diffs
     first_row_ok = not any(i == 0 for i, _ in fam_diffs)
     c11_ok = ctx.match.coeffs["c11"] == stcurve.MATCH_COEFFS["c11"]
@@ -378,26 +382,20 @@ def _check_display_audit(ctx, strict):
                                        for j in range(3)
                                        if not res[i][j].is_zero()]
 
-    sp = stcurve.prym_special()
-    ref = stcurve.prym_special(reference=True)
-    diverg["special_matrix"] = [[i, j] for i in range(3) for j in range(6)
-                                if not (sp[i][j] - ref[i][j]).is_zero()]
+    diverg["special_matrix"] = _diff_entries(stcurve.PRYM_SPECIAL,
+                                             stcurve.REF_PRYM_SPECIAL)
 
-    ref_model = stcurve.homology_model(reference=True)
-    ref_results = covers.verify_homology_model(ref_model,
+    ref_results = covers.verify_homology_model(stcurve.REF_HOMOLOGY_MODEL,
                                                stcurve.REF_CYCLE_COMBOS)
-    diverg["cycle_display_failed_checks"] = [cid for cid, passed, _
+    diverg["cycle_display_failed_checks"] = [cid for cid, passed
                                              in ref_results if not passed]
     ref_cols = intlat.transpose(stcurve.REF_CYCLE_COMBOS)
     cols = intlat.transpose(stcurve.CYCLE_COMBOS)
     diverg["cycle_combos"] = [j for j in range(len(cols))
                               if ref_cols[j] != cols[j]]
 
-    lat = ctx.prym_family.entries
-    lat_disp = stcurve.prym_family_display()
-    diverg["family_lattice_coords"] = [[i, j] for i in range(3)
-                                       for j in range(6)
-                                       if lat[i][j] != lat_disp[i][j]]
+    diverg["family_lattice_coords"] = _diff_entries(
+        ctx.prym_family.entries, stcurve.PRYM_FAMILY_DISPLAY)
 
     any_div = any(bool(v) for v in diverg.values())
     if not (first_row_ok and c11_ok):

@@ -228,7 +228,7 @@ def test_prec_is_bounded_above(runner, tmp_path):
     result = runner.invoke(cli.main, ["emit", "prym", "--special", "--prec", over])
     assert result.exit_code == 2 and "--prec" in _text(result)
     path = tmp_path / "pm.json"
-    path.write_text(json.dumps(stcurve.genus4_period_matrix().to_json()))
+    path.write_text(json.dumps(stcurve.GENUS4.to_json()))
     result = runner.invoke(cli.main, ["tools", "riemann-check", "--file", str(path),
                                       "--at", "tau=i", "--prec", over])
     assert result.exit_code == 2 and "--prec" in _text(result)
@@ -252,7 +252,7 @@ def test_emit_special_fiber_exact(runner):
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["format"] == "exact-json"
-    sp = stcurve.prym_special()
+    sp = stcurve.PRYM_SPECIAL
     got = [[TowerElem.from_json(x) for x in row]
            for row in payload["entries"]]
     assert got == [list(row) for row in sp]
@@ -267,6 +267,19 @@ def test_emit_is_reproducible(runner):
     second = runner.invoke(cli.main, args)
     assert first.exit_code == second.exit_code == 0
     assert first.output == second.output
+
+
+def test_emit_decimal_with_no_digits_prints_whole_parts(runner):
+    args = ["emit", "prym", "--special", "--format", "decimal"]
+    whole, one = (runner.invoke(cli.main, args + ["--digits", d])
+                  for d in ("0", "1"))
+    assert whole.exit_code == one.exit_code == 0
+    entries = json.loads(whole.output)["entries"]
+    parts = {s for row in entries for pair in row for s in pair}
+    assert {"0", "-0", "1"} <= parts and not any("." in s for s in parts)
+    # truncation toward zero drops the one fractional digit and its point
+    assert entries == [[[s[:-2] for s in pair] for pair in row]
+                       for row in json.loads(one.output)["entries"]]
 
 
 def test_emit_family_point_decimal(runner):
@@ -301,7 +314,7 @@ def test_emit_genus4_point(runner):
     assert row0[0] == IUNIT and row0[1] == IUNIT
     assert row0[2].is_zero()
     assert row0[3] == -ONE - IUNIT
-    exact = stcurve.genus4_period_matrix().evaluate({"tau": IUNIT})
+    exact = stcurve.GENUS4.evaluate({"tau": IUNIT})
     got = [[TowerElem.from_json(x) for x in row]
            for row in payload["entries"]]
     assert got == [list(r) for r in exact]
@@ -465,7 +478,7 @@ def test_tools_symplectic_basis(runner):
 
 def test_tools_riemann_check(runner, tmp_path):
     path = tmp_path / "pm.json"
-    path.write_text(json.dumps(stcurve.genus4_period_matrix().to_json()))
+    path.write_text(json.dumps(stcurve.GENUS4.to_json()))
     result = runner.invoke(cli.main,
                            ["tools", "riemann-check", "--file", str(path),
                             "--at", "tau=i"])
@@ -498,7 +511,7 @@ def test_tools_riemann_check(runner, tmp_path):
 
 def test_tools_riemann_check_is_exact_near_the_real_axis(runner, tmp_path):
     path = tmp_path / "pm.json"
-    path.write_text(json.dumps(stcurve.genus4_period_matrix().to_json()))
+    path.write_text(json.dumps(stcurve.GENUS4.to_json()))
     result = runner.invoke(cli.main,
                            ["tools", "riemann-check", "--file", str(path),
                             "--at", "tau=(1/2)^200*i"])
@@ -508,7 +521,7 @@ def test_tools_riemann_check_is_exact_near_the_real_axis(runner, tmp_path):
 
 def test_tools_riemann_check_reports_minors_past_the_double_range(runner, tmp_path):
     path = tmp_path / "pm.json"
-    path.write_text(json.dumps(stcurve.genus4_period_matrix().to_json()))
+    path.write_text(json.dumps(stcurve.GENUS4.to_json()))
     result = runner.invoke(cli.main,
                            ["tools", "riemann-check", "--file", str(path),
                             "--at", "tau=i*(2^1024)"])
@@ -527,7 +540,7 @@ def test_tools_riemann_check_reports_minors_past_the_double_range(runner, tmp_pa
 
 
 def test_tools_riemann_check_refuses_a_degenerate_polarization(runner, tmp_path):
-    obj = stcurve.genus4_period_matrix().to_json()
+    obj = stcurve.GENUS4.to_json()
     obj["polarization"]["data"] = [[0] * 8 for _ in range(8)]
     path = tmp_path / "pm.json"
     path.write_text(json.dumps(obj))

@@ -85,20 +85,18 @@ def test_homology_model_validation():
 
 
 def test_corrected_model_passes_all_checks():
-    model = stcurve.homology_model()
-    results = covers.verify_homology_model(model, stcurve.CYCLE_COMBOS)
-    assert [cid for cid, _, _ in results] == [
-        "alternating", "shift-equivariant", "rank",
-        "principal-minor", "combo-gram"]
-    assert covers.model_passes(results)
+    results = covers.verify_homology_model(stcurve.HOMOLOGY_MODEL,
+                                           stcurve.CYCLE_COMBOS)
+    assert results == [("alternating", True), ("shift-equivariant", True),
+                       ("rank", True), ("principal-minor", True),
+                       ("combo-gram", True)]
 
 
 def test_displayed_pair_fails_only_the_gram_check():
-    model = stcurve.homology_model(reference=True)
-    results = covers.verify_homology_model(model, stcurve.REF_CYCLE_COMBOS)
-    failed = [cid for cid, ok, _ in results if not ok]
+    results = covers.verify_homology_model(stcurve.REF_HOMOLOGY_MODEL,
+                                           stcurve.REF_CYCLE_COMBOS)
+    failed = [cid for cid, ok in results if not ok]
     assert failed == ["combo-gram"]
-    assert not covers.model_passes(results)
 
 
 def test_pairing_variants_are_swap_conjugate():
@@ -111,7 +109,7 @@ def test_pairing_variants_are_swap_conjugate():
 
 
 def test_deck_action_matrix():
-    model = stcurve.homology_model()
+    model = stcurve.HOMOLOGY_MODEL
     R = covers.deck_action_matrix(model, stcurve.CYCLE_COMBOS)
     assert R == stcurve.DECK_SYMPLECTIC_ACTION
     J = intlat.standard_symplectic(4)
@@ -126,7 +124,7 @@ def test_deck_action_matrix():
 
 
 def test_deck_action_rejects_bad_spans():
-    model = stcurve.homology_model()
+    model = stcurve.HOMOLOGY_MODEL
     X = stcurve.CYCLE_COMBOS
     with pytest.raises(ValueError):
         covers.deck_action_matrix(model, [row[:1] for row in X])

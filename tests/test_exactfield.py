@@ -461,9 +461,11 @@ def _reference_basis(prec):
 
 
 def _truncate(q, digits):
-    """The Fraction q truncated toward zero to `digits` fractional digits."""
+    """The Fraction q truncated toward zero to `digits` fractional digits;
+    with none, the whole part without a point."""
     whole, frac = divmod(int(abs(q) * 10 ** digits), 10 ** digits)
-    return f"{'-' if q < 0 else ''}{whole}.{str(frac).zfill(digits)}"
+    sign = "-" if q < 0 else ""
+    return f"{sign}{whole}.{str(frac).zfill(digits)}" if digits else f"{sign}{whole}"
 
 
 @st.composite

@@ -1,0 +1,108 @@
+"""The frozen period matrices of stcurve as constants, and their mutants.
+
+The matrices are built once at import, cannot be changed in place, and
+are read by the suite at call time.  So a test can swap a constant for
+a mutant with monkeypatch: adding 1 to any one entry of PRYM_SPECIAL or
+of either coefficient matrix of GENUS4 must change at least one verdict
+of the thirteen checks, or the checks do not pin that entry down.
+"""
+
+import sys
+import types
+
+import pytest
+
+from cycloperiods import stcurve, suite
+from cycloperiods.exactfield import ONE
+from cycloperiods.periods import PeriodMatrix
+
+
+def _verdicts():
+    return [c.verdict for c in suite.run_all().checks]
+
+
+@pytest.fixture(scope="module")
+def verdicts():
+    return _verdicts()
+
+
+def _codes(fn):
+    """The code object of fn and of everything nested in it."""
+    todo, out = [fn.__code__], set()
+    while todo:
+        code = todo.pop()
+        out.add(code)
+        todo += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+    return out
+
+
+def test_no_stcurve_builder_runs_during_a_verify():
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == stcurve.__file__:
+            entered.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        suite.run_all()
+    finally:
+        sys.setprofile(None)
+    assert stcurve.genus4_family.__code__ in entered
+    assert sorted(c.co_name for c in entered - _codes(stcurve.genus4_family)) == []
+
+
+def test_the_frozen_matrices_are_tuples_no_caller_can_change():
+    for name in ("PRYM_SPECIAL", "REF_PRYM_SPECIAL", "SHIMURA_FAMILY_DISPLAY",
+                 "PRYM_FAMILY_DISPLAY"):
+        M = getattr(stcurve, name)
+        assert type(M) is tuple and all(type(row) is tuple for row in M), name
+    for pm in (stcurve.GENUS4, stcurve.PRYM_SPECIAL_MATRIX):
+        assert all(type(row) is tuple for C in pm.coeffs for row in C)
+        assert all(type(row) is tuple for row in pm.polarization)
+        with pytest.raises(AttributeError):
+            pm.coeffs = ()
+    for model in (stcurve.HOMOLOGY_MODEL, stcurve.REF_HOMOLOGY_MODEL):
+        assert all(type(row) is tuple for row in model.pairing)
+        assert type(model.shift) is tuple
+        with pytest.raises(AttributeError):
+            model.pairing = ()
+    with pytest.raises(AttributeError):
+        stcurve.PRYM_SPECIAL[0][0].d = 2
+    with pytest.raises(AttributeError):
+        stcurve.PRYM_FAMILY_DISPLAY[0][0].const = ONE
+    rebuilt = stcurve.genus4_period_matrix()
+    assert rebuilt is not stcurve.GENUS4
+    assert rebuilt.coeffs == stcurve.GENUS4.coeffs
+
+
+def _shifted(rows, i, j):
+    """rows with 1 added to entry (i, j), as a tuple of tuples."""
+    return tuple(tuple(x + ONE if (r, c) == (i, j) else x
+                       for c, x in enumerate(row))
+                 for r, row in enumerate(rows))
+
+
+PRYM_SPECIAL_ENTRIES = [(i, j) for i in range(3) for j in range(6)]
+GENUS4_ENTRIES = [(k, i, j) for k in range(2) for i in range(4)
+                  for j in range(8)]
+
+
+@pytest.mark.parametrize("i, j", PRYM_SPECIAL_ENTRIES,
+                         ids=[f"{i}-{j}" for i, j in PRYM_SPECIAL_ENTRIES])
+def test_each_prym_special_mutant_changes_a_verdict(monkeypatch, verdicts,
+                                                    i, j):
+    monkeypatch.setattr(stcurve, "PRYM_SPECIAL",
+                        _shifted(stcurve.PRYM_SPECIAL, i, j))
+    assert _verdicts() != verdicts
+
+
+@pytest.mark.parametrize("k, i, j", GENUS4_ENTRIES,
+                         ids=[f"{k}-{i}-{j}" for k, i, j in GENUS4_ENTRIES])
+def test_each_genus4_mutant_changes_a_verdict(monkeypatch, verdicts, k, i, j):
+    pm = stcurve.GENUS4
+    coeffs = [_shifted(C, i, j) if n == k else C
+              for n, C in enumerate(pm.coeffs)]
+    monkeypatch.setattr(stcurve, "GENUS4", PeriodMatrix.from_coeffs(
+        pm.g, pm.params, coeffs, pm.polarization))
+    assert _verdicts() != verdicts

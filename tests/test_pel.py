@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycloperiods import intlat, pel, periods, stcurve
+from cycloperiods import intlat, pel, periods, stcurve, suite
 from cycloperiods.exactfield import (
     IUNIT, ONE, RHO, ROOT4_3, SQRT3, ZERO, TowerElem, cyclo, real_sign,
 )
@@ -19,7 +19,7 @@ def _module():
 
 
 def _target(module):
-    sp = stcurve.prym_special()
+    sp = stcurve.PRYM_SPECIAL
     basis = module.basis
     return [[sum((sp[i][k] * basis[k][j] for k in range(6)), ZERO)
              for j in range(6)] for i in range(3)]
@@ -27,8 +27,8 @@ def _target(module):
 
 def _resolved():
     module = _module()
-    conv, match = pel.resolve_conventions(stcurve.FAMILY_W, module,
-                                          _target(module))
+    conv, match, _ = pel.resolve_conventions(stcurve.FAMILY_W, module,
+                                             _target(module))
     return module, conv, match
 
 
@@ -236,9 +236,14 @@ def test_standalone_display_W_fails_the_identity():
 
 
 def test_convention_resolution_is_unique():
-    _, conv, _ = _resolved()
+    module = _module()
+    conv, _, family = pel.resolve_conventions(stcurve.FAMILY_W, module,
+                                              _target(module))
     assert (conv.embedding, conv.i2, conv.column_order) == (
         "sigma", "identity", "grouped")
+    # the winner's family is the one family_periods builds for it
+    assert family.coeffs == pel.family_periods(stcurve.FAMILY_W, module,
+                                               conv).coeffs
 
 
 def test_convention_resolution_fails_on_garbage_target():
@@ -277,24 +282,44 @@ def test_match_solver_rejects_inconsistent_targets():
         pel.match_solver(family, target)
 
 
-def test_prym_family_anchors_at_the_special_fiber():
+def test_prym_family_passes_through_the_special_fiber():
     module, conv, match = _resolved()
     family = pel.family_periods(stcurve.FAMILY_W, module, conv)
-    fam = pel.prym_family(match, family, module,
-                          anchor=stcurve.prym_special())
-    assert fam.g == 3 and fam.polarization == stcurve.PRYM_POLARIZATION
+    fam = pel.prym_family(match, family, module)
+    assert fam.g == 3
+    assert fam.polarization == tuple(map(tuple, stcurve.PRYM_POLARIZATION))
     at_star = fam.evaluate(match.point())
-    sp = stcurve.prym_special()
+    sp = stcurve.PRYM_SPECIAL
     assert all((at_star[i][j] - sp[i][j]).is_zero()
                for i in range(3) for j in range(6))
 
 
-def test_prym_family_rejects_a_wrong_anchor():
-    module, conv, match = _resolved()
-    family = pel.family_periods(stcurve.FAMILY_W, module, conv)
-    with pytest.raises(pel.AnchorError):
-        pel.prym_family(match, family, module,
-                        anchor=stcurve.prym_special(reference=True))
+def test_special_fiber_fails_when_the_family_misses_the_special_matrix(
+        monkeypatch):
+    exact = pel.prym_family
+
+    def shifted(match, family, module):
+        # 1 more in the constant of entry (0, 0): the family no longer
+        # passes through PRYM_SPECIAL at z*
+        pm = exact(match, family, module)
+        coeffs = [[list(row) for row in C] for C in pm.coeffs]
+        coeffs[0][0][0] = coeffs[0][0][0] + ONE
+        return periods.PeriodMatrix.from_coeffs(pm.g, pm.params, coeffs,
+                                                pm.polarization)
+
+    monkeypatch.setattr(pel, "prym_family", shifted)
+    (check,) = suite.run_all(only="special-fiber").checks
+    assert check.verdict == "fail"
+    assert check.evidence["prym_fiber_exact"] is False
+
+
+def test_form_diagonal_fails_cleanly_on_a_wrong_root(monkeypatch):
+    exact = pel.tower_sqrt
+    monkeypatch.setattr(pel, "tower_sqrt", lambda x: exact(x) * 2)
+    (check,) = suite.run_all(only="form-diagonal").checks
+    assert check.verdict == "fail"
+    assert check.anchor == "W^* D W reproduces T (residual 0 or < 2^-100)"
+    assert check.evidence == {"exact": True, "residual_bound": "nonzero"}
 
 
 def test_family_satisfies_riemann_symbolically():

@@ -14,10 +14,6 @@ from cycloperiods.periods import AffineForm, PeriodMatrix
 _I = cyclo(0, 0, 0, 1)
 
 
-def _genus4():
-    return stcurve.genus4_period_matrix()
-
-
 def test_affine_form_arithmetic():
     z = AffineForm.variable("z")
     f = z * 2 + ONE
@@ -43,9 +39,9 @@ def test_affine_form_json_roundtrip():
 
 
 def test_genus4_matrix_shape():
-    pm = _genus4()
+    pm = stcurve.GENUS4
     assert pm.g == 4 and pm.params == ("tau",)
-    assert pm.polarization == intlat.standard_symplectic(4)
+    assert pm.polarization == tuple(map(tuple, intlat.standard_symplectic(4)))
     # the first row is affine in tau, the rest is constant
     assert all(not x for row in pm.coeffs[1][1:] for x in row)
     assert pm.entries[0][0] == AffineForm.variable("tau")
@@ -60,7 +56,7 @@ def test_period_matrix_validation():
 
 
 def test_period_matrix_json_roundtrip():
-    pm = _genus4()
+    pm = stcurve.GENUS4
     blob = json.dumps(pm.to_json())
     back = PeriodMatrix.from_json(json.loads(blob))
     assert back.g == pm.g and back.params == pm.params
@@ -71,12 +67,12 @@ def test_period_matrix_json_roundtrip():
 
 
 def test_first_relation_holds_symbolically():
-    assert periods.first_relation_holds(_genus4())
-    assert periods.first_relation_holds(stcurve.prym_special_matrix())
+    assert periods.first_relation_holds(stcurve.GENUS4)
+    assert periods.first_relation_holds(stcurve.PRYM_SPECIAL_MATRIX)
 
 
 def test_first_relation_detects_perturbation():
-    pm = _genus4()
+    pm = stcurve.GENUS4
     entries = [list(row) for row in pm.entries]
     entries[0][2] = entries[0][2] + ONE
     broken = PeriodMatrix(4, pm.params, entries, pm.polarization)
@@ -128,7 +124,7 @@ def test_first_relation_and_intertwining_detect_each_coefficient(
 
 
 def test_period_matrix_coefficients_and_entries_agree():
-    pm = _genus4()
+    pm = stcurve.GENUS4
     P0, Pt = pm.coeffs
     assert pm.entries[0][3] == AffineForm(-1, {"tau": -1})
     assert (P0[0][3], Pt[0][3]) == (-ONE, -ONE)
@@ -141,7 +137,7 @@ def test_period_matrix_coefficients_and_entries_agree():
 
 
 def test_positivity_certificates():
-    pm = _genus4()
+    pm = stcurve.GENUS4
     for tau in (_I, _I * 2, _I + 1):
         verdict, minors = periods.riemann_positivity(
             pm, {"tau": tau}, prec=128, sign=stcurve.POSITIVITY_SIGN)
@@ -152,13 +148,13 @@ def test_positivity_certificates():
 
 def test_positivity_rejects_lower_half_plane():
     verdict, _ = periods.riemann_positivity(
-        _genus4(), {"tau": -_I}, prec=128, sign=stcurve.POSITIVITY_SIGN)
+        stcurve.GENUS4, {"tau": -_I}, prec=128, sign=stcurve.POSITIVITY_SIGN)
     assert verdict == "not-positive"
 
 
 def test_positivity_sign_flip_fails():
     verdict, _ = periods.riemann_positivity(
-        _genus4(), {"tau": _I}, prec=128, sign=-stcurve.POSITIVITY_SIGN)
+        stcurve.GENUS4, {"tau": _I}, prec=128, sign=-stcurve.POSITIVITY_SIGN)
     assert verdict == "not-positive"
 
 
@@ -169,7 +165,7 @@ def test_positivity_is_exact_near_the_real_axis():
     tau = _I * Fraction(1, 2 ** 200)
     for prec in (16, 128):
         verdict, minors = periods.riemann_positivity(
-            _genus4(), {"tau": tau}, prec=prec, sign=stcurve.POSITIVITY_SIGN)
+            stcurve.GENUS4, {"tau": tau}, prec=prec, sign=stcurve.POSITIVITY_SIGN)
         assert verdict == "positive"
         assert [k for k, _, _ in minors] == [1, 2, 3, 4]
 
@@ -177,7 +173,7 @@ def test_positivity_is_exact_near_the_real_axis():
 def test_positivity_on_the_real_axis_is_not_positive():
     # tau = 1 makes the first minor exactly 0
     verdict, minors = periods.riemann_positivity(
-        _genus4(), {"tau": ONE}, prec=128, sign=stcurve.POSITIVITY_SIGN)
+        stcurve.GENUS4, {"tau": ONE}, prec=128, sign=stcurve.POSITIVITY_SIGN)
     assert verdict == "not-positive"
     assert minors == [(1, 0.0, 0.0)]
 
@@ -229,7 +225,7 @@ def test_polarization_inverse_is_computed_once(monkeypatch):
 
     monkeypatch.setattr(intlat, "inverse", counting)
     periods._rational_inverse.cache_clear()
-    pm = _genus4()
+    pm = stcurve.GENUS4
     for tau in (_I, _I * 2):
         periods.positivity_gram(pm, {"tau": tau}, sign=stcurve.POSITIVITY_SIGN)
     assert periods.first_relation_holds(pm.subs({"tau": _I}))
@@ -242,17 +238,17 @@ def test_polarization_inverse_is_computed_once(monkeypatch):
 
 
 def test_positivity_gram_is_hermitian():
-    H = periods.positivity_gram(_genus4(), {"tau": _I},
+    H = periods.positivity_gram(stcurve.GENUS4, {"tau": _I},
                                 sign=stcurve.POSITIVITY_SIGN)
     for i in range(4):
         for j in range(4):
             assert H[i][j] == H[j][i].conjugate()
     with pytest.raises(ValueError):
-        periods.positivity_gram(_genus4(), {"tau": _I}, sign=2)
+        periods.positivity_gram(stcurve.GENUS4, {"tau": _I}, sign=2)
 
 
 def test_eval_ball_matches_exact_evaluation():
-    pm = _genus4()
+    pm = stcurve.GENUS4
     exact = pm.evaluate({"tau": _I * 2})
     balls = pm.eval_ball({"tau": _I * 2}, prec=64)
     for i in range(4):
@@ -281,7 +277,7 @@ def test_period_matrix_splits_along_the_frozen_sublattices():
     # Prym columns of the frozen basis lie in those kernels and each block
     # is primitive (unit divisors), so they are exactly the two sublattices;
     # together they have index 9, the degree of the isogeny
-    pm = _genus4()
+    pm = stcurve.GENUS4
 
     def constraints(rows):
         # one rational row per (coefficient matrix, row, tower coordinate)
@@ -316,7 +312,7 @@ def test_period_matrix_splits_along_the_frozen_sublattices():
 
 
 def test_deck_intertwiner_search():
-    hits = periods.intertwiner_search(_genus4(),
+    hits = periods.intertwiner_search(stcurve.GENUS4,
                                       stcurve.FORM_WEIGHT_EXPONENTS,
                                       stcurve.DECK_SYMPLECTIC_ACTION)
     assert hits == [(1, "plain"), (-1, "inverse")]
@@ -325,23 +321,23 @@ def test_deck_intertwiner_search():
 def test_intertwines_rejects_wrong_weights():
     bad = (stcurve.FORM_WEIGHT_EXPONENTS[0] + 1,
            *stcurve.FORM_WEIGHT_EXPONENTS[1:])
-    hits = periods.intertwiner_search(_genus4(), bad,
+    hits = periods.intertwiner_search(stcurve.GENUS4, bad,
                                       stcurve.DECK_SYMPLECTIC_ACTION)
     assert hits == []
     with pytest.raises(ValueError):
-        periods.intertwiner_search(_genus4(), (6, 4),
+        periods.intertwiner_search(stcurve.GENUS4, (6, 4),
                                    stcurve.DECK_SYMPLECTIC_ACTION)
 
 
 def test_intertwiner_search_needs_unimodular_action():
     R = [[2 if i == j else 0 for j in range(8)] for i in range(8)]
     with pytest.raises(ValueError):
-        periods.intertwiner_search(_genus4(),
+        periods.intertwiner_search(stcurve.GENUS4,
                                    stcurve.FORM_WEIGHT_EXPONENTS, R)
 
 
 def test_subs_keeps_remaining_parameters():
-    pm = _genus4()
+    pm = stcurve.GENUS4
     fixed = pm.subs({"tau": _I})
     assert fixed.params == ()
     assert fixed.entries[0][0] == AffineForm.coerce(_I)
@@ -350,11 +346,11 @@ def test_subs_keeps_remaining_parameters():
 def test_combine_split_family_reassembles_the_tau_block():
     # a one-parameter stand-in with the same splitting combinatorics as
     # the real assembly, checked column by column against the basis
-    prym = stcurve.prym_special()
+    prym = stcurve.PRYM_SPECIAL
     tau = AffineForm.variable("tau")
     top = [tau * 3, tau * 3 + 3]
     pm = periods.combine_split_family(
-        top, stcurve.ELL_COLS, stcurve.prym_special_matrix(),
+        top, stcurve.ELL_COLS, stcurve.PRYM_SPECIAL_MATRIX,
         stcurve.PRYM_COLS, stcurve.SPLITTING_BASIS, ("tau",),
         intlat.standard_symplectic(4))
     Z0, Zt = (intlat.matmul(P, stcurve.SPLITTING_BASIS) for P in pm.coeffs)
