@@ -8,15 +8,17 @@ rational polarization inverse, lattice action or base change costs only
 its nonzero entries.  AffineForm is the entry type of the JSON format and
 of the derived `entries` view.
 
-Identities among periods are checked symbolically.  With t_0 = 1 for the
-constant and M_ab = P_a E^-1 P_b^T, the first bilinear relation
-P E^-1 P^T = 0 holds identically when M_aa = 0 for each a and, E^-1
-being antisymmetric, M_ab = M_ab^T for each a < b (the coefficient of
-t_a t_b is M_ab + M_ba).  An intertwining A P = P R holds when
-A P_k = P_k R for every k.  Positivity of the polarization form is
-decided exactly too: the leading minors of the Hermitian Gram matrix are
-real tower elements whose signs real_sign settles, and a precision only
-sizes the decimal ranges printed next to the verdict.
+Both Riemann relations are quadratic in the parameters (t_0 = 1 for the
+constant), so they are decided from the constant products P_a E^-1 P_b^T
+and P_a E^-1 conj(P_b)^T, each built when first needed and kept on the
+PeriodMatrix.  With M_ab = P_a E^-1 P_b^T, P E^-1 P^T = 0 holds
+identically when M_aa = 0 for each a and, E^-1 being antisymmetric,
+M_ab = M_ab^T for each a < b (the coefficient of t_a t_b is M_ab + M_ba).
+The Hermitian form of the second relation at a point is, up to sign,
+i sum_ab t_a conj(t_b) P_a E^-1 conj(P_b)^T; real_sign settles the signs
+of its leading minors exactly, and a precision only sizes the decimal
+ranges printed next to the verdict.  An intertwining A P = P R holds
+when A P_k = P_k R for every k.
 """
 
 import math
@@ -158,7 +160,7 @@ class PeriodMatrix:
     serialization and evaluation are unambiguous.
     """
 
-    __slots__ = ("g", "params", "coeffs", "polarization")
+    __slots__ = ("g", "params", "coeffs", "polarization", "_products")
 
     def __init__(self, g, params, entries, polarization):
         """From a g x 2g matrix of AffineForms or tower scalars."""
@@ -199,6 +201,7 @@ class PeriodMatrix:
             tuple(tuple(TowerElem.coerce(x) for x in row) for row in C)
             for C in coeffs))
         object.__setattr__(self, "polarization", pol)
+        object.__setattr__(self, "_products", {})   # see _product
 
     def __setattr__(self, name, value):
         raise AttributeError("PeriodMatrix is immutable")
@@ -233,11 +236,16 @@ class PeriodMatrix:
 
     def evaluate(self, assignment):
         """Exact tower matrix at a full parameter assignment."""
-        P0, kept = self._substitute(assignment)
-        missing = sorted(p for p, C in kept if any(x for row in C for x in row))
+        P0, _ = self._substitute(assignment)
+        self._refuse_missing(assignment)
+        return P0
+
+    def _refuse_missing(self, assignment):
+        """Raise if a parameter with a nonzero coefficient matrix is unassigned."""
+        missing = sorted(p for p, C in zip(self.params, self.coeffs[1:])
+                         if p not in assignment and any(x for row in C for x in row))
         if missing:
             raise ValueError(f"unassigned parameters: {missing}")
-        return P0
 
     def eval_ball(self, assignment, prec=128):
         return [[embed(x, prec) for x in row] for row in self.evaluate(assignment)]
@@ -278,6 +286,17 @@ def _rational_inverse(M):
     return None if inv is None else tuple(map(tuple, inv))
 
 
+def _product(pm, a, b, conj):
+    """P_a E^{-1} P_b^T, or P_a E^{-1} conj(P_b)^T if conj, cached on pm."""
+    cache = pm._products
+    if (a, b, conj) not in cache:
+        if a not in cache:
+            cache[a] = intlat.matmul(pm.coeffs[a], _polarization_inverse(pm))
+        P = tower_conj(pm.coeffs[b]) if conj else pm.coeffs[b]
+        cache[a, b, conj] = intlat.matmul(cache[a], intlat.transpose(P))
+    return cache[a, b, conj]
+
+
 def riemann_first_relation(pm):
     """The nonzero coefficients of P E^{-1} P^T as a polynomial in the parameters.
 
@@ -287,15 +306,12 @@ def riemann_first_relation(pm):
     t_a t_b (a < b) is M_ab + M_ba = M_ab - M_ab^T.  An empty dict means
     the relation holds identically.
     """
-    Einv = _polarization_inverse(pm)
     names = [()] + [(p,) for p in pm.params]
-    PE = [intlat.matmul(P, Einv) for P in pm.coeffs]
-    PT = [intlat.transpose(P) for P in pm.coeffs]
     g = pm.g
     out = {}
     for a in range(len(names)):
         for b in range(a, len(names)):
-            M = intlat.matmul(PE[a], PT[b])
+            M = _product(pm, a, b, False)
             if a != b:
                 M = [[M[i][j] - M[j][i] for j in range(g)] for i in range(g)]
             if any(x for row in M for x in row):
@@ -308,14 +324,38 @@ def first_relation_holds(pm):
 
 
 def positivity_gram(pm, point, sign=1):
-    """Exact Hermitian matrix sign * i * P E^{-1} conj(P)^T at a point."""
+    """Exact Hermitian matrix H = sign * i * P E^{-1} conj(P)^T at a point.
+
+    H = sum_ab w_ab K_ab with w_ab = sign * i * t_a conj(t_b) and
+    K_ab = P_a E^{-1} conj(P_b)^T (t_0 = 1).  w_ba K_ba is the conjugate
+    transpose of w_ab K_ab, so only entries i <= j of the K_ab with a <= b
+    and t_a, t_b != 0 are used.  Like evaluate, it ignores extra names and
+    refuses a missing parameter whose coefficient matrix is nonzero.
+    """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    P = pm.evaluate(point)
-    H = intlat.matmul(intlat.matmul(P, _polarization_inverse(pm)),
-                      intlat.transpose(tower_conj(P)))
+    t = [ONE] + [TowerElem.coerce(point[p]) if p in point else ZERO
+                 for p in pm.params]
+    pm._refuse_missing(point)
     unit = IUNIT if sign == 1 else -IUNIT
-    return [[x * unit for x in row] for row in H]
+    g = pm.g
+    H = [[ZERO] * g for _ in range(g)]
+    for a, ta in enumerate(t):
+        for b in range(a, len(t)):
+            if not (ta and t[b]):
+                continue
+            K = _product(pm, a, b, True)
+            w = unit * ta * t[b].conjugate()
+            for i in range(g):
+                for j in range(i, g):
+                    if K[i][j]:
+                        H[i][j] += w * K[i][j]
+                    if a != b and K[j][i]:
+                        H[i][j] += (w * K[j][i]).conjugate()
+    for i in range(g):
+        for j in range(i):
+            H[i][j] = H[j][i].conjugate()
+    return H
 
 
 def riemann_positivity(pm, point, prec=128, sign=1):

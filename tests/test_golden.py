@@ -7,6 +7,7 @@ here and says why in CHANGES.md.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -15,6 +16,19 @@ from pathlib import Path
 import pytest
 
 POINT = ["--tau", "1+2*i", "--z1", "(1/4)*zeta^2", "--z2", "0.25,0"]
+
+# stands for a file holding the JSON of the genus-4 family, written by the
+# test the way tests/test_reach.py builds its riemann-check input
+FAMILY = "<genus4 family JSON file>"
+# a point of the family with literals of about 130 bits, inside the ball
+LARGE = ["--at", "tau=(1234567890123456789012345678901234567891/"
+         "987654321098765432109876543210987654321)+"
+         "(31415926535897932384626433832795028841971/"
+         "10000000000000000000000000000000000000000)*i",
+         "--at", "z1=(-27182818284590452353602874713526624977/"
+         "100000000000000000000000000000000000000)+(1/3)*zeta^2",
+         "--at", "z2=(14142135623730950488016887242096980785697/"
+         "100000000000000000000000000000000000000000)*i"]
 
 # (arguments, exit code, SHA-256 of stdout)
 GOLDEN = [
@@ -36,12 +50,22 @@ GOLDEN = [
      "63876732c55c7febc35741eff259cf05f2b6ad4e401efbea591661338d71c3c0"),
     (["emit", "prym", *POINT[2:]], 0,
      "e3c5e3492b1c5734b477505c7d9a7dee6adb5fdddf214ff24613b95ffcc15fbc"),
+    (["tools", "riemann-check", "--file", FAMILY, *LARGE, "--prec", "2048"], 0,
+     "4ed2b332789313d216255ba04221f4d5629c1bf20dfc0ebb0b847b9dbb0c4daf"),
+    (["tools", "riemann-check", "--file", FAMILY,
+      "--at", "tau=i", "--at", "z1=1", "--at", "z2=1"], 1,
+     "0f8a9c0cb52a507db1e8e471cb5a231bdbc524ae9f917c1d2193c37e40fdeefe"),
 ]
 
 
 @pytest.mark.parametrize("args, code, digest", GOLDEN,
                          ids=[" ".join(a) for a, _, _ in GOLDEN])
-def test_output_is_byte_identical(args, code, digest):
+def test_output_is_byte_identical(args, code, digest, tmp_path):
+    if FAMILY in args:
+        from cycloperiods import suite
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(suite.SuiteContext().genus4_family.to_json()))
+        args = [str(path) if a == FAMILY else a for a in args]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycloperiods import intlat, periods, stcurve, suite
 from cycloperiods.exactfield import (
@@ -245,6 +247,98 @@ def test_positivity_gram_is_hermitian():
             assert H[i][j] == H[j][i].conjugate()
     with pytest.raises(ValueError):
         periods.positivity_gram(stcurve.GENUS4, {"tau": _I}, sign=2)
+
+
+def test_positivity_gram_refuses_exactly_what_evaluate_refuses():
+    pm = stcurve.GENUS4
+    zero = [[ZERO] * 8 for _ in range(4)]
+    padded = PeriodMatrix.from_coeffs(4, ("tau", "s"), [*pm.coeffs, zero],
+                                      pm.polarization)
+    want = periods.positivity_gram(pm, {"tau": _I})
+    # a missing parameter whose coefficient matrix is 0, and a name that
+    # is no parameter, change nothing
+    assert padded.evaluate({"tau": _I}) == pm.evaluate({"tau": _I})
+    assert periods.positivity_gram(padded, {"tau": _I}) == want
+    assert periods.positivity_gram(pm, {"tau": _I, "z9": ONE}) == want
+    # a missing parameter with a nonzero coefficient matrix is refused with
+    # the message of evaluate, in sorted order
+    for family, point, missing in ((padded, {"s": ONE}, "['tau']"),
+                                   (suite.SuiteContext(128).genus4_family,
+                                    {"tau": _I}, "['z1', 'z2']")):
+        messages = []
+        for call in (lambda: family.evaluate(point),
+                     lambda: periods.positivity_gram(family, point)):
+            with pytest.raises(ValueError) as err:
+                call()
+            messages.append(str(err.value))
+        assert messages == [f"unassigned parameters: {missing}"] * 2
+
+
+# rational coordinates of up to 256-bit height, many of them 0
+_coord = st.one_of(st.just(Fraction(0)),
+                   st.builds(Fraction, st.integers(-2 ** 256, 2 ** 256),
+                             st.integers(1, 2 ** 256)))
+_elem = st.one_of(st.just(ZERO), st.builds(
+    TowerElem, st.lists(_coord, min_size=4, max_size=4),
+    st.lists(_coord, min_size=4, max_size=4)))
+
+
+def _dense_gram(pm, point, sign):
+    """sign * i * P E^-1 conj(P)^T from the evaluated P, by plain sums."""
+    P = pm.evaluate(point)
+    Einv = intlat.inverse(pm.polarization)
+    n = 2 * pm.g
+    PE = [[sum((row[k] * Einv[k][l] for k in range(n) if Einv[k][l]), ZERO)
+           for l in range(n)] for row in P]
+    unit = IUNIT * sign
+    return [[unit * sum((x * y.conjugate() for x, y in zip(left, right)), ZERO)
+             for right in P] for left in PE]
+
+
+@pytest.mark.parametrize("name", ["GENUS4", "prym_family", "genus4_family"])
+@settings(max_examples=20, deadline=None)
+@given(values=st.lists(_elem, min_size=3, max_size=3),
+       sign=st.sampled_from([1, -1]))
+def test_positivity_gram_matches_the_dense_product(name, values, sign):
+    pm = (stcurve.GENUS4 if name == "GENUS4"
+          else getattr(suite.SuiteContext(128), name))
+    point = dict(zip(pm.params, values))
+    assert periods.positivity_gram(pm, point, sign) == _dense_gram(pm, point, sign)
+
+
+def test_gram_products_are_built_once_per_matrix(monkeypatch, genus4_family):
+    calls = []
+    real = intlat.matmul
+
+    def counting(A, B):
+        calls.append(A)
+        return real(A, B)
+
+    monkeypatch.setattr(intlat, "matmul", counting)
+    fam = genus4_family
+    pm = PeriodMatrix.from_coeffs(fam.g, fam.params, fam.coeffs, fam.polarization)
+    point = {"tau": _I, "z1": HALF, "z2": cyclo(0, 0, Fraction(1, 3))}
+    want = periods.positivity_gram(pm, point)
+    # P_a E^-1 for the 4 coefficient matrices, then K_ab for a <= b
+    assert len(calls) == 4 + 10
+    calls.clear()
+    assert periods.positivity_gram(pm, point) == want
+    assert periods.positivity_gram(pm, {"tau": _I * 2, "z1": ZERO, "z2": ONE})
+    assert calls == []
+    # the first relation reuses the cached P_a E^-1 and builds its own M_ab
+    assert periods.first_relation_holds(pm)
+    assert len(calls) == 10
+    calls.clear()
+    assert periods.first_relation_holds(pm)
+    assert calls == []
+    # copies start with no products; zero parameters need none of theirs
+    for copy in (pm.subs({}), PeriodMatrix.from_coeffs(
+            pm.g, pm.params, pm.coeffs, pm.polarization)):
+        assert periods.positivity_gram(copy, point) == want
+        assert len(calls) == 14
+        calls.clear()
+    periods.positivity_gram(pm.subs({}), {"tau": _I, "z1": ZERO, "z2": ZERO})
+    assert len(calls) == 2 + 3
 
 
 def test_eval_ball_matches_exact_evaluation():
