@@ -38,6 +38,10 @@ MAX_NESTING = 64
 MAX_PREC = 1 << 16
 # largest --digits: Python turns no integer of more digits into a string
 MAX_DIGITS = 4300
+# largest --n of tools covers, whose table has n - 1 lines: at the bound
+# the command takes 0.24 s with 4 exponents and 0.32 s with 8, against
+# 13.4 s at n = 10^6 (Python 3.11, 2-core Xeon VM)
+MAX_COVER_DEGREE = 10_000
 
 _NAMES = {"i": IUNIT, "zeta": ZETA, "alpha": ROOT4_3,
           "rho": RHO, "sqrt3": SQRT3}
@@ -443,7 +447,8 @@ def riemann_check(matrix, path, assignments, prec):
 
 
 @tools.command("covers")
-@click.option("--n", required=True, type=int, help="order of the cyclic group")
+@click.option("--n", required=True, type=click.IntRange(max=MAX_COVER_DEGREE),
+              help="order of the cyclic group")
 @click.option("--exponents", required=True,
               help="comma separated local rotation data, e.g. 1,1,1,3")
 def covers_cmd(n, exponents):

@@ -7,7 +7,9 @@ everything else works on integer or rational matrices.  Sizes stay small
 JSON input), so the classical elementary-operation algorithms are used
 throughout with no modular tricks.  The three lattice workhorses are
 Smith normal form with transforms, a symplectic (Frobenius) basis for
-alternating forms, and saturated integer kernels.
+alternating forms, and saturated integer kernels.  The four elementary
+row and column moves are defined once here, and pel's Hermitian
+congruence reduction uses them too.
 """
 
 from fractions import Fraction
@@ -79,9 +81,11 @@ def mat_to_json(A):
     return {"rows": len(A), "cols": len(A[0]), "data": [list(r) for r in A]}
 
 
-# most rows or columns a matrix read from JSON may have: symplectic_basis
-# on entries in [-9, 9] takes 0.14 s at 16 x 16 and 11 s at 32 x 32 on a
-# 2-core Xeon VM, and its cost grows steeply with the size
+# most rows or columns a matrix read from JSON may have.  symplectic_basis
+# on entries in [-9, 9] takes 0.011 s at 32 x 32; what limits the size is
+# smith_normal_form, whose transforms grow with the entries: 0.15 s at
+# 32 x 32 with 3-digit entries, but 2.1 s at 16 x 16 with 30-digit ones
+# (Python 3.11, 2-core Xeon VM)
 MAX_JSON_DIM = 32
 
 
@@ -123,6 +127,37 @@ def mat_from_json(obj):
     return out
 
 
+# -- elementary moves ----------------------------------------------------
+# Each move acts in place on every matrix of mats, so an elimination
+# carries its transforms (or its Gram matrix) along with the matrix it
+# reduces.  They stay private: a tracer that wraps each public function
+# would otherwise add a span to every move.
+
+def _swap_rows(mats, i, j):
+    for M in mats:
+        M[i], M[j] = M[j], M[i]
+
+
+def _swap_cols(mats, i, j):
+    for M in mats:
+        for r in M:
+            r[i], r[j] = r[j], r[i]
+
+
+def _add_row(mats, dst, src, c):
+    """Row dst += c * row src."""
+    for M in mats:
+        M[dst] = [a + c * b if b else a for a, b in zip(M[dst], M[src])]
+
+
+def _add_col(mats, dst, src, c):
+    """Column dst += c * column src."""
+    for M in mats:
+        for r in M:
+            if r[src]:
+                r[dst] += c * r[src]
+
+
 # -- Smith normal form -------------------------------------------------
 
 def smith_normal_form(A):
@@ -135,27 +170,6 @@ def smith_normal_form(A):
     D = [[int(x) for x in row] for row in A]
     U = identity(m)
     V = identity(n)
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in D:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(dst, src, c):
-        D[dst] = [a + c * b for a, b in zip(D[dst], D[src])]
-        U[dst] = [a + c * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(dst, src, c):
-        for r in D:
-            r[dst] += c * r[src]
-        for r in V:
-            r[dst] += c * r[src]
-
     t = 0
     while t < min(m, n):
         piv, best = None, None
@@ -165,16 +179,16 @@ def smith_normal_form(A):
                     best, piv = abs(D[i][j]), (i, j)
         if piv is None:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
+        _swap_rows((D, U), t, piv[0])
+        _swap_cols((D, V), t, piv[1])
         dirty = False
         for i in range(t + 1, m):
             if D[i][t]:
-                add_row(i, t, -(D[i][t] // D[t][t]))
+                _add_row((D, U), i, t, -(D[i][t] // D[t][t]))
                 dirty = dirty or D[i][t] != 0
         for j in range(t + 1, n):
             if D[t][j]:
-                add_col(j, t, -(D[t][j] // D[t][t]))
+                _add_col((D, V), j, t, -(D[t][j] // D[t][t]))
                 dirty = dirty or D[t][j] != 0
         if dirty:
             continue
@@ -185,7 +199,7 @@ def smith_normal_form(A):
                 bad = i
                 break
         if bad is not None:
-            add_row(t, bad, 1)
+            _add_row((D, U), t, bad, 1)
             continue
         if D[t][t] < 0:
             D[t] = [-x for x in D[t]]
@@ -302,11 +316,10 @@ def symplectic_basis(E):
     n = len(E)
     if not is_alternating(E):
         raise ValueError("symplectic_basis requires an alternating form")
-    basis = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-
-    def pair(u, v):
-        return sum(u[i] * E[i][j] * v[j] for i in range(n) for j in range(n))
-
+    # basis[w] is the w-th basis vector and G = B E B^T holds every
+    # pairing; each basis move is applied to G as the matching congruence
+    basis = identity(n)
+    G = [list(row) for row in E]
     remaining = list(range(n))
     out_a, out_b, divisors = [], [], []
 
@@ -315,53 +328,37 @@ def symplectic_basis(E):
         for ii in range(len(remaining)):
             for jj in range(ii + 1, len(remaining)):
                 i, j = remaining[ii], remaining[jj]
-                v = pair(basis[i], basis[j])
+                v = G[i][j]
                 if v != 0 and (best is None or abs(v) < best[0]):
                     best = (abs(v), i, j) if v > 0 else (abs(v), j, i)
         if best is None:
             break
         d, i, j = best
+        others = [w for w in remaining if w not in (i, j)]
         # divisibility scan: all pairings with the pivot pair must be
-        # multiples of d, else we can strictly shrink the minimum
-        progressed = False
-        for w in remaining:
-            if w in (i, j):
-                continue
-            c = pair(basis[i], basis[w])
-            if c % d:
-                q = c // d
-                basis[w] = [x - q * y for x, y in zip(basis[w], basis[j])]
-                progressed = True
-                break
-            c = pair(basis[j], basis[w])
-            if c % d:
-                q = c // d
-                basis[w] = [x + q * y for x, y in zip(basis[w], basis[i])]
-                progressed = True
-                break
-        if progressed:
+        # multiples of d, else one move strictly shrinks the minimum
+        w = next((w for w in others if G[i][w] % d or G[j][w] % d), None)
+        if w is not None:
+            if G[i][w] % d:
+                q, src = -(G[i][w] // d), j
+            else:
+                q, src = G[j][w] // d, i
+            _add_row((basis, G), w, src, q)
+            _add_col((G,), w, src, q)
             continue
         # clear the pivot pair against everything else
-        for w in remaining:
-            if w in (i, j):
-                continue
-            q = pair(basis[i], basis[w]) // d
-            basis[w] = [x - q * y for x, y in zip(basis[w], basis[j])]
-            q = pair(basis[j], basis[w]) // d
-            basis[w] = [x + q * y for x, y in zip(basis[w], basis[i])]
+        for w in others:
+            for u, src, sign in ((i, j, -1), (j, i, 1)):
+                q = sign * (G[u][w] // d)
+                _add_row((basis, G), w, src, q)
+                _add_col((G,), w, src, q)
         # divisor chain among the complement: fold an offending vector
         # into the pivot to expose a smaller pairing next round
-        others = [w for w in remaining if w not in (i, j)]
-        bad = None
-        for ii in range(len(others)):
-            for jj in range(ii + 1, len(others)):
-                if pair(basis[others[ii]], basis[others[jj]]) % d:
-                    bad = others[ii]
-                    break
-            if bad is not None:
-                break
+        bad = next((u for k, u in enumerate(others)
+                    if any(G[u][v] % d for v in others[k + 1:])), None)
         if bad is not None:
-            basis[i] = [x + y for x, y in zip(basis[i], basis[bad])]
+            _add_row((basis, G), i, bad, 1)
+            _add_col((G,), i, bad, 1)
             continue
         out_a.append(basis[i])
         out_b.append(basis[j])

@@ -170,27 +170,18 @@ def ldl_hermitian(G):
         raise ValueError(f"matrix is not Hermitian at {bad}")
     A = [row[:] for row in G]
     S = intlat.identity(n)
-
-    def apply(E):
-        nonlocal A, S
-        Ed = tower_conj(intlat.transpose(E))
-        A = intlat.matmul(E, intlat.matmul(A, Ed))
-        S = intlat.matmul(E, S)
-
     for k in range(n):
         piv = next((r for r in range(k, n) if A[r][r]), None)
         if piv is None:
             break
         if piv != k:
-            E = intlat.identity(n)
-            E[k][k] = E[piv][piv] = 0
-            E[k][piv] = E[piv][k] = 1
-            apply(E)
+            intlat._swap_rows((A, S), k, piv)
+            intlat._swap_cols((A,), k, piv)
         for r in range(k + 1, n):
             if A[r][k]:
-                E = intlat.identity(n)
-                E[r][k] = -(A[r][k] / A[k][k])
-                apply(E)
+                c = -(A[r][k] / A[k][k])
+                intlat._add_row((A, S), r, k, c)
+                intlat._add_col((A,), r, k, c.conjugate())
     off = [(i, j) for i in range(n) for j in range(n) if i != j and A[i][j]]
     if off:
         raise ValueError(f"congruence reduction left entries at {off}")

@@ -570,3 +570,19 @@ def test_tools_covers(runner):
                            ["tools", "covers", "--n", "6",
                             "--exponents", "x"])
     assert result.exit_code == 2
+
+
+def test_tools_covers_bounds_the_degree(runner):
+    top = cli.MAX_COVER_DEGREE
+    result = runner.invoke(cli.main, ["tools", "covers", "--n", str(top),
+                                      "--exponents", f"1,1,1,{top - 3}"])
+    assert result.exit_code == 0
+    assert len(result.output.splitlines()) == top + 1
+    # valid branch data one past the bound; then a degree far past it,
+    # refused before its branch data is read
+    for n, exponents in ((top + 1, f"1,1,1,{top - 2}"), (10 ** 30, "x")):
+        result = runner.invoke(cli.main, ["tools", "covers", "--n", str(n),
+                                          "--exponents", exponents])
+        assert result.exit_code == 2
+        assert f"x<={top}" in _text(result)
+        assert "Traceback" not in _text(result)

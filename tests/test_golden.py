@@ -3,14 +3,17 @@
 Each command runs in a fresh interpreter, and the SHA-256 of its stdout
 is compared with the digest recorded when the output was last known
 good.  A deliberate change of one of these outputs updates its digest
-here and says why in CHANGES.md.
+here and says why in CHANGES.md.  Hostile inputs run the same way and
+must end with their exit code within a wall-time budget.
 """
 
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -29,6 +32,47 @@ LARGE = ["--at", "tau=(1234567890123456789012345678901234567891/"
          "100000000000000000000000000000000000000)+(1/3)*zeta^2",
          "--at", "z2=(14142135623730950488016887242096980785697/"
          "100000000000000000000000000000000000000000)*i"]
+
+# a fixed 8 x 8 integer matrix of rank 7 with divisors 1,1,1,1,1,2,2,0
+SNF_8 = [[-4, 14, -3, 2, 6, -6, -6, 3],
+         [-14, -8, 9, 4, -8, -5, -9, -3],
+         [-2, -14, -6, 5, 5, 0, 9, -7],
+         [-10, 4, -7, 1, -8, -7, -5, 2],
+         [-14, -4, -8, 1, -2, 0, 2, 1],
+         [-14, 14, -6, 2, 4, -4, -4, -1],
+         [6, -10, 4, -7, -6, 8, -2, -7],
+         [34, 52, -33, -8, 36, 3, 15, 15]]
+
+
+def seeded_form(n):
+    """An n x n alternating form with entries in [-9, 9], seeded by n."""
+    rng = random.Random(n)
+    E = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            E[i][j] = rng.randint(-9, 9)
+            E[j][i] = -E[i][j]
+    return E
+
+
+def _family():
+    from cycloperiods import suite
+    return suite.SuiteContext().genus4_family.to_json()
+
+
+def _prym_form():
+    from cycloperiods import stcurve
+    return stcurve.PRYM_POLARIZATION
+
+
+# each placeholder stands for a file holding the JSON its function builds
+FILES = {
+    FAMILY: _family,
+    "<fixed 8 x 8 matrix>": lambda: SNF_8,
+    "<6 x 6 Prym form>": _prym_form,
+    "<seeded 16 x 16 form>": lambda: seeded_form(16),
+    "<seeded 32 x 32 form>": lambda: seeded_form(32),
+}
 
 # (arguments, exit code, SHA-256 of stdout)
 GOLDEN = [
@@ -55,22 +99,60 @@ GOLDEN = [
     (["tools", "riemann-check", "--file", FAMILY,
       "--at", "tau=i", "--at", "z1=1", "--at", "z2=1"], 1,
      "0f8a9c0cb52a507db1e8e471cb5a231bdbc524ae9f917c1d2193c37e40fdeefe"),
+    (["tools", "snf", "--file", "<fixed 8 x 8 matrix>"], 0,
+     "3c1daaec40a17c245f3248dd34ea8ddb476d9c0c17d2d6a58abbc84ea09821c2"),
+    (["tools", "symplectic-basis", "--file", "<6 x 6 Prym form>"], 0,
+     "def3fa6d74865f434818f4b173f016f071042eb14f90d98c65aab470469fc5cc"),
+    (["tools", "symplectic-basis", "--file", "<seeded 16 x 16 form>"], 0,
+     "e17df2a432e1d7044e74b6bdbf518c7e9f88b492a9db628e38c7b35d4891a9a8"),
+    (["tools", "symplectic-basis", "--file", "<seeded 32 x 32 form>"], 0,
+     "03ac7ac83d4a088ef9fda3bfa94fb5d46aef05e720d3d39a9f0e656c636f78c5"),
+    (["tools", "symplectic-basis", "--matrix",
+      "[[0,2,0,0],[-2,0,0,0],[0,0,0,0],[0,0,0,0]]"], 2,
+     # a usage error prints nothing on stdout
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
+
+
+def _run(args, tmp_path):
+    """The CLI on args in a fresh interpreter; placeholders become files."""
+    for k, placeholder in enumerate(FILES):
+        if placeholder in args:
+            path = tmp_path / f"input{k}.json"
+            path.write_text(json.dumps(FILES[placeholder]()))
+            args = [str(path) if a == placeholder else a for a in args]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "cycloperiods.cli", *args],
+                          env=env, capture_output=True, timeout=120)
 
 
 @pytest.mark.parametrize("args, code, digest", GOLDEN,
                          ids=[" ".join(a) for a, _, _ in GOLDEN])
 def test_output_is_byte_identical(args, code, digest, tmp_path):
-    if FAMILY in args:
-        from cycloperiods import suite
-        path = tmp_path / "family.json"
-        path.write_text(json.dumps(suite.SuiteContext().genus4_family.to_json()))
-        args = [str(path) if a == FAMILY else a for a in args]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "cycloperiods.cli", *args],
-                          env=env, capture_output=True, timeout=120)
+    proc = _run(args, tmp_path)
     assert proc.returncode == code, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+# hostile inputs: (arguments, exit code), each run within HOSTILE_BUDGET_S
+# seconds of wall time, interpreter start included
+HOSTILE = [
+    (["tools", "symplectic-basis", "--file", "<seeded 32 x 32 form>"], 0),
+    (["tools", "covers", "--n", "100000000",
+      "--exponents", "1,1,1,99999997"], 2),
+]
+HOSTILE_BUDGET_S = 2.0
+
+
+@pytest.mark.parametrize("args, code", HOSTILE,
+                         ids=[" ".join(a) for a, _ in HOSTILE])
+def test_hostile_input_finishes_within_budget(args, code, tmp_path):
+    start = time.perf_counter()
+    proc = _run(args, tmp_path)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == code, proc.stderr.decode()
+    assert b"Traceback" not in proc.stderr
+    assert elapsed < HOSTILE_BUDGET_S

@@ -184,6 +184,92 @@ def test_ldl_hermitian_needs_a_pivot_on_the_diagonal():
         pel.ldl_hermitian(G)
 
 
+def _congruent(S, G):
+    """S G S^dagger."""
+    Sd = periods.tower_conj(intlat.transpose(S))
+    return intlat.matmul(S, intlat.matmul(G, Sd))
+
+
+def test_ldl_hermitian_swaps_in_a_diagonal_pivot():
+    # G[0][0] = 0, so row and column 0 trade places with 1 first; then
+    # row 1 -= row 0 and column 1 -= column 0
+    G = [[TowerElem.rational(x) for x in row]
+         for row in ([0, 1, 0], [1, 1, 0], [0, 0, 1])]
+    D, S = pel.ldl_hermitian(G)
+    assert D == [[1, 0, 0], [0, -1, 0], [0, 0, 1]]
+    assert S == [[0, 1, 0], [1, -1, 0], [0, 0, 1]]
+    assert _congruent(S, G) == D
+
+
+_small_rat = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+_small_elems = st.builds(
+    lambda a, b, c, d: (TowerElem.rational(a) + RHO * b + ROOT4_3 * c
+                        + IUNIT * d),
+    _small_rat, _small_rat, _small_rat, _small_rat)
+
+
+@st.composite
+def _hermitian_with_zero_diagonal(draw):
+    """A 2x2 to 4x4 Hermitian tower matrix with at least one zero on its
+    diagonal."""
+    n = draw(st.integers(2, 4))
+    raw = [[draw(_small_elems) for _ in range(n)] for _ in range(n)]
+    G = [[raw[i][j] + raw[j][i].conjugate() for j in range(n)]
+         for i in range(n)]
+    zeros = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+    for i in range(n):
+        if zeros[i]:
+            G[i][i] = ZERO
+    return G
+
+
+def _must_refuse(G):
+    """Whether ldl_hermitian must refuse G, decided by minors of G alone.
+
+    After pivots on the rows P, the working matrix at rows a, b outside P
+    is det G[P+a, P+b] / det G[P, P].  The reduction takes the first
+    working diagonal entry that is nonzero, and refuses when none is
+    left but an entry off the diagonal is.
+    """
+    n = len(G)
+
+    def minor(rows, cols):
+        return periods.tower_det([[G[i][j] for j in cols] for i in rows])
+
+    order, P = list(range(n)), []
+    for k in range(n):
+        r = next((r for r in range(k, n)
+                  if minor(P + [order[r]], P + [order[r]])), None)
+        if r is None:
+            rest = order[k:]
+            return any(minor(P + [a], P + [b])
+                       for a in rest for b in rest if a != b)
+        order[k], order[r] = order[r], order[k]
+        P.append(order[k])
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(_hermitian_with_zero_diagonal())
+def test_ldl_hermitian_against_the_leading_minors(G):
+    if _must_refuse(G):
+        with pytest.raises(ValueError, match="left entries"):
+            pel.ldl_hermitian(G)
+        return
+    D, S = pel.ldl_hermitian(G)
+    n = len(G)
+    assert periods.tower_det(S) != 0
+    assert _congruent(S, G) == D
+    # with no swap S is unit lower triangular, so S keeps every leading
+    # minor and the first k pivots multiply to the k-th one
+    if all(S[i][i] == 1 and not any(S[i][i + 1:]) for i in range(n)):
+        product = ONE
+        for k in range(n):
+            product = product * D[k][k]
+            assert product == periods.tower_det(
+                [row[:k + 1] for row in G[:k + 1]])
+
+
 def test_signature_of_a_form_with_a_zero_block_is_degenerate():
     # -iT = diag(1, 0, 0): the reduction stops at the zero block
     T = [[IUNIT if i == j == 0 else ZERO for j in range(3)] for i in range(3)]
