@@ -68,10 +68,6 @@ class ComplexBall:
         return ComplexBall(self.re_n * p, self.im_n * p, self.rad_n * abs(p),
                            self.den * q.denominator)
 
-    def real_range(self):
-        re, rad = self.re, self.rad
-        return (re - rad, re + rad)
-
     def decimal(self, digits):
         """Deterministic decimal rendering of the midpoint.
 

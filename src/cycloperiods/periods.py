@@ -15,14 +15,15 @@ PeriodMatrix.  With M_ab = P_a E^-1 P_b^T, P E^-1 P^T = 0 holds
 identically when M_aa = 0 for each a and, E^-1 being antisymmetric,
 M_ab = M_ab^T for each a < b (the coefficient of t_a t_b is M_ab + M_ba).
 The Hermitian form of the second relation at a point is, up to sign,
-i sum_ab t_a conj(t_b) P_a E^-1 conj(P_b)^T; real_sign settles the signs
-of its leading minors exactly, and a precision only sizes the decimal
-ranges printed next to the verdict.  An intertwining A P = P R holds
-when A P_k = P_k R for every k.
+i sum_ab t_a conj(t_b) P_a E^-1 conj(P_b)^T; real_sign settles the exact
+signs of its leading minors (one zero-skipping expansion), and a precision
+only sizes the decimal ranges printed next to the verdict.  An
+intertwining A P = P R holds when A P_k = P_k R for every k.
 """
 
 import math
 import sys
+from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
 
@@ -127,27 +128,26 @@ def tower_conj(A):
     return [[x.conjugate() for x in row] for row in A]
 
 
-def tower_det(rows):
-    """Determinant of a small square matrix by cofactor expansion.
+def leading_minors(H):
+    """Yield the leading principal minors of the square matrix H, k = 1..n.
 
-    Uses only +, - and *, so it is exact over the tower and needs no
-    inverses.
+    Level r keeps the nonzero minors on rows 0..r by column tuple, each
+    expanded along row r over level r - 1, so zero entries and zero
+    sub-minors cost nothing.  Exact over the tower (+, -, * only), and
+    lazy: a caller that stops early skips the later levels.
     """
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = None
-    sign = 1
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * tower_det(minor)
-        if sign < 0:
-            term = -term
-        acc = term if acc is None else acc + term
-        sign = -sign
-    return acc
+    level = {(): ONE}
+    for r, row in enumerate(H):
+        below, level = level, {}
+        for cols, m in below.items():
+            for c, x in enumerate(row):
+                if x and c not in cols:
+                    j = bisect(cols, c)
+                    key = cols[:j] + (c,) + cols[j:]
+                    term = x * m if (r - j) % 2 == 0 else -(x * m)
+                    level[key] = level[key] + term if key in level else term
+        level = {cols: m for cols, m in level.items() if m}
+        yield level.get(tuple(range(r + 1)), ZERO)
 
 
 class PeriodMatrix:
@@ -361,36 +361,35 @@ def positivity_gram(pm, point, sign=1):
 def riemann_positivity(pm, point, prec=128, sign=1):
     """Decide definiteness of the polarization form at a parameter point.
 
-    Each leading principal minor of the Hermitian form is computed
-    exactly in the tower and its sign decided by real_sign.  Returns
-    (verdict, evidence): "positive" when every minor is > 0, else
+    real_sign decides the sign of each exact leading minor (leading_minors).
+    Returns (verdict, evidence): "positive" when every minor is > 0, else
     "not-positive" at the first minor that is not.  Evidence lists
-    (k, lo, hi) for the minors up to that one, with [lo, hi] the real
-    range of the minor embedded at prec bits, rounded outward to doubles
-    (see _double); prec sizes these printed ranges only and never changes
-    the verdict.
+    (k, lo, hi) for the minors up to that one, [lo, hi] being the real
+    range of the minor's ball at prec bits rounded outward to doubles
+    (_double); prec never changes the verdict.
     """
     H = positivity_gram(pm, point, sign)
     evidence = []
-    for k in range(1, pm.g + 1):
-        d = tower_det([row[:k] for row in H[:k]])
-        lo, hi = embed(d, prec).real_range()
-        evidence.append((k, _double(lo, up=False), _double(hi, up=True)))
+    for k, d in enumerate(leading_minors(H), 1):
+        b = embed(d, prec)
+        evidence.append((k, _double(b.re_n - b.rad_n, b.den, up=False),
+                         _double(b.re_n + b.rad_n, b.den, up=True)))
         if real_sign(d) <= 0:
             return "not-positive", evidence
     return "positive", evidence
 
 
-def _double(q, up):
-    """The Fraction q rounded outward to a double: to the least double >= q
-    if up, else to the greatest double <= q.  Past the double range that is
-    the largest finite double or infinity."""
+def _double(n, den, up):
+    """n/den (den > 0) rounded outward to a double: to the least double
+    >= n/den if up, else to the greatest double <= n/den.  Past the double
+    range that is the largest finite double or infinity."""
     try:
-        x = float(q)
+        x = n / den                     # correctly rounded
     except OverflowError:
-        edge = math.inf if (q > 0) == up else sys.float_info.max
-        return edge if q > 0 else -edge
-    if (Fraction(x) < q) if up else (Fraction(x) > q):
+        edge = math.inf if (n > 0) == up else sys.float_info.max
+        return edge if n > 0 else -edge
+    p, q = x.as_integer_ratio()
+    if (p * den < n * q) if up else (p * den > n * q):
         x = math.nextafter(x, math.inf if up else -math.inf)
     return x
 

@@ -586,3 +586,15 @@ def test_tools_covers_bounds_the_degree(runner):
         assert result.exit_code == 2
         assert f"x<={top}" in _text(result)
         assert "Traceback" not in _text(result)
+
+
+def test_tools_covers_bounds_the_exponent_list(runner):
+    top = cli.MAX_COVER_EXPONENTS
+    for count, code in ((top, 0), (top + 1, 2)):
+        # count - 1 ones and the exponent that closes the sum mod 100
+        data = ",".join(["1"] * (count - 1) + [str(101 - count)])
+        result = runner.invoke(cli.main, ["tools", "covers", "--n", "100",
+                                          "--exponents", data])
+        assert result.exit_code == code, _text(result)
+    assert f"at most {top}" in _text(result)
+    assert "Traceback" not in _text(result)

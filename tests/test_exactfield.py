@@ -3,7 +3,7 @@
 import json
 import sys
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -49,8 +49,14 @@ _elems = st.builds(TowerElem, _coords, _coords)
 _nonzero = _elems.filter(lambda x: not x.is_zero())
 
 
+def _real_range(b):
+    """The real range [lo, hi] of a ball as Fractions of its integer data."""
+    return (Fraction(b.re_n - b.rad_n, b.den),
+            Fraction(b.re_n + b.rad_n, b.den))
+
+
 def _ball_sign(x, prec=128):
-    lo, hi = embed(x, prec).real_range()
+    lo, hi = _real_range(embed(x, prec))
     return 1 if lo > 0 else -1 if hi < 0 else 0
 
 
@@ -169,9 +175,9 @@ def test_embed_rejects_tiny_precision():
 def test_embed_known_values():
     b = embed(IUNIT, 64)
     assert b.re == 0 and b.im == 1 and b.rad == 0
-    lo, hi = embed(SQRT3, 128).real_range()
+    lo, hi = _real_range(embed(SQRT3, 128))
     assert Fraction(17320, 10000) < lo <= hi < Fraction(17321, 10000)
-    lo, hi = embed(ROOT4_3, 128).real_range()
+    lo, hi = _real_range(embed(ROOT4_3, 128))
     assert Fraction(13160, 10000) < lo <= hi < Fraction(13161, 10000)
 
 
@@ -320,10 +326,78 @@ def test_wide_tower_matrix_inverse(A, dependent, c):
     if dependent and len(A) > 1:
         A[-1] = [x * c for x in A[0]]       # singular by construction
     inv = intlat.inverse(A)
-    if periods.tower_det(A) == 0:
+    if list(periods.leading_minors(A))[-1] == 0:
         assert inv is None
         return
     assert intlat.matmul(A, inv) == intlat.identity(len(A))
+
+
+@st.composite
+def _tall_matrix(draw):
+    """A g x g tower matrix, g in 1..6: row i has numerators of up to h bits
+    over one denominator of up to h bits, h in 1..1000.  Entries are zero
+    at a drawn rate, the (1,1) entry may be zero, and a row may be a
+    multiple of an earlier one, which makes every leading block from that
+    row on singular."""
+    rng = draw(st.randoms(use_true_random=False))
+    g, h = draw(st.integers(1, 6)), draw(st.integers(1, 1000))
+    zeros = draw(st.sampled_from([0.0, 0.3, 0.6, 0.9]))
+
+    def entry(d):
+        if rng.random() < zeros:
+            return ZERO
+        n = [rng.randint(-2 ** h, 2 ** h) for _ in range(8)]
+        return TowerElem([Fraction(v, d) for v in n[:4]],
+                         [Fraction(v, d) for v in n[4:]])
+
+    A = []
+    for _ in range(g):
+        d = rng.randint(1, 2 ** h)
+        A.append([entry(d) for _ in range(g)])
+    if draw(st.booleans()):
+        A[0][0] = ZERO
+    if g > 1 and draw(st.booleans()):
+        k = rng.randrange(1, g)
+        c = entry(rng.randint(1, 2 ** h))
+        A[k] = [x * c for x in A[rng.randrange(k)]]
+    return A
+
+
+if sympy is not None:
+    from sympy.polys.matrices import DomainMatrix
+
+    _RING, _RA, _RZ = sympy.polys.rings.ring("a z", sympy.ZZ, sympy.lex)
+    _RING_RELATIONS = [_RA ** 2 - 2 * _RZ + _RZ ** 3, _RZ ** 4 - _RZ ** 2 + 1]
+    _MONOMIALS = [_RZ ** k for k in range(4)] + [_RA * _RZ ** k for k in range(4)]
+
+
+def _sympy_det(A):
+    """det A by sympy: each row is scaled to Z[a, z] by the lcm of its
+    denominators, the determinant is the constant term of sympy's
+    division-free (Berkowitz) characteristic polynomial, reduced modulo
+    the relations and divided by the scales; as 8 Fraction coordinates."""
+    rows, scale = [], 1
+    for row in A:
+        m = lcm(*(x.d for x in row))
+        scale *= m
+        rows.append([sum((v * (m // x.d) * b for v, b in zip(x.n, _MONOMIALS)),
+                         _RING.zero) for x in row])
+    n = len(A)
+    det = (-1) ** n * DomainMatrix(rows, (n, n), _RING.to_domain()).charpoly()[-1]
+    det = det.rem(_RING_RELATIONS)
+    return tuple(Fraction(int(det.coeff(b)), scale) for b in _MONOMIALS)
+
+
+@_needs_sympy
+@settings(max_examples=40, deadline=None)
+@given(_tall_matrix())
+def test_leading_minors_match_sympy_determinants(A):
+    got = list(periods.leading_minors(A))
+    assert len(got) == len(A)
+    for k, minor in enumerate(got, 1):
+        _assert_normal(minor)
+        want = _sympy_det([row[:k] for row in A[:k]])
+        assert minor.c + minor.a == want
 
 
 @_needs_sympy
@@ -489,7 +563,7 @@ def test_embed_dot_product_matches_the_fraction_ball_sum(x, prec, digits):
         ref = _ball_add(ref, (q * re, q * im, abs(q) * rad))
     b = embed(x, prec)
     assert _triple(b) == ref
-    assert b.real_range() == (ref[0] - ref[2], ref[0] + ref[2])
+    assert _real_range(b) == (ref[0] - ref[2], ref[0] + ref[2])
     assert b.decimal(digits) == (_truncate(ref[0], digits), _truncate(ref[1], digits))
 
 

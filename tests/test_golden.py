@@ -65,6 +65,17 @@ def _prym_form():
     return stcurve.PRYM_POLARIZATION
 
 
+def _split_family(g):
+    """The JSON of (I | tau I), g x 2g, with the standard polarization."""
+    from cycloperiods import intlat
+    from cycloperiods.periods import AffineForm, PeriodMatrix
+    tau = AffineForm.variable("tau")
+    entries = [[1 if j == i else tau if j == g + i else 0
+                for j in range(2 * g)] for i in range(g)]
+    return PeriodMatrix(g, ["tau"], entries,
+                        intlat.standard_symplectic(g)).to_json()
+
+
 # each placeholder stands for a file holding the JSON its function builds
 FILES = {
     FAMILY: _family,
@@ -72,6 +83,7 @@ FILES = {
     "<6 x 6 Prym form>": _prym_form,
     "<seeded 16 x 16 form>": lambda: seeded_form(16),
     "<seeded 32 x 32 form>": lambda: seeded_form(32),
+    "<(I | tau I) at g = 16>": lambda: _split_family(16),
 }
 
 # (arguments, exit code, SHA-256 of stdout)
@@ -99,6 +111,10 @@ GOLDEN = [
     (["tools", "riemann-check", "--file", FAMILY,
       "--at", "tau=i", "--at", "z1=1", "--at", "z2=1"], 1,
      "0f8a9c0cb52a507db1e8e471cb5a231bdbc524ae9f917c1d2193c37e40fdeefe"),
+    # minor 2 is exactly 0 here, so positivity stops at a zero minor
+    (["tools", "riemann-check", "--file", FAMILY,
+      "--at", "tau=i", "--at", "z1=1", "--at", "z2=0"], 1,
+     "e052e57565adf56bf2b44c170e0645db10ac2a37b7e054fcba716f67d1b586ba"),
     (["tools", "snf", "--file", "<fixed 8 x 8 matrix>"], 0,
      "3c1daaec40a17c245f3248dd34ea8ddb476d9c0c17d2d6a58abbc84ea09821c2"),
     (["tools", "symplectic-basis", "--file", "<6 x 6 Prym form>"], 0,
@@ -143,6 +159,11 @@ HOSTILE = [
     (["tools", "symplectic-basis", "--file", "<seeded 32 x 32 form>"], 0),
     (["tools", "covers", "--n", "100000000",
       "--exponents", "1,1,1,99999997"], 2),
+    # 100 exponents: about 5 s at n = 10,000 were the list not bounded
+    (["tools", "covers", "--n", "10000",
+      "--exponents", ",".join(["1"] * 99 + ["9901"])], 2),
+    (["tools", "riemann-check", "--file", "<(I | tau I) at g = 16>",
+      "--at", "tau=-i"], 0),
 ]
 HOSTILE_BUDGET_S = 2.0
 

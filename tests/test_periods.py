@@ -1,6 +1,8 @@
 """Parametrized period matrices: relations, positivity, splitting, symmetry."""
 
 import json
+import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -200,21 +202,79 @@ def test_printed_minor_ranges_enclose_their_minors(monkeypatch, prec):
     assert len(calls) == 7
     for pm, point, sign, minors in calls:
         H = periods.positivity_gram(pm, point, sign)
-        for k, lo, hi in minors:
-            d = periods.tower_det([row[:k] for row in H[:k]])
+        for (k, lo, hi), d in zip(minors, periods.leading_minors(H)):
             assert real_sign(d - Fraction(lo)) >= 0, (k, lo, point)
             assert real_sign(Fraction(hi) - d) >= 0, (k, hi, point)
 
 
-def test_tower_det_matches_the_integer_determinant():
+def _fraction_double(q, up):
+    """The outward rounding of a Fraction q to a double, through Fractions."""
+    try:
+        x = float(q)
+    except OverflowError:
+        edge = math.inf if (q > 0) == up else sys.float_info.max
+        return edge if q > 0 else -edge
+    if (Fraction(x) < q) if up else (Fraction(x) > q):
+        x = math.nextafter(x, math.inf if up else -math.inf)
+    return x
+
+
+@st.composite
+def _ratio_near_a_double(draw):
+    """n/den within 1/den of a double x of any size: n = p k + e, den = q k."""
+    x = draw(st.floats(allow_nan=False, allow_infinity=False))
+    p, q = x.as_integer_ratio()
+    k = draw(st.integers(1, 2 ** 80))
+    return p * k + draw(st.integers(-1, 1)), q * k
+
+
+_ratios = st.one_of(
+    st.tuples(st.integers(-2 ** 70, 2 ** 70), st.integers(1, 2 ** 70)),
+    # tiny, huge and past the double range, at either sign
+    st.tuples(st.integers(-2 ** 1200, 2 ** 1200), st.integers(1, 2 ** 1200)),
+    st.tuples(st.integers(-2 ** 40, 2 ** 40), st.integers(2 ** 1100, 2 ** 1200)),
+    st.tuples(st.integers(2 ** 1020, 2 ** 1100).map(lambda n: -n), st.integers(1, 4)),
+    _ratio_near_a_double(),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ratios, st.booleans())
+def test_double_matches_the_fraction_rounding(ratio, up):
+    n, den = ratio
+    got = periods._double(n, den, up)
+    assert repr(got) == repr(_fraction_double(Fraction(n, den), up))
+
+
+def test_positivity_builds_no_fraction(genus4_family):
+    point = {"tau": 1 + 2 * _I, "z1": HALF * zeta_power(2),
+             "z2": TowerElem.rational(Fraction(1, 5))}
+    pm = genus4_family
+    periods.riemann_positivity(pm, point, 256)    # builds the cached products
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.append(frame.f_code.co_filename)
+
+    sys.setprofile(profile)
+    try:
+        _, minors = periods.riemann_positivity(pm, point, 256)
+    finally:
+        sys.setprofile(None)
+    assert len(minors) == 4
+    assert not [f for f in seen if f.endswith("fractions.py")]
+
+
+def test_leading_minors_match_the_integer_determinants():
     A = [[2, -1, 0, 3], [1, 4, -2, 0], [0, 5, 1, -1], [3, 0, 2, 2]]
     for n in range(1, 5):
         sub = [row[:n] for row in A[:n]]
-        got = periods.tower_det([[TowerElem.coerce(x) for x in row]
-                                 for row in sub])
+        *_, got = periods.leading_minors([[TowerElem.coerce(x) for x in row]
+                                          for row in sub])
         assert got == TowerElem.rational(intlat.bareiss_det(sub))
     D = [[_I, ZERO], [ZERO, cyclo(0, 1)]]
-    assert periods.tower_det(D) == _I * cyclo(0, 1)
+    assert list(periods.leading_minors(D)) == [_I, _I * cyclo(0, 1)]
 
 
 def test_polarization_inverse_is_computed_once(monkeypatch):

@@ -52,8 +52,8 @@ COMMANDS = [
 
 _TRACED = ("wrapped by name in bench/tracing.py, whose --trace 1 run fails "
            "without it")
-_VIEW = ("Fraction view of the ball's integer data, read by the tests; the "
-         "CLI reads balls only through decimal and real_range")
+_VIEW = ("Fraction view of the ball's integer data, read by the tests and "
+         "(rad) the benchmark; the CLI reads the integers re_n, rad_n, den")
 
 ALLOWED = {
     "balls.ComplexBall.__add__": _TRACED,
@@ -61,7 +61,9 @@ ALLOWED = {
     "balls.ComplexBall.__sub__": _TRACED,
     "balls.ComplexBall.scale": _TRACED,
     "periods.PeriodMatrix.eval_ball": _TRACED,
+    "balls.ComplexBall.re": _VIEW,
     "balls.ComplexBall.im": _VIEW,
+    "balls.ComplexBall.rad": _VIEW,
     "intlat.DegenerateFormError.__init__": "exception constructor",
     "pel.ConventionError.__init__": "exception constructor",
     "pel.ModuleError.__init__": "exception constructor",
