@@ -42,8 +42,9 @@ MAX_DIGITS = 4300
 # the command takes 0.24 s with 4 exponents and 0.32 s with 8, against
 # 13.4 s at n = 10^6 (Python 3.11, 2-core Xeon VM)
 MAX_COVER_DEGREE = 10_000
-# most --exponents of tools covers, each a pass over the table: at n = 10,000
-# the command takes 0.76-0.87 s with 8 and 1.09-1.11 s with 16 (same VM)
+# most --exponents of tools covers, each a term of every table line's integer
+# sum: at n = 10,000 the command takes 0.27-0.39 s with 8 and 0.32-0.43 s
+# with 16 (same VM)
 MAX_COVER_EXPONENTS = 8
 
 _NAMES = {"i": IUNIT, "zeta": ZETA, "alpha": ROOT4_3,

@@ -66,16 +66,13 @@ class CyclicCover:
 
     def eigenspace_dims(self):
         """dict k -> dim of holomorphic forms in character k, k = 1..n-1."""
-        n = self.n
+        n, exps = self.n, [a for _, a in self.exponents]
         out = {}
-        for k in range(1, n):
-            s = Fraction(0)
-            for _, a in self.exponents:
-                s += Fraction((k * a) % n, n)
-            d = s - 1
-            if d.denominator != 1:
+        for k in range(1, n):       # dim = sum over a of {k a / n}, minus 1
+            s = sum([k * a % n for a in exps])
+            if s % n:
                 raise ValueError("character dimension is not integral")
-            out[k] = int(d)
+            out[k] = s // n - 1
         return out
 
     def h1_ranks(self):

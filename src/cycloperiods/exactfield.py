@@ -13,7 +13,10 @@ are the module constants below).
 As in FLINT/ANTIC's nf_elem (W. Hart, "ANTIC", 2015) an element is 8
 integers n = (c0..c3, a0..a3) over one denominator d > 0, gcd(d, *n) = 1.
 Products are integer convolutions reduced by z^4 = z^2 - 1 and alpha^2 =
-2z - z^3, then one gcd; a rational operand only scales the numerators.
+2z - z^3; a rational operand only scales the numerators.  Every sum of
+products, a single product included, is one `dot` with delayed reduction
+(as in ANTIC and FFLAS-FFPACK): the products are added in integer
+coordinates over one running denominator and reduced by one final gcd.
 Inverses are closed form: 1/(b + a alpha) = (b - a alpha)/(b^2 - a^2 sqrt3),
 1/x = conj(x)/(x conj(x)) in Q(zeta12), and 1/(s + t sqrt3) =
 (s - t sqrt3)/(s^2 - 3t^2).  The embedding zeta -> exp(i*pi/6), alpha ->
@@ -28,7 +31,7 @@ no Fraction.
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import add, mul
 
 from .balls import ComplexBall
 
@@ -59,10 +62,6 @@ def _zconj(p):
     """Complex conjugation zeta -> zeta^11 = zeta - zeta^3; unimodular."""
     p0, p1, p2, p3 = p
     return (p0 + p2, p1, -p2, -p1 - p3)
-
-
-def _zadd(p, q):
-    return (p[0] + q[0], p[1] + q[1], p[2] + q[2], p[3] + q[3])
 
 
 def _zsub(p, q):
@@ -105,6 +104,58 @@ def _add(x, y, sub):
     if sub:
         return _make(tuple([u - v for u, v in zip(n, m)]), d)
     return _make(tuple([u + v for u, v in zip(n, m)]), d)
+
+
+def dot(pairs):
+    """sum x*y over (x, y) pairs of tower, int or Fraction operands.  Each
+    product is formed on the integer numerators (the tower's one product
+    formula), added over a running denominator and reduced once."""
+    s = None
+    for x, y in pairs:
+        # a tower element first, a rational or rational-valued one second
+        if type(x) is not TowerElem or type(y) is TowerElem and x.n[1:] == _Z7:
+            x, y = y, x
+        if type(x) is not TowerElem:            # two rationals
+            p = x * y
+            t, e = (p.numerator,) + _Z7, p.denominator
+        elif type(y) is not TowerElem or y.n[1:] == _Z7:    # only a scaling
+            p, q = (y.n[0], y.d) if type(y) is TowerElem else (y.numerator, y.denominator)
+            t, e = (x.n if p == 1 else [v * p for v in x.n]), x.d * q
+        else:   # Phi12 convolutions with z^4 = z^2 - 1, alpha^2 = 2z - z^3
+            x0, x1, x2, x3, x4, x5, x6, x7 = x.n
+            y0, y1, y2, y3, y4, y5, y6, y7 = y.n
+            e = x.d * y.d
+            r4 = x1 * y3 + x2 * y2 + x3 * y1
+            r5 = x2 * y3 + x3 * y2
+            c0 = x0 * y0 - r4 - x3 * y3
+            c1 = x0 * y1 + x1 * y0 - r5
+            c2 = x0 * y2 + x1 * y1 + x2 * y0 + r4
+            c3 = x0 * y3 + x1 * y2 + x2 * y1 + x3 * y0 + r5
+            if x4 or x5 or x6 or x7 or y4 or y5 or y6 or y7:
+                r4 = x5 * y7 + x6 * y6 + x7 * y5
+                r5 = x6 * y7 + x7 * y6
+                w0 = x4 * y4 - r4 - x7 * y7     # w = a1 a2, times sqrt3
+                w1 = x4 * y5 + x5 * y4 - r5
+                w2 = x4 * y6 + x5 * y5 + x6 * y4 + r4
+                w3 = x4 * y7 + x5 * y6 + x6 * y5 + x7 * y4 + r5
+                r4 = x1 * y7 + x2 * y6 + x3 * y5 + x5 * y3 + x6 * y2 + x7 * y1
+                r5 = x2 * y7 + x3 * y6 + x6 * y3 + x7 * y2
+                t = (c0 + w1 - w3, c1 + 2 * w0 + w2, c2 + w1 + 2 * w3, c3 + w2 - w0,
+                     x0 * y4 + x4 * y0 - r4 - x3 * y7 - x7 * y3,
+                     x0 * y5 + x1 * y4 + x4 * y1 + x5 * y0 - r5,
+                     x0 * y6 + x1 * y5 + x2 * y4 + x4 * y2 + x5 * y1 + x6 * y0 + r4,
+                     x0 * y7 + x1 * y6 + x2 * y5 + x3 * y4 + x4 * y3 + x5 * y2
+                     + x6 * y1 + x7 * y0 + r5)
+            else:
+                t = (c0, c1, c2, c3, 0, 0, 0, 0)
+        if s is None:
+            s, d = t, e
+        elif e == d:
+            s = list(map(add, s, t))
+        else:           # bring the sum and the term over lcm(d, e)
+            g = gcd(d, e)
+            s, d = [u * (e // g) + v * (d // g) for u, v in zip(s, t)], d // g * e
+    return ZERO if s is None else _make(tuple(s), d)
 
 
 class TowerElem:
@@ -182,12 +233,7 @@ class TowerElem:
             return _scale(self, m[0], other.d)
         if n[1:] == _Z7:
             return _scale(other, n[0], self.d)
-        b1, a1, b2, a2 = n[:4], n[4:], m[:4], m[4:]
-        c, a = _zmul(b1, b2), _Z4
-        if a1 != _Z4 or a2 != _Z4:      # alpha^2 = sqrt3
-            c = _zadd(c, _zsqrt3(_zmul(a1, a2)))
-            a = _zadd(_zmul(b1, a2), _zmul(a1, b2))
-        return _make(c + a, self.d * other.d)
+        return dot(((self, other),))
 
     __rmul__ = __mul__
 

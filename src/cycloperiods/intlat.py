@@ -13,7 +13,10 @@ congruence reduction uses them too.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
+
+from .exactfield import TowerElem, dot
 
 
 # -- plain matrix helpers ----------------------------------------------
@@ -50,22 +53,33 @@ def product_rows(A, B):
         raise ValueError("matmul dimension mismatch")
     width = len(B[0]) if B else 0
     nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in B]
+    ka, kb = set(map(type, chain(*A))), set(map(type, chain(*B)))
+    fused = TowerElem in ka | kb
+    # only if both sides have rational entries can an entry lack a tower factor
+    mixed = fused and ka - {TowerElem} and kb - {TowerElem}
     for row in A:
-        acc = [None] * width
+        acc = [[] for _ in range(width)] if fused else [0] * width
         for a, terms in zip(row, nonzero):
             if a:
                 for j, b in terms:
-                    t = a * b
-                    acc[j] = t if acc[j] is None else acc[j] + t
-        yield [0 if x is None else x for x in acc]
+                    if fused:
+                        acc[j].append((a, b))
+                    else:
+                        acc[j] += a * b
+        if fused:
+            acc = [dot(p) if p and (not mixed or any(
+                type(a) is TowerElem or type(b) is TowerElem for a, b in p))
+                   else sum(a * b for a, b in p) for p in acc]
+        yield acc
 
 
 def matmul(A, B):
     """A B for int, Fraction or TowerElem entries in any mix.
 
     Zero factors are skipped, so a sparse operand costs only its nonzero
-    entries, and each sum starts from its first product.  Entries are
-    not coerced: one with no nonzero term is the int 0.
+    entries.  An entry with a tower factor is one exactfield.dot, formed
+    in integer coordinates and reduced once; the others keep int and
+    Fraction arithmetic, and one with no nonzero term is the int 0.
     """
     return list(product_rows(A, B))
 

@@ -5,8 +5,10 @@ tower matrix for the constant part and one per declared parameter, in
 params order.  Every product goes through intlat.matmul, which takes
 int, Fraction or TowerElem entries and skips zero factors, so a sparse
 rational polarization inverse, lattice action or base change costs only
-its nonzero entries.  AffineForm is the entry type of the JSON format and
-of the derived `entries` view.
+its nonzero entries.  Each tower entry of a product, an evaluation, the
+Gram matrix or a minor is one exactfield.dot: its products are summed in
+integer coordinates and reduced once (delayed reduction).  AffineForm is
+the entry type of the JSON format and of the derived `entries` view.
 
 Both Riemann relations are quadratic in the parameters (t_0 = 1 for the
 constant), so they are decided from the constant products P_a E^-1 P_b^T
@@ -28,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import intlat
-from .exactfield import TowerElem, ZERO, ONE, IUNIT, embed, real_sign, zeta_power
+from .exactfield import TowerElem, ZERO, ONE, IUNIT, dot, embed, real_sign, zeta_power
 
 
 class AffineForm:
@@ -133,19 +135,20 @@ def leading_minors(H):
 
     Level r keeps the nonzero minors on rows 0..r by column tuple, each
     expanded along row r over level r - 1, so zero entries and zero
-    sub-minors cost nothing.  Exact over the tower (+, -, * only), and
-    lazy: a caller that stops early skips the later levels.
+    sub-minors cost nothing.  Each minor is one exactfield.dot of its
+    signed (entry, sub-minor) pairs, and the generator is lazy: a caller
+    that stops early skips the later levels.
     """
     level = {(): ONE}
     for r, row in enumerate(H):
-        below, level = level, {}
-        for cols, m in below.items():
+        terms = {}
+        for cols, m in level.items():
             for c, x in enumerate(row):
                 if x and c not in cols:
                     j = bisect(cols, c)
-                    key = cols[:j] + (c,) + cols[j:]
-                    term = x * m if (r - j) % 2 == 0 else -(x * m)
-                    level[key] = level[key] + term if key in level else term
+                    terms.setdefault(cols[:j] + (c,) + cols[j:], []).append(
+                        (x if (r - j) % 2 == 0 else -x, m))
+        level = {cols: dot(pairs) for cols, pairs in terms.items()}
         level = {cols: m for cols, m in level.items() if m}
         yield level.get(tuple(range(r + 1)), ZERO)
 
@@ -214,18 +217,13 @@ class PeriodMatrix:
                  for j, x in enumerate(row)] for i, row in enumerate(P0)]
 
     def _substitute(self, assignment):
-        """P_0 + sum t_k P_k over the assigned t_k, and the unassigned (name, P_k)."""
-        out = [list(row) for row in self.coeffs[0]]
-        kept = []
-        for p, C in zip(self.params, self.coeffs[1:]):
-            if p not in assignment:
-                kept.append((p, C))
-                continue
-            t = TowerElem.coerce(assignment[p])
-            for o, row in zip(out, C):
-                for j, x in enumerate(row):
-                    if x:
-                        o[j] = o[j] + x * t
+        """P_0 + sum t_k P_k over the assigned t_k, one dot per entry, and
+        the unassigned (name, P_k)."""
+        named = list(zip(self.params, self.coeffs[1:]))
+        used = [(C, TowerElem.coerce(assignment[p])) for p, C in named if p in assignment]
+        kept = [(p, C) for p, C in named if p not in assignment]
+        out = [[dot([(x, 1)] + [(C[i][j], t) for C, t in used if C[i][j]])
+                for j, x in enumerate(row)] for i, row in enumerate(self.coeffs[0])]
         return out, kept
 
     def subs(self, assignment):
@@ -329,8 +327,9 @@ def positivity_gram(pm, point, sign=1):
     H = sum_ab w_ab K_ab with w_ab = sign * i * t_a conj(t_b) and
     K_ab = P_a E^{-1} conj(P_b)^T (t_0 = 1).  w_ba K_ba is the conjugate
     transpose of w_ab K_ab, so only entries i <= j of the K_ab with a <= b
-    and t_a, t_b != 0 are used.  Like evaluate, it ignores extra names and
-    refuses a missing parameter whose coefficient matrix is nonzero.
+    and t_a, t_b != 0 are used, and each H_ij is one exactfield.dot.  Like
+    evaluate, it ignores extra names and refuses a missing parameter whose
+    coefficient matrix is nonzero.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -339,19 +338,21 @@ def positivity_gram(pm, point, sign=1):
     pm._refuse_missing(point)
     unit = IUNIT if sign == 1 else -IUNIT
     g = pm.g
-    H = [[ZERO] * g for _ in range(g)]
+    terms = [[[] for _ in range(g)] for _ in range(g)]     # entries i <= j
     for a, ta in enumerate(t):
         for b in range(a, len(t)):
             if not (ta and t[b]):
                 continue
             K = _product(pm, a, b, True)
-            w = unit * ta * t[b].conjugate()
+            w = dot([(dot([(unit, ta)]), t[b].conjugate())])
+            wc = w.conjugate()                  # conj(w K) = conj(w) conj(K)
             for i in range(g):
                 for j in range(i, g):
                     if K[i][j]:
-                        H[i][j] += w * K[i][j]
+                        terms[i][j].append((w, K[i][j]))
                     if a != b and K[j][i]:
-                        H[i][j] += (w * K[j][i]).conjugate()
+                        terms[i][j].append((wc, K[j][i].conjugate()))
+    H = [[dot(terms[i][j]) if i <= j else None for j in range(g)] for i in range(g)]
     for i in range(g):
         for j in range(i):
             H[i][j] = H[j][i].conjugate()

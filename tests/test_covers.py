@@ -1,5 +1,8 @@
 """Cyclic cover character tables and the rank-12 loop homology model."""
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -131,3 +134,25 @@ def test_deck_action_rejects_bad_spans():
     scaled = [[2 * row[0]] + row[1:] for row in X]
     with pytest.raises(ValueError):
         covers.deck_action_matrix(model, scaled)
+
+
+def _fraction_dims(n, exponents):
+    """dim of character k = sum over the exponents of {k a / n}, minus 1,
+    summed in Fractions: the formula eigenspace_dims computes on integers."""
+    out = {}
+    for k in range(1, n):
+        s = sum((Fraction(k * a % n, n) for a in exponents), Fraction(0)) - 1
+        assert s.denominator == 1
+        out[k] = int(s)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 300), st.lists(st.integers(-1000, 1000), min_size=1, max_size=8))
+def test_eigenspace_dims_match_the_fraction_formula(n, exponents):
+    exponents = exponents + [-sum(exponents)]           # the point at infinity
+    assume(math.gcd(n, *exponents) == 1)
+    cover = covers.CyclicCover(n, exponents)
+    dims = cover.eigenspace_dims()
+    assert dims == _fraction_dims(n, exponents)
+    assert all(type(d) is int for d in dims.values())

@@ -32,6 +32,7 @@ from cycloperiods.exactfield import (
     ZETA,
     TowerElem,
     cyclo,
+    dot,
     embed,
     real_sign,
     zeta_power,
@@ -587,3 +588,83 @@ def test_embed_takes_no_gcd_and_builds_no_fraction():
     assert not [f for f in seen if isinstance(f, str) and f.endswith("fractions.py")]
     scale = b.den // x.d                    # the common denominator d 2^E
     assert b.den == x.d * scale and scale & (scale - 1) == 0
+
+
+# -- the fused dot product ------------------------------------------------
+
+def _fraction_product(x, y):
+    """x * y on Fraction coordinates by schoolbook convolution in z and
+    alpha, reduced by alpha^2 = 2z - z^3 and z^4 = z^2 - 1; as 8 Fractions."""
+    poly = {}
+    for i, u in enumerate(x.c + x.a):
+        for j, v in enumerate(y.c + y.a):
+            key = (i // 4 + j // 4, i % 4 + j % 4)      # (alpha power, z power)
+            poly[key] = poly.get(key, 0) + u * v
+    for k in range(7):                                  # alpha^2 -> 2z - z^3
+        c = poly.pop((2, k), 0)
+        poly[0, k + 1] = poly.get((0, k + 1), 0) + 2 * c
+        poly[0, k + 3] = poly.get((0, k + 3), 0) - c
+    for a in (0, 1):
+        for k in range(9, 3, -1):                       # z^k -> z^(k-2) - z^(k-4)
+            c = poly.pop((a, k), 0)
+            poly[a, k - 2] = poly.get((a, k - 2), 0) + c
+            poly[a, k - 4] = poly.get((a, k - 4), 0) - c
+    return tuple(Fraction(poly.get((a, k), 0)) for a in (0, 1) for k in range(4))
+
+
+@st.composite
+def _dot_pairs(draw):
+    """0..8 pairs of ints, Fractions, zeros and tower elements (full, in
+    Q(zeta12), pure alpha, rational-valued) with numerators and unequal
+    denominators of up to h bits, h in 1..1000."""
+    rng = draw(st.randoms(use_true_random=False))
+    h = draw(st.integers(1, 1000))
+
+    def operand():
+        kind = rng.randrange(7)
+        num = lambda: rng.randint(-2 ** h, 2 ** h)
+        den = lambda: rng.randint(1, 2 ** h)
+        if kind == 0:
+            return num()
+        if kind == 1:
+            return Fraction(num(), den())
+        if kind == 2:
+            return rng.choice([0, Fraction(0), ZERO])
+        if kind == 3:
+            return TowerElem.rational(Fraction(num(), den()))
+        d = den()
+        c = [Fraction(num(), d) for _ in range(4)]
+        a = [Fraction(num(), d) for _ in range(4)]
+        return TowerElem(*{4: (c, a), 5: (c,), 6: ((), a)}[kind])
+
+    return [(operand(), operand()) for _ in range(draw(st.integers(0, 8)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dot_pairs())
+def test_dot_matches_the_sum_of_products(pairs):
+    got = dot(pairs)
+    _assert_normal(got)
+    assert got == sum((x * y for x, y in pairs), ZERO)
+    want = [Fraction(0)] * 8
+    for x, y in pairs:
+        p = _fraction_product(TowerElem.coerce(x), TowerElem.coerce(y))
+        want = [u + v for u, v in zip(want, p)]
+    assert got.c + got.a == tuple(want)
+    # exact cancellation leaves the canonical zero
+    cancelled = dot(pairs + [(-TowerElem.coerce(x), y) for x, y in pairs])
+    assert cancelled == ZERO and cancelled.n == ZERO.n and cancelled.d == 1
+
+
+def test_dot_edge_cases():
+    assert dot([]) == ZERO and dot(iter(())).d == 1
+    x = TowerElem((Fraction(1, 6), 1), (Fraction(-2, 9),))
+    y = TowerElem((0, Fraction(3, 4)), (Fraction(5, 2), 0, 1))
+    # unequal denominators 6*4 and 9*2 and rational operands in both places
+    pairs = [(x, y), (Fraction(7, 10), x), (y, 3), (Fraction(1, 3), Fraction(3, 5))]
+    got = dot(pairs)
+    _assert_normal(got)
+    assert got == x * y + x * Fraction(7, 10) + y * 3 + Fraction(1, 5)
+    assert dot([(x, y)]) == x * y == y * x
+    assert dot([(x, y), (-x, y)]) == ZERO
+    assert dot([(2, 3)]) == 6 and dot([(ZERO, x)]) == ZERO

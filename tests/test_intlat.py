@@ -14,7 +14,7 @@ except ImportError:         # sympy is a test-only dependency
     sympy = None
 
 from cycloperiods import intlat
-from cycloperiods.exactfield import IUNIT, ZERO
+from cycloperiods.exactfield import IUNIT, ZERO, TowerElem, cyclo
 
 _entry = st.integers(min_value=-6, max_value=6)
 
@@ -169,6 +169,52 @@ def test_matmul_skips_zero_factors_and_mixes_entry_types():
     assert intlat.matmul([[1, 2]], [[3], [4]]) == [[11]]
     with pytest.raises(ValueError):
         intlat.matmul(A, [[1, 2]])
+
+
+# sparse entries of every kind matmul takes: zeros (int, Fraction, tower),
+# ints, Fractions and tower elements with and without an alpha part
+_mixed_entry = st.one_of(
+    st.sampled_from([0, 0, Fraction(0), ZERO]),
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-2 ** 80, 2 ** 80), st.integers(1, 10 ** 5)),
+    st.builds(cyclo, *[st.integers(-9, 9)] * 4),
+    st.builds(lambda c, a, d: TowerElem([Fraction(v, d) for v in c],
+                                        [Fraction(v, d) for v in a]),
+              *[st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=4, max_size=4)] * 2,
+              st.integers(1, 10 ** 5)),
+)
+
+
+def _mixed_pair():
+    dims = st.integers(1, 4)
+    return st.tuples(dims, dims, dims).flatmap(lambda s: st.tuples(
+        *[st.lists(st.lists(_mixed_entry, min_size=c, max_size=c), min_size=r, max_size=r)
+          for r, c in ((s[0], s[1]), (s[1], s[2]))]))
+
+
+def _reference_matmul(A, B):
+    """Triple loop: each entry sums its products of two nonzero factors,
+    starting from the first; one with no such product is the int 0."""
+    out = []
+    for row in A:
+        out.append([])
+        for j in range(len(B[0])):
+            terms = [a * B[k][j] for k, a in enumerate(row) if a and B[k][j]]
+            out[-1].append(sum(terms[1:], terms[0]) if terms else 0)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mixed_pair())
+def test_matmul_matches_the_triple_loop_in_value_and_type(AB):
+    A, B = AB
+    got, want = intlat.matmul(A, B), _reference_matmul(A, B)
+    assert got == want
+    for row, ref_row in zip(got, want):
+        for x, ref in zip(row, ref_row):
+            assert type(x) is type(ref)
+            if isinstance(x, TowerElem):
+                assert x.d > 0 and gcd(x.d, *x.n) == 1
 
 
 @settings(max_examples=300, deadline=None)

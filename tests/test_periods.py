@@ -517,3 +517,30 @@ def test_combine_split_family_reassembles_the_tau_block():
             assert Z0[r][c] == ZERO == Zt[r][c]
     for c in stcurve.PRYM_COLS:
         assert Z0[0][c] == ZERO == Zt[0][c]
+
+
+def test_sums_of_products_make_no_intermediate_elements(genus4_family, monkeypatch):
+    """A warm tower matmul and a warm positivity Gram form every entry as
+    one exactfield.dot: no TowerElem product or sum is made on the way."""
+    pm = genus4_family
+    point = {"tau": 1 + 2 * _I, "z1": HALF * zeta_power(2), "z2": cyclo(0, 1, 1)}
+    A, B = pm.coeffs[0], intlat.transpose(pm.coeffs[1])
+    want_product = intlat.matmul(A, B)
+    want_gram = periods.positivity_gram(pm, point)      # fills the K_ab cache
+    calls = []
+
+    def counting(name):
+        real = getattr(TowerElem, name)
+
+        def op(x, y):
+            calls.append(name)
+            return real(x, y)
+        return op
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(TowerElem, name, counting(name))
+    assert intlat.matmul(A, B) == want_product
+    assert periods.positivity_gram(pm, point) == want_gram
+    assert calls == []
+    assert cyclo(1, 2) * cyclo(0, 1) + ONE == cyclo(1, 1, 2)
+    assert calls == ["__mul__", "__add__"]         # the counters do count
