@@ -4,8 +4,8 @@ The layers, from the ground up:
 
 - exactfield: the degree-8 tower Q(zeta12, 3^(1/4)) with exact signs
   and certified interval embeddings (balls holds the interval type);
-- intlat: integer and rational matrix utilities (Smith form, symplectic
-  bases, saturated kernels);
+- intlat: integer and rational matrix utilities (Smith form, whose
+  divisors give ranks and determinants, and symplectic bases);
 - covers: cyclic-cover character tables and loop-homology models;
 - periods: parametric period matrices, Riemann relations, splittings,
   intertwining searches;

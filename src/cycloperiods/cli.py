@@ -46,6 +46,14 @@ MAX_COVER_DEGREE = 10_000
 # sum: at n = 10,000 the command takes 0.27-0.39 s with 8 and 0.32-0.43 s
 # with 16 (same VM)
 MAX_COVER_EXPONENTS = 8
+# largest genus and most parameters of a tools riemann-check matrix: the
+# positivity minors cost up to g 2^(g-1) products, and the first relation
+# and the Gram grow as the square of the parameter count.  A dense g = 8
+# matrix with 8 dense parameters, at 512-bit values where all 8 minors are
+# positive, takes 0.63 s in-process and 1.1-1.2 s through the CLI; g = 10
+# with 6 parameters takes 2.4 s and g = 12 with 4 takes 12 s (same VM)
+MAX_RIEMANN_GENUS = 8
+MAX_RIEMANN_PARAMS = 8
 
 _NAMES = {"i": IUNIT, "zeta": ZETA, "alpha": ROOT4_3,
           "rho": RHO, "sqrt3": SQRT3}
@@ -156,7 +164,7 @@ class _Parser:
             return _NAMES[tok]
         if re.fullmatch(r"\d+\.\d+|\.\d+|\d+", tok):
             try:
-                return TowerElem.rational(Fraction(tok))
+                return TowerElem.coerce(Fraction(tok))
             except ValueError as exc:   # past Python's digit limit
                 raise LiteralError(f"number too long: {exc}") from exc
         raise LiteralError(f"unexpected token {tok!r}")
@@ -225,7 +233,7 @@ def _echo_json(build, *args):
 
 def _require_in_ball(z1, z2, prec, digits):
     norm = z1 * z1.conjugate() + z2 * z2.conjugate()
-    gap = TowerElem.rational(1) - norm
+    gap = 1 - norm
     if real_sign(gap) <= 0:
         try:
             shown = embed(norm, prec).decimal(digits)[0]
@@ -429,6 +437,10 @@ def riemann_check(matrix, path, assignments, prec):
         pm = periods.PeriodMatrix.from_json(json.loads(raw))
     except (json.JSONDecodeError, ValueError, TypeError) as exc:
         raise click.UsageError(f"malformed period matrix: {exc}")
+    if pm.g > MAX_RIEMANN_GENUS or len(pm.params) > MAX_RIEMANN_PARAMS:
+        raise click.UsageError(
+            f"genus {pm.g} with {len(pm.params)} parameters: at most genus "
+            f"{MAX_RIEMANN_GENUS} and {MAX_RIEMANN_PARAMS} parameters")
     point = {}
     for item in assignments:
         if "=" not in item:

@@ -14,9 +14,11 @@ As in FLINT/ANTIC's nf_elem (W. Hart, "ANTIC", 2015) an element is 8
 integers n = (c0..c3, a0..a3) over one denominator d > 0, gcd(d, *n) = 1.
 Products are integer convolutions reduced by z^4 = z^2 - 1 and alpha^2 =
 2z - z^3; a rational operand only scales the numerators.  Every sum of
-products, a single product included, is one `dot` with delayed reduction
-(as in ANTIC and FFLAS-FFPACK): the products are added in integer
-coordinates over one running denominator and reduced by one final gcd.
+products is one `dot` with delayed reduction (as in ANTIC and
+FFLAS-FFPACK): the products are added in integer coordinates over one
+running denominator and reduced by one final gcd.  The operators +, -
+and * are each one `dot` too (x + y is the sum of x*1 and y*1), so there
+is no second path for sums or rational scaling.
 Inverses are closed form: 1/(b + a alpha) = (b - a alpha)/(b^2 - a^2 sqrt3),
 1/x = conj(x)/(x conj(x)) in Q(zeta12), and 1/(s + t sqrt3) =
 (s - t sqrt3)/(s^2 - 3t^2).  The embedding zeta -> exp(i*pi/6), alpha ->
@@ -80,30 +82,6 @@ def _make(n, d):
     """Element n / d for d != 0, reduced by one gcd to d > 0."""
     g = gcd(d, *n) if d > 0 else -gcd(d, *n)
     return _raw(n, d) if g == 1 else _raw(tuple([v // g for v in n]), d // g)
-
-
-def _scale(x, p, q):
-    """x * p/q for a reduced fraction p/q with q > 0; no convolution."""
-    if not p:
-        return ZERO
-    g, h = gcd(p, x.d), (gcd(q, *x.n) if q != 1 else 1)
-    p, n = p // g, (x.n if h == 1 else [v // h for v in x.n])
-    return _raw(tuple([v * p for v in n]), x.d // g * (q // h))
-
-
-def _add(x, y, sub):
-    """x + y, or x - y when sub; NotImplemented for a foreign y."""
-    if not isinstance(y, TowerElem):
-        if not isinstance(y, (int, Fraction)):
-            return NotImplemented
-        y = _raw((y.numerator,) + _Z7, y.denominator)
-    n, d, m, e = x.n, x.d, y.n, y.d
-    if d != e:      # bring both over lcm(d, e)
-        g = gcd(d, e)
-        n, m, d = [v * (e // g) for v in n], [v * (d // g) for v in m], d * (e // g)
-    if sub:
-        return _make(tuple([u - v for u, v in zip(n, m)]), d)
-    return _make(tuple([u + v for u, v in zip(n, m)]), d)
 
 
 def dot(pairs):
@@ -181,10 +159,6 @@ class TowerElem:
     # -- constructors ------------------------------------------------
 
     @staticmethod
-    def rational(q):
-        return TowerElem.coerce(Fraction(q))
-
-    @staticmethod
     def coerce(x):
         if isinstance(x, TowerElem):
             return x
@@ -210,29 +184,28 @@ class TowerElem:
     # -- ring structure ----------------------------------------------
 
     def __add__(self, other):
-        return _add(self, other, False)
+        if not isinstance(other, (TowerElem, int, Fraction)):
+            return NotImplemented
+        return dot(((self, 1), (other, 1)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return _add(self, other, True)
+        if not isinstance(other, (TowerElem, int, Fraction)):
+            return NotImplemented
+        return dot(((self, 1), (other, -1)))
 
     def __rsub__(self, other):
-        return _add(-self, other, False)
+        if not isinstance(other, (TowerElem, int, Fraction)):
+            return NotImplemented
+        return dot(((other, 1), (self, -1)))
 
     def __neg__(self):
         return _raw(tuple([-v for v in self.n]), self.d)
 
     def __mul__(self, other):
-        if not isinstance(other, TowerElem):
-            if isinstance(other, (int, Fraction)):
-                return _scale(self, other.numerator, other.denominator)
+        if not isinstance(other, (TowerElem, int, Fraction)):
             return NotImplemented
-        n, m = self.n, other.n
-        if m[1:] == _Z7:
-            return _scale(self, m[0], other.d)
-        if n[1:] == _Z7:
-            return _scale(other, n[0], self.d)
         return dot(((self, other),))
 
     __rmul__ = __mul__
@@ -338,14 +311,14 @@ def zeta_power(k):
 
 
 ZERO = TowerElem()
-ONE = TowerElem.rational(1)
+ONE = TowerElem((1,))
 ZETA = TowerElem((0, 1))
 IUNIT = TowerElem((0, 0, 0, 1))          # zeta^3
 RHO = TowerElem((-1, 0, 1))              # zeta^4 = zeta^2 - 1
 SQRT3 = TowerElem((0, 2, 0, -1))         # 2*zeta - zeta^3
 ROOT4_3 = TowerElem(_Z4, (1,))           # alpha
 INV_ROOT4_3 = TowerElem(_Z4, (Fraction(1, 3),)) * SQRT3   # alpha^3/3
-HALF = TowerElem.rational(Fraction(1, 2))
+HALF = TowerElem((Fraction(1, 2),))
 
 
 def cyclo(c0=0, c1=0, c2=0, c3=0):

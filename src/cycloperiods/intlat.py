@@ -5,16 +5,16 @@ matmul and inverse, take int, Fraction or TowerElem entries in any mix;
 everything else works on integer or rational matrices.  Sizes stay small
 (16x16 for the package's own data, at most MAX_JSON_DIM on a side from
 JSON input), so the classical elementary-operation algorithms are used
-throughout with no modular tricks.  The three lattice workhorses are
-Smith normal form with transforms, a symplectic (Frobenius) basis for
-alternating forms, and saturated integer kernels.  The four elementary
+throughout with no modular tricks.  The two lattice workhorses are
+Smith normal form with transforms, whose divisors also give the rank and
+|det| of an integer matrix (H. Cohen, GTM 138, 2.4), and a symplectic
+(Frobenius) basis for alternating forms.  The four elementary
 row and column moves are defined once here, and pel's Hermitian
 congruence reduction uses them too.
 """
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd
 
 from .exactfield import TowerElem, dot
 
@@ -223,32 +223,13 @@ def smith_normal_form(A):
 
 
 def snf_divisors(A):
+    """The Smith divisors: the rank of A is the number of nonzero ones, and
+    for square A their product is |det A|."""
     _, D, _ = smith_normal_form(A)
     return [D[i][i] for i in range(min(len(D), len(D[0])))]
 
 
-# -- determinants, inverses, kernels ------------------------------------
-
-def bareiss_det(A):
-    """Fraction-free determinant of an integer matrix."""
-    n = len(A)
-    M = [[int(x) for x in row] for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if M[r][k]), None)
-            if piv is None:
-                return 0
-            M[k], M[piv] = M[piv], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
-
+# -- inverses --------------------------------------------------------------
 
 def inverse(A):
     """Inverse of a square matrix over Q or the tower; None if A is singular.
@@ -281,29 +262,6 @@ def unimodular_inverse(A):
     if inv is None or any(x.denominator != 1 for row in inv for x in row):
         raise ValueError("matrix is not unimodular")
     return [[int(x) for x in row] for row in inv]
-
-
-def integer_kernel(A):
-    """Saturated Z-basis (list of column vectors) of {v in Z^n : A v = 0}.
-
-    Rational input rows are allowed; denominators are cleared row-wise
-    first, which does not change the kernel.
-    """
-    m, n = len(A), len(A[0])
-    B = []
-    for row in A:
-        row = [Fraction(x) for x in row]
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        B.append([int(x * den) for x in row])
-    _, D, V = smith_normal_form(B)
-    ker = []
-    for j in range(n):
-        dj = D[j][j] if j < min(m, n) else 0
-        if j >= m or dj == 0:
-            ker.append([V[i][j] for i in range(n)])
-    return ker
 
 
 # -- symplectic basis ----------------------------------------------------

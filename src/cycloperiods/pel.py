@@ -85,11 +85,10 @@ def build_module(action, gens, pairing):
     cols = list(gens) + [[sum(action[i][j] * g[j] for j in range(n))
                           for i in range(n)] for g in gens]
     basis = [[cols[j][i] for j in range(n)] for i in range(n)]
-    det = intlat.bareiss_det(basis)
-    if abs(det) != 1:
-        divs = intlat.snf_divisors(basis)
+    divs = intlat.snf_divisors(basis)
+    if any(d != 1 for d in divs):
         raise ModuleError(
-            f"generators do not span the lattice (det {det})",
+            f"generators do not span the lattice (Smith divisors {divs})",
             evidence={"snf_divisors": divs})
     bt = intlat.transpose(basis)
     g0full = intlat.matmul(bt, intlat.matmul(pairing, basis))
@@ -111,7 +110,7 @@ def solve_T(g0, g1):
         for j in range(3):
             p = Fraction(g0[i][j] - g1[i][j], 3)
             q = Fraction(-g0[i][j] - 2 * g1[i][j], 3)
-            row.append(TowerElem.rational(p) + TowerElem.rational(q) * RHO)
+            row.append(p + q * RHO)
         T.append(row)
     bad = [(i, j) for i in range(3) for j in range(3)
            if T[j][i] + T[i][j].conjugate()]
@@ -236,8 +235,7 @@ def tower_sqrt(x):
             s, t = _rat_sqrt(s2), _rat_sqrt(t2)
             if s is not None and t is not None:
                 s = -s if q < 0 else s
-                return (TowerElem.rational(s)
-                        + TowerElem.rational(t) * SQRT3) * unit
+                return (s + t * SQRT3) * unit
     return None
 
 
@@ -363,7 +361,7 @@ class MatchResult:
                 + self.z2 * self.z2.conjugate())
 
     def in_unit_ball(self):
-        return real_sign(TowerElem.rational(1) - self.ball_norm()) > 0
+        return real_sign(1 - self.ball_norm()) > 0
 
 
 def match_solver(family, target):

@@ -19,8 +19,7 @@ tuples, or hold them, so no caller can change them in place.
 from fractions import Fraction
 
 from . import covers, intlat
-from .exactfield import (ONE, ZERO, HALF, RHO, INV_ROOT4_3, ROOT4_3,
-                         TowerElem, cyclo)
+from .exactfield import ONE, ZERO, HALF, RHO, INV_ROOT4_3, ROOT4_3, cyclo
 from .periods import AffineForm, PeriodMatrix, combine_split_family
 
 _A3 = ROOT4_3 ** 3
@@ -214,7 +213,7 @@ REF_SHIFT_GRAM = [[-1, 0, 0], [0, 0, 1], [0, 2, 9]]
 
 
 def _k(p, q):
-    return TowerElem.rational(Fraction(p)) + TowerElem.rational(Fraction(q)) * RHO
+    return p + q * RHO
 
 
 REF_SKEW_T = [

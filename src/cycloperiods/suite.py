@@ -11,10 +11,9 @@ downstream of the family is then well defined.
 
 import os
 import traceback
-from fractions import Fraction
 
 from . import covers, intlat, pel, periods, report, stcurve
-from .exactfield import RHO, ZERO, TowerElem, cyclo, embed, zeta_power
+from .exactfield import HALF, IUNIT, RHO, ZERO, embed, zeta_power
 
 # frozen per run; the embedding/I2/column-order entries are appended
 # from the resolved conventions when the resolution succeeds
@@ -213,19 +212,17 @@ CERTIFICATION_FLOOR = 64
 
 @_register("riemann-positive", "positivity")
 def _check_positivity(ctx, strict):
-    iu = cyclo(0, 0, 0, 1)
-    half = TowerElem.rational(Fraction(1, 2))
     g4 = stcurve.GENUS4
     zstar = ctx.match.point()
-    points = [("genus4 tau=i", g4, {"tau": iu}),
-              ("genus4 tau=2i", g4, {"tau": iu * 2}),
-              ("genus4 tau=1+i", g4, {"tau": iu + 1}),
+    points = [("genus4 tau=i", g4, {"tau": IUNIT}),
+              ("genus4 tau=2i", g4, {"tau": IUNIT * 2}),
+              ("genus4 tau=1+i", g4, {"tau": IUNIT + 1}),
               ("family z=0", ctx.prym_family, {"z1": ZERO, "z2": ZERO}),
               ("family z=z*", ctx.prym_family, zstar),
               ("family z=(1/2,0)", ctx.prym_family,
-               {"z1": half, "z2": ZERO}),
+               {"z1": HALF, "z2": ZERO}),
               ("genus4-family tau=2i, z=z*", ctx.genus4_family,
-               dict(zstar, tau=iu * 2))]
+               dict(zstar, tau=IUNIT * 2))]
     evidence = {}
     verdicts = []
     for name, pm, pt in points:

@@ -35,8 +35,8 @@ def test_parse_tower_literals():
     assert cli.parse_tower("rho") == RHO
     assert cli.parse_tower("(1/2)+(-1)*zeta^3") == HALF - IUNIT
     assert cli.parse_tower("alpha^-1") == INV_ROOT4_3
-    assert cli.parse_tower("2**3") == TowerElem.rational(8)
-    assert cli.parse_tower("0.25") == TowerElem.rational(Fraction(1, 4))
+    assert cli.parse_tower("2**3") == TowerElem.coerce(8)
+    assert cli.parse_tower("0.25") == TowerElem.coerce(Fraction(1, 4))
     assert cli.parse_tower("1,2") == ONE + IUNIT * 2
     assert cli.parse_tower("0.5, -0.5") == HALF - HALF * IUNIT
 
@@ -53,7 +53,7 @@ def test_parse_tower_rejects(bad):
 def test_parse_tower_exponent_bound(runner):
     bound = cli.MAX_EXPONENT
     assert cli.parse_tower(f"zeta^{bound}") == zeta_power(bound)
-    assert cli.parse_tower(f"2^-{bound}") == TowerElem.rational(Fraction(1, 2 ** bound))
+    assert cli.parse_tower(f"2^-{bound}") == TowerElem.coerce(Fraction(1, 2 ** bound))
     with pytest.raises(cli.LiteralError, match="out of range"):
         cli.parse_tower(f"2^{bound + 1}")
     result = runner.invoke(cli.main, ["emit", "genus4", "--tau", "i + 3^200000"])
@@ -73,7 +73,7 @@ def test_parse_tower_bounds_nesting_and_power_size(runner):
     # (2^1024)^1024 would have 2^20 bits: refused before it is computed
     with pytest.raises(cli.LiteralError, match="power too large"):
         cli.parse_tower("(2^1024)^1024")
-    assert cli.parse_tower("(2^1024)^60") == TowerElem.rational(2 ** 61440)
+    assert cli.parse_tower("(2^1024)^60") == TowerElem.coerce(2 ** 61440)
     with pytest.raises(cli.LiteralError, match="number too long"):
         cli.parse_tower("9" * 5000)
     with pytest.raises(cli.LiteralError, match="out of range"):
@@ -550,6 +550,24 @@ def test_tools_riemann_check_refuses_a_degenerate_polarization(runner, tmp_path)
     assert result.exit_code == 2
     assert "polarization is degenerate" in _text(result)
     assert "Traceback" not in _text(result)
+
+
+@pytest.mark.parametrize("g, p, code", [
+    (cli.MAX_RIEMANN_GENUS, 1, 0), (cli.MAX_RIEMANN_GENUS + 1, 1, 2),
+    (1, cli.MAX_RIEMANN_PARAMS, 0), (1, cli.MAX_RIEMANN_PARAMS + 1, 2)])
+def test_tools_riemann_check_bounds_genus_and_parameters(runner, tmp_path, g, p, code):
+    # (I | tau I) plus unused parameters t1, t2, ...
+    tau = periods.AffineForm.variable("tau")
+    names = ["tau"] + [f"t{k}" for k in range(1, p)]
+    entries = [[1 if j == i else tau if j == g + i else 0
+                for j in range(2 * g)] for i in range(g)]
+    pm = periods.PeriodMatrix(g, names, entries, intlat.standard_symplectic(g))
+    path = tmp_path / "pm.json"
+    path.write_text(json.dumps(pm.to_json()))
+    result = runner.invoke(cli.main, ["tools", "riemann-check", "--file", str(path),
+                                      *[a for n in names for a in ("--at", f"{n}=-i")]])
+    assert result.exit_code == code, _text(result)
+    assert ("at most genus" in _text(result)) == (code == 2)
 
 
 def test_tools_covers(runner):

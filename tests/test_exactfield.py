@@ -97,9 +97,9 @@ def test_generator_relations():
     assert RHO == ZETA ** 4
     assert RHO * RHO + RHO + ONE == ZERO
     assert SQRT3 == ZETA * 2 - ZETA ** 3
-    assert SQRT3 * SQRT3 == TowerElem.rational(3)
+    assert SQRT3 * SQRT3 == TowerElem.coerce(3)
     assert ROOT4_3 ** 2 == SQRT3
-    assert ROOT4_3 ** 4 == TowerElem.rational(3)
+    assert ROOT4_3 ** 4 == TowerElem.coerce(3)
     assert ROOT4_3 * INV_ROOT4_3 == ONE
     assert HALF + HALF == ONE
 
@@ -120,8 +120,8 @@ def test_conjugation_fixes_alpha_and_reals():
 
 
 def test_rational_detection():
-    assert TowerElem.rational(Fraction(7, 3)).is_rational()
-    assert TowerElem.rational(Fraction(7, 3)).as_rational() == Fraction(7, 3)
+    assert TowerElem.coerce(Fraction(7, 3)).is_rational()
+    assert TowerElem.coerce(Fraction(7, 3)).as_rational() == Fraction(7, 3)
     assert not ZETA.is_rational()
     x = ZETA ** 6
     assert x.is_rational() and x.as_rational() == -1
@@ -130,7 +130,7 @@ def test_rational_detection():
 def test_rho_subfield_trace_and_norm():
     # x = a + b rho in K = Q(rho): x + conj(x) = 2a - b, x conj(x) = a^2 - ab + b^2
     a, b = Fraction(5, 2), Fraction(-3)
-    x = TowerElem.rational(a) + RHO * b
+    x = TowerElem.coerce(a) + RHO * b
     assert (x + x.conjugate()).as_rational() == 2 * a - b
     assert (x * x.conjugate()).as_rational() == a * a - a * b + b * b
     assert (RHO + RHO.conjugate()).as_rational() == -1
@@ -141,7 +141,7 @@ def test_rho_subfield_trace_and_norm():
 
 def test_sqrt3_pair_roundtrip():
     s, t = Fraction(1, 3), Fraction(-2)
-    x = TowerElem.rational(s) + SQRT3 * t
+    x = TowerElem.coerce(s) + SQRT3 * t
     assert x.as_sqrt3_pair() == (s, t)
     with pytest.raises(ValueError):
         ZETA.as_sqrt3_pair()
@@ -248,8 +248,8 @@ def test_embedding_commutes_with_conjugation(x):
 @settings(max_examples=500, deadline=None)
 @given(_rat, _rat, _rat, _rat)
 def test_real_sign_agrees_with_embedding(s, t, u, v):
-    x = (TowerElem.rational(s) + SQRT3 * t
-         + ROOT4_3 * (TowerElem.rational(u) + SQRT3 * v))
+    x = (TowerElem.coerce(s) + SQRT3 * t
+         + ROOT4_3 * (TowerElem.coerce(u) + SQRT3 * v))
     assert x.is_real()
     got = real_sign(x)
     if x.is_zero():
@@ -282,7 +282,7 @@ _wide = st.one_of(
     st.builds(TowerElem, _wide_coords, _wide_coords),
     st.builds(TowerElem, _wide_coords),
     st.builds(lambda a: TowerElem((), a), _wide_coords),
-    _wide_rat.map(TowerElem.rational),
+    _wide_rat.map(TowerElem.coerce),
 )
 _needs_sympy = pytest.mark.skipif(sympy is None, reason="sympy is not installed")
 
@@ -405,12 +405,30 @@ def test_leading_minors_match_sympy_determinants(A):
 @settings(max_examples=100, deadline=None)
 @given(_wide, _wide, _wide_rat)
 def test_wide_arithmetic_matches_sympy_model(x, y, q):
-    X, Y, Q = _model(x), _model(y), _model(TowerElem.rational(q))
+    X, Y, Q = _model(x), _model(y), _model(TowerElem.coerce(q))
     assert (x * y).c + (x * y).a == _model_coords(X * Y)
     assert (x + y).c + (x + y).a == _model_coords(X + Y)
     assert (x - y).c + (x - y).a == _model_coords(X - Y)
     assert (x * q).c + (x * q).a == _model_coords(X * Q)
     assert (q - x).c + (q - x).a == _model_coords(Q - X)
+
+
+# a foreign operand gets NotImplemented from +, - and *, so Python raises
+@pytest.mark.parametrize("op", [lambda x: x + 0.5, lambda x: 0.5 - x,
+                                lambda x: x * "a", lambda x: x - None],
+                         ids=["x + 0.5", "0.5 - x", "x * 'a'", "x - None"])
+def test_foreign_operands_raise_type_error(op):
+    with pytest.raises(TypeError):
+        op(ZETA + ROOT4_3 * Fraction(2, 7))
+
+
+@_needs_sympy
+def test_rational_operands_on_either_side_match_sympy_model():
+    x = ZETA + ROOT4_3 * Fraction(2, 7) - 5
+    X = _model(x)
+    for got, want in ((Fraction(3, 4) + x, X + sympy.Rational(3, 4)),
+                      (1 - x, 1 - X), (x * True, X)):
+        assert got.c + got.a == _model_coords(want)
 
 
 @_needs_sympy
@@ -442,7 +460,7 @@ def test_wide_results_are_normalised(x, y, q):
 
 def test_equal_values_share_one_normal_form():
     half = TowerElem((Fraction(2, 4),))
-    assert half == TowerElem.rational(Fraction(1, 2)) == HALF == Fraction(1, 2)
+    assert half == TowerElem.coerce(Fraction(1, 2)) == HALF == Fraction(1, 2)
     assert hash(half) == hash(HALF)
     assert (half.n, half.d) == ((1, 0, 0, 0, 0, 0, 0, 0), 2)
     x = TowerElem((Fraction(6, 4), Fraction(-9, 6)), (Fraction(3, 2),))
@@ -483,7 +501,7 @@ def _iroot4(n):
 # real elements b - m*alpha with b/m within 1/m of 3^(1/4), so that the
 # two parts nearly cancel and real_sign has to settle a contest of signs
 _alpha_ties = st.builds(
-    lambda m, e, s: (TowerElem.rational(_iroot4(3 * m ** 4) + e) - ROOT4_3 * m) * s,
+    lambda m, e, s: (TowerElem.coerce(_iroot4(3 * m ** 4) + e) - ROOT4_3 * m) * s,
     st.integers(1, 2 ** 64), st.integers(-1, 2), st.sampled_from([1, -1, SQRT3]))
 
 
@@ -631,7 +649,7 @@ def _dot_pairs(draw):
         if kind == 2:
             return rng.choice([0, Fraction(0), ZERO])
         if kind == 3:
-            return TowerElem.rational(Fraction(num(), den()))
+            return TowerElem.coerce(Fraction(num(), den()))
         d = den()
         c = [Fraction(num(), d) for _ in range(4)]
         a = [Fraction(num(), d) for _ in range(4)]

@@ -76,6 +76,38 @@ def _split_family(g):
                         intlat.standard_symplectic(g)).to_json()
 
 
+def _dense_family(g):
+    """The JSON of (I | Z), Z = X - i Y symmetric with seeded integers: X in
+    [-9, 9], Y in [-9, 9] off the diagonal and 36 g on it, so Y is
+    diagonally dominant and all g positivity minors are > 0."""
+    from cycloperiods import intlat
+    from cycloperiods.exactfield import IUNIT
+    from cycloperiods.periods import PeriodMatrix
+    rng = random.Random(g)
+    Z = [[None] * g for _ in range(g)]
+    for i in range(g):
+        for j in range(i, g):
+            y = 36 * g if i == j else rng.randint(-9, 9)
+            Z[i][j] = Z[j][i] = rng.randint(-9, 9) - IUNIT * y
+    entries = [[int(j == i) if j < g else Z[i][j - g] for j in range(2 * g)]
+               for i in range(g)]
+    return PeriodMatrix(g, [], entries, intlat.standard_symplectic(g)).to_json()
+
+
+def _many_params(p):
+    """The JSON of (I | -i I) + sum_k t_k C_k at g = 4, with p parameters
+    t0, t1, ... and seeded dense C_k with entries in [-9, 9]."""
+    from cycloperiods import intlat
+    from cycloperiods.exactfield import IUNIT
+    from cycloperiods.periods import AffineForm, PeriodMatrix
+    rng = random.Random(p)
+    entries = [[AffineForm(int(j == i) - IUNIT * (j == 4 + i),
+                           {f"t{k}": rng.randint(-9, 9) for k in range(p)})
+                for j in range(8)] for i in range(4)]
+    return PeriodMatrix(4, [f"t{k}" for k in range(p)], entries,
+                        intlat.standard_symplectic(4)).to_json()
+
+
 # each placeholder stands for a file holding the JSON its function builds
 FILES = {
     FAMILY: _family,
@@ -84,6 +116,8 @@ FILES = {
     "<seeded 16 x 16 form>": lambda: seeded_form(16),
     "<seeded 32 x 32 form>": lambda: seeded_form(32),
     "<(I | tau I) at g = 16>": lambda: _split_family(16),
+    "<dense (I | Z) at g = 16>": lambda: _dense_family(16),
+    "<g = 4 matrix with 150 parameters>": lambda: _many_params(150),
 }
 
 # (arguments, exit code, SHA-256 of stdout)
@@ -162,8 +196,12 @@ HOSTILE = [
     # 100 exponents: about 5 s at n = 10,000 were the list not bounded
     (["tools", "covers", "--n", "10000",
       "--exponents", ",".join(["1"] * 99 + ["9901"])], 2),
+    # riemann-check refuses a genus above 8 or more than 8 parameters
     (["tools", "riemann-check", "--file", "<(I | tau I) at g = 16>",
-      "--at", "tau=-i"], 0),
+      "--at", "tau=-i"], 2),
+    (["tools", "riemann-check", "--file", "<dense (I | Z) at g = 16>"], 2),
+    (["tools", "riemann-check", "--file", "<g = 4 matrix with 150 parameters>",
+      *[a for k in range(150) for a in ("--at", f"t{k}=1")]], 2),
 ]
 HOSTILE_BUDGET_S = 2.0
 

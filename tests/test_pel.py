@@ -1,5 +1,6 @@
 """The rank-3 module over Z[rho], its skew form, and the two-ball family."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -58,6 +59,17 @@ def test_module_rejects_non_basis_generators():
     assert "snf_divisors" in (err.value.evidence or {})
 
 
+@pytest.mark.parametrize("k", range(len(stcurve.MODULE_GENS)))
+def test_module_rejects_one_doubled_generator(k):
+    # the columns (gens, action*gens) then span a sublattice of index 4
+    gens = [[2 * x for x in g] if j == k else list(g)
+            for j, g in enumerate(stcurve.MODULE_GENS)]
+    with pytest.raises(pel.ModuleError) as err:
+        pel.build_module(stcurve.PRYM_SHIFT, gens, stcurve.PRYM_POLARIZATION)
+    divs = err.value.evidence["snf_divisors"]
+    assert divs != [1] * 6 and math.prod(divs) == 4
+
+
 def test_solve_T_reproduces_frozen_form():
     module = _module()
     T = pel.solve_T(module.g0, module.g1)
@@ -71,11 +83,11 @@ def _random_skew_hermitian(rng):
     pq = [[None] * 3 for _ in range(3)]
     for i in range(3):
         p = Fraction(rng.randint(-9, 9))
-        T[i][i] = TowerElem.rational(p) + RHO * (2 * p)
+        T[i][i] = TowerElem.coerce(p) + RHO * (2 * p)
         pq[i][i] = (p, 2 * p)
         for j in range(i + 1, 3):
             p, q = rng.randint(-9, 9), rng.randint(-9, 9)
-            T[i][j] = TowerElem.rational(p) + RHO * q
+            T[i][j] = TowerElem.coerce(p) + RHO * q
             T[j][i] = -T[i][j].conjugate()
             # -conj(p + q rho) = (q - p) + q rho, as conj(rho) = -1 - rho
             pq[i][j] = (Fraction(p), Fraction(q))
@@ -125,7 +137,7 @@ def test_trace_pairings_are_the_lattice_pairing():
 
 def test_ldl_on_a_random_hermitian_matrix():
     rng = random.Random(77)
-    raw = [[TowerElem.rational(rng.randint(-4, 4)) + RHO * rng.randint(-4, 4)
+    raw = [[TowerElem.coerce(rng.randint(-4, 4)) + RHO * rng.randint(-4, 4)
             for _ in range(3)] for _ in range(3)]
     G = [[raw[i][j] + raw[j][i].conjugate() for j in range(3)]
          for i in range(3)]
@@ -144,12 +156,12 @@ def test_ldl_on_a_random_hermitian_matrix():
 
 
 def test_tower_sqrt():
-    three = TowerElem.rational(3)
+    three = TowerElem.coerce(3)
     r = pel.tower_sqrt(three)
     assert r is not None and r * r == three
     r = pel.tower_sqrt(SQRT3)
     assert r is not None and r * r == SQRT3
-    for x in (TowerElem.rational(2), TowerElem.rational(-1), ONE + SQRT3,
+    for x in (TowerElem.coerce(2), TowerElem.coerce(-1), ONE + SQRT3,
               SQRT3 * 2):
         assert pel.tower_sqrt(x) is None
 
@@ -157,8 +169,8 @@ def test_tower_sqrt():
 # rationals with numerator and denominator of up to 64 bits
 _rat64 = st.builds(Fraction, st.integers(-2 ** 64, 2 ** 64),
                    st.integers(1, 2 ** 64))
-_sqrt3_elems = st.builds(lambda s, t: TowerElem.rational(s)
-                         + TowerElem.rational(t) * SQRT3, _rat64, _rat64)
+_sqrt3_elems = st.builds(lambda s, t: TowerElem.coerce(s)
+                         + TowerElem.coerce(t) * SQRT3, _rat64, _rat64)
 
 
 @settings(max_examples=300, deadline=None)
@@ -193,7 +205,7 @@ def _congruent(S, G):
 def test_ldl_hermitian_swaps_in_a_diagonal_pivot():
     # G[0][0] = 0, so row and column 0 trade places with 1 first; then
     # row 1 -= row 0 and column 1 -= column 0
-    G = [[TowerElem.rational(x) for x in row]
+    G = [[TowerElem.coerce(x) for x in row]
          for row in ([0, 1, 0], [1, 1, 0], [0, 0, 1])]
     D, S = pel.ldl_hermitian(G)
     assert D == [[1, 0, 0], [0, -1, 0], [0, 0, 1]]
@@ -203,7 +215,7 @@ def test_ldl_hermitian_swaps_in_a_diagonal_pivot():
 
 _small_rat = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 _small_elems = st.builds(
-    lambda a, b, c, d: (TowerElem.rational(a) + RHO * b + ROOT4_3 * c
+    lambda a, b, c, d: (TowerElem.coerce(a) + RHO * b + ROOT4_3 * c
                         + IUNIT * d),
     _small_rat, _small_rat, _small_rat, _small_rat)
 
