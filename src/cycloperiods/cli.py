@@ -9,6 +9,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import lcm
 
 import click
 
@@ -34,7 +35,7 @@ MAX_POWER_BITS = 1 << 16
 # deepest parenthesis nesting; the parser recurses on it
 MAX_NESTING = 64
 # largest --prec, which sizes every embed: verify --only positivity takes
-# 1.5 s here and 22 s at 262,144 bits (Python 3.11, 2-core Xeon VM)
+# 0.35 s here, 0.9 s in-process at 262,144 bits (Python 3.11, 2-core Xeon VM)
 MAX_PREC = 1 << 16
 # largest --digits: Python turns no integer of more digits into a string
 MAX_DIGITS = 4300
@@ -46,14 +47,17 @@ MAX_COVER_DEGREE = 10_000
 # sum: at n = 10,000 the command takes 0.27-0.39 s with 8 and 0.32-0.43 s
 # with 16 (same VM)
 MAX_COVER_EXPONENTS = 8
-# largest genus and most parameters of a tools riemann-check matrix: the
-# positivity minors cost up to g 2^(g-1) products, and the first relation
-# and the Gram grow as the square of the parameter count.  A dense g = 8
-# matrix with 8 dense parameters, at 512-bit values where all 8 minors are
-# positive, takes 0.63 s in-process and 1.1-1.2 s through the CLI; g = 10
-# with 6 parameters takes 2.4 s and g = 12 with 4 takes 12 s (same VM)
+# largest genus and most parameters of a tools riemann-check matrix, and
+# largest height (_height_bits) of its tower coordinates and --at values,
+# each over one common denominator, halved per genus above 4: the minors take
+# up to g 2^(g-1) products, the first relation and the Gram grow as the
+# square of the parameter count, and distinct denominators multiply in the
+# Gram.  At the bounds a dense matrix with 8 dense parameters takes 0.5-1.6 s
+# at g = 2..8 through the CLI at --prec 65536 (same VM); g = 10 with 6, 2.4 s
 MAX_RIEMANN_GENUS = 8
 MAX_RIEMANN_PARAMS = 8
+MAX_RIEMANN_MATRIX_BITS = 512
+MAX_RIEMANN_POINT_BITS = 1280
 
 _NAMES = {"i": IUNIT, "zeta": ZETA, "alpha": ROOT4_3,
           "rho": RHO, "sqrt3": SQRT3}
@@ -72,9 +76,10 @@ def _tokenize(text):
     return out
 
 
-def _height_bits(x):
-    """Bit length of the largest numerator or the denominator of x."""
-    return max(max(abs(v) for v in x.n).bit_length(), x.d.bit_length())
+def _height_bits(*xs):
+    """Height of the tower elements xs over one common denominator, in bits."""
+    d = lcm(*[x.d for x in xs])
+    return max([d] + [max(map(abs, x.n)) * (d // x.d) for x in xs]).bit_length()
 
 
 class _Parser:
@@ -285,14 +290,9 @@ def _load_matrix(matrix, path):
     return [[int(x) for x in row] for row in A]
 
 
-def _check_prec(prec):
-    if not 16 <= prec <= MAX_PREC:
-        raise click.UsageError(f"--prec must be between 16 and {MAX_PREC}")
-
-
-def _check_digits(digits):
-    if not 0 <= digits <= MAX_DIGITS:
-        raise click.UsageError(f"--digits must be between 0 and {MAX_DIGITS}")
+def _check_range(option, value, lo, hi):
+    if not lo <= value <= hi:
+        raise click.UsageError(f"{option} must be between {lo} and {hi}")
 
 
 def _pipeline(prec):
@@ -325,7 +325,7 @@ def main():
 @click.option("--json", "as_json", is_flag=True, help="machine readable output")
 def verify(prec, everything, only, strict, as_json):
     """Run the verification suite and exit 0/1/3."""
-    _check_prec(prec)
+    _check_range("--prec", prec, 16, MAX_PREC)
     if everything and only is not None:
         raise click.UsageError("--all and --only exclude each other")
     rep = suite.run_all(prec=prec, only=only, strict=strict)
@@ -353,8 +353,8 @@ def verify(prec, everything, only, strict, as_json):
               help="fractional digits for decimal output")
 def emit(which, special, tau, z1, z2, fmt, prec, digits):
     """Print a period matrix at an exact parameter point."""
-    _check_prec(prec)
-    _check_digits(digits)
+    _check_range("--prec", prec, 16, MAX_PREC)
+    _check_range("--digits", digits, 0, MAX_DIGITS)
     have_z = z1 is not None or z2 is not None
     if special and have_z:
         raise click.UsageError("--special excludes --z1/--z2")
@@ -431,7 +431,7 @@ def symplectic_basis(matrix, path):
 @click.option("--prec", default=128, show_default=True)
 def riemann_check(matrix, path, assignments, prec):
     """First bilinear relation, and positivity at a chosen point."""
-    _check_prec(prec)
+    _check_range("--prec", prec, 16, MAX_PREC)
     raw = _read_source(matrix, path)
     try:
         pm = periods.PeriodMatrix.from_json(json.loads(raw))
@@ -450,6 +450,15 @@ def riemann_check(matrix, path, assignments, prec):
     missing = sorted(set(pm.params) - set(point))
     if missing:
         raise click.UsageError(f"missing --at values for {missing}")
+    coords = [x for M in pm.coeffs for row in M for x in row]
+    values = [point[p] for p in pm.params]
+    for what, xs, bound in (("matrix", coords, MAX_RIEMANN_MATRIX_BITS),
+                            ("point", values, MAX_RIEMANN_POINT_BITS)):
+        bound >>= max(0, pm.g - 4)
+        # each element on its own first: no lcm of a tall input
+        if any(_height_bits(x) > bound for x in xs) or _height_bits(*xs) > bound:
+            raise click.UsageError(f"{what} height over one common "
+                                   f"denominator passes {bound} bits")
     relation = periods.first_relation_holds(pm)
     verdict, minors = periods.riemann_positivity(
         pm, point, prec=prec, sign=stcurve.POSITIVITY_SIGN)

@@ -24,10 +24,9 @@ Inverses are closed form: 1/(b + a alpha) = (b - a alpha)/(b^2 - a^2 sqrt3),
 (s - t sqrt3)/(s^2 - 3t^2).  The embedding zeta -> exp(i*pi/6), alpha ->
 +3^(1/4) is fixed; `embed` returns a certified ComplexBall for it, and
 equality testing never falls back on numerics.  Per precision, the balls
-of zeta^k and alpha*zeta^k (k = 0..3) are built once from isqrt and kept
-as integer vectors re, im, rad over one 2^E, so `embed` is three integer
-dot products with the numerators n over the denominator d*2^E: no gcd,
-no Fraction.
+of zeta^k and alpha*zeta^k (k = 0..3) are built once from isqrt and shifts
+as integers over 2^E, E = prec + 8, rounding into the radius as Arb does
+(see _basis): `embed` is three integer dot products, no gcd, no Fraction.
 """
 
 from fractions import Fraction
@@ -361,28 +360,20 @@ def real_sign(x):
 
 # -- certified embedding ----------------------------------------------
 
-def _mag_upper(x, y):
-    """Upper bound (isqrt(n d) + 1)/d for |x + y i|, with n/d = x^2 + y^2 reduced."""
-    q = Fraction(x * x + y * y)
-    return Fraction(isqrt(q.numerator * q.denominator) + 1, q.denominator)
-
-
 @lru_cache(maxsize=16)
 def _basis(prec):
-    """Integer (re, im, rad) vectors over 2^E for the balls of zeta^k and
-    alpha*zeta^k, k = 0..3, at the working precision; returns them and E."""
-    n = isqrt(3 << (2 * prec))                  # n <= sqrt3 2^prec < n + 1
-    t = isqrt(isqrt(3 << (4 * prec)))           # t <= alpha 2^prec < t + 2
-    h, s = Fraction(1, 2), Fraction(2 * n + 1, 2 ** (prec + 2))
-    a, ra = Fraction(t + 1, 2 ** prec), Fraction(1, 2 ** prec)
-    r = Fraction(1, 2 ** (prec + 2))
-    zpow = [(1, 0, 0), (s, h, r), (h, s, r), (0, 1, 0)]     # cos, sin, rad
-    # alpha*zeta^k as a ball product: |xy - m1 m2| <= |m1| r2 + |m2| r1 + r1 r2
-    ma = _mag_upper(a, 0)
-    balls = zpow + [(a * x, a * y, ma * rz + _mag_upper(x, y) * ra + ra * rz)
-                    for x, y, rz in zpow]
-    e = 3 * prec + 4                            # every denominator divides 2^e
-    return tuple(tuple(int(b[j] * (1 << e)) for b in balls) for j in range(3)), e
+    """Integer (re, im, rad) over 2^E, E = prec + 8, of the balls of zeta^k and
+    alpha*zeta^k, k = 0..3, and E.  cos(pi/6) is c = (2n + 1) 2^6 within 2^6;
+    a/2^prec < 2 is within 2^-prec of alpha, so alpha*zeta^k is within 2^8 + 2r
+    units of a m/2^prec for the ball (m, r) of zeta^k.  Only a c/2^prec is
+    rounded (1 more unit); the rest are multiples of h or a: real x has im 0."""
+    c, h = (2 * isqrt(3 << (2 * prec)) + 1) << 6, 1 << (prec + 7)
+    a = isqrt(isqrt(3 << (4 * prec))) + 1       # a - 1 <= alpha 2^prec < a + 1
+    ac, low = divmod(a * c + (1 << (prec - 1)), 1 << prec)
+    r = (3 << 7) + (low != 1 << (prec - 1))     # 2^8 + 2 * 2^6, + 1 if rounded
+    return ((2 * h, c, h, 0, a << 8, ac, a << 7, 0),
+            (0, h, c, 2 * h, 0, a << 7, ac, a << 8),
+            (0, 1 << 6, 1 << 6, 0, 1 << 8, r, r, 1 << 8)), prec + 8
 
 
 def embed(x, prec=128):

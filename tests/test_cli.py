@@ -570,6 +570,35 @@ def test_tools_riemann_check_bounds_genus_and_parameters(runner, tmp_path, g, p,
     assert ("at most genus" in _text(result)) == (code == 2)
 
 
+_MATRIX_BITS, _POINT_BITS = cli.MAX_RIEMANN_MATRIX_BITS, cli.MAX_RIEMANN_POINT_BITS
+
+
+@pytest.mark.parametrize("consts, tau, code", [
+    ([Fraction(1, 2 ** (_MATRIX_BITS - 1))], "-i", 0),
+    ([Fraction(1, 2 ** _MATRIX_BITS)], "-i", 2),
+    ([0], f"-i+1/{2 ** (_POINT_BITS - 1)}", 0),
+    ([0], f"-i+1/{2 ** _POINT_BITS}", 2),
+    # both bounds halve with each genus above 4
+    ([Fraction(1, 2 ** ((_MATRIX_BITS >> 4) - 1))] + [0] * 7, "-i", 0),
+    ([Fraction(1, 2 ** (_MATRIX_BITS >> 4))] + [0] * 7, "-i", 2),
+    ([0] * 8, f"-i+1/{2 ** ((_POINT_BITS >> 4) - 1)}", 0),
+    ([0] * 8, f"-i+1/{2 ** (_POINT_BITS >> 4)}", 2),
+    # 21 bits each, 41 over their common denominator
+    ([Fraction(1, 3 ** 13), Fraction(1, 2 ** 20)] + [0] * 6, "-i", 2)])
+def test_tools_riemann_check_bounds_heights(runner, tmp_path, consts, tau, code):
+    # (I | diag(tau + c_1, ..., tau + c_g))
+    g, t = len(consts), periods.AffineForm.variable("tau")
+    entries = [[1 if j == i else t + consts[i] if j == g + i else 0
+                for j in range(2 * g)] for i in range(g)]
+    pm = periods.PeriodMatrix(g, ["tau"], entries, intlat.standard_symplectic(g))
+    path = tmp_path / "pm.json"
+    path.write_text(json.dumps(pm.to_json()))
+    result = runner.invoke(cli.main, ["tools", "riemann-check", "--file", str(path),
+                                      "--at", f"tau={tau}"])
+    assert result.exit_code == code, _text(result)
+    assert ("height over one common denominator" in _text(result)) == (code == 2)
+
+
 def test_tools_covers(runner):
     result = runner.invoke(cli.main,
                            ["tools", "covers", "--n", "6",

@@ -3,7 +3,7 @@
 import json
 import sys
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import floor, gcd, isqrt, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -31,6 +31,7 @@ from cycloperiods.exactfield import (
     ZERO,
     ZETA,
     TowerElem,
+    _basis,
     cyclo,
     dot,
     embed,
@@ -539,18 +540,61 @@ def test_real_sign_matches_mpmath(x):
 
 # -- embed's integer dot product against the Fraction-ball sum ----------------
 
-def _reference_basis(prec):
-    """Balls of zeta^k and alpha*zeta^k, k = 0..3, built from isqrt as
-    Fraction triples: sqrt3 to 2^-(prec+1), 3^(1/4) to 2^-prec, and the
-    alpha column by the ball product."""
-    n = isqrt(3 << (2 * prec))                      # n <= sqrt3 2^prec < n + 1
-    s3 = (Fraction(2 * n + 1, 2 ** (prec + 1)), 0, Fraction(1, 2 ** (prec + 1)))
-    t = isqrt(isqrt(3 << (4 * prec)))               # t <= alpha 2^prec < t + 2
-    alpha = (Fraction(t + 1, 2 ** prec), 0, Fraction(1, 2 ** prec))
+def _zeta_balls(prec):
+    """Balls of zeta^k, k = 0..3, as Fraction triples: cos(pi/6) is
+    sqrt3/2 to 2^-(prec+2), from n <= sqrt3 2^prec < n + 1."""
+    n = isqrt(3 << (2 * prec))
+    c, r = Fraction(2 * n + 1, 2 ** (prec + 2)), Fraction(1, 2 ** (prec + 2))
     half = Fraction(1, 2)
-    zpow = [(1, 0, 0), (s3[0] * half, half, s3[2] * half),
-            (half, s3[0] * half, s3[2] * half), (0, 1, 0)]
-    return zpow + [_ball_mul(alpha, z) for z in zpow]
+    return [(1, 0, 0), (c, half, r), (half, c, r), (0, 1, 0)]
+
+
+def _reference_basis(prec):
+    """Balls of zeta^k and alpha*zeta^k, k = 0..3, as Fraction triples on
+    the grid 2^-(prec+8): alpha*zeta^k is a m rounded to the grid, a =
+    (t + 1)/2^prec within 2^-prec of 3^(1/4), for the ball (m, r) of
+    zeta^k, with radius 2^-prec + 2r and one more grid step if rounded."""
+    unit = Fraction(1, 2 ** (prec + 8))
+    t = isqrt(isqrt(3 << (4 * prec)))               # t <= alpha 2^prec < t + 2
+    a = Fraction(t + 1, 2 ** prec)
+    zpow, alpha = _zeta_balls(prec), []
+    for re, im, rad in zpow:
+        mid = [floor(a * v / unit + Fraction(1, 2)) * unit for v in (re, im)]
+        exact = mid == [a * re, a * im]
+        alpha.append((*mid, Fraction(1, 2 ** prec) + 2 * rad + (0 if exact else unit)))
+    return zpow + alpha
+
+
+def _exact_construction_basis(prec):
+    """The balls the exact construction built before the grid: 3^(1/4) as
+    the Fraction ball ((t + 1)/2^prec, 2^-prec) times each ball of zeta^k,
+    |xy - m1 m2| <= |m1| r2 + |m2| r1 + r1 r2.  Each magnitude is bounded
+    by isqrt, exactly where it is a perfect square: that construction took
+    2 for |1| and |i|, twice what holds, so its balls of alpha and alpha*i
+    had radius 2^(1-prec), which no ball of the proven radius 2^-prec can
+    contain."""
+    def mag(x, y):
+        q = Fraction(x * x + y * y)
+        s = isqrt(q.numerator * q.denominator)
+        return Fraction(s + (s * s != q.numerator * q.denominator), q.denominator)
+
+    t = isqrt(isqrt(3 << (4 * prec)))
+    a, ra = Fraction(t + 1, 2 ** prec), Fraction(1, 2 ** prec)
+    zpow = _zeta_balls(prec)
+    return zpow + [(a * x, a * y, mag(a, 0) * rz + mag(x, y) * ra + ra * rz)
+                   for x, y, rz in zpow]
+
+
+@pytest.mark.parametrize("prec", [16, 128, 512, 2048, 65536])
+def test_basis_is_the_reference_and_contains_the_exact_construction(prec):
+    (re, im, rad), e = _basis(prec)
+    got = [(Fraction(x, 2 ** e), Fraction(y, 2 ** e), Fraction(r, 2 ** e))
+           for x, y, r in zip(re, im, rad)]
+    assert e == prec + 8
+    assert got == _reference_basis(prec)
+    for (x, y, r), (u, v, s) in zip(got, _exact_construction_basis(prec)):
+        # the disc (u + v i, s) lies inside (x + y i, r)
+        assert s <= r and (x - u) ** 2 + (y - v) ** 2 <= (r - s) ** 2
 
 
 def _truncate(q, digits):
@@ -584,6 +628,14 @@ def test_embed_dot_product_matches_the_fraction_ball_sum(x, prec, digits):
     assert _triple(b) == ref
     assert _real_range(b) == (ref[0] - ref[2], ref[0] + ref[2])
     assert b.decimal(digits) == (_truncate(ref[0], digits), _truncate(ref[1], digits))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(_tall(), _elems), st.sampled_from([16, 128, 2048, 65536]))
+def test_real_and_imaginary_elements_embed_with_an_exact_zero_part(x, prec):
+    # a real element prints "0.000...", never "-0.000...", as its imaginary part
+    assert embed(x + x.conjugate(), prec).im_n == 0
+    assert embed(x - x.conjugate(), prec).re_n == 0
 
 
 def test_embed_takes_no_gcd_and_builds_no_fraction():

@@ -108,6 +108,25 @@ def _many_params(p):
                         intlat.standard_symplectic(4)).to_json()
 
 
+def _tall_family(g, bits):
+    """The JSON of (I | Z), Z symmetric, every tower coordinate of Z a
+    seeded fraction with numerator and denominator of up to `bits` bits."""
+    from fractions import Fraction
+    from cycloperiods import intlat
+    from cycloperiods.exactfield import TowerElem
+    from cycloperiods.periods import PeriodMatrix
+    rng = random.Random(bits)
+    Z = [[None] * g for _ in range(g)]
+    for i in range(g):
+        for j in range(i, g):
+            q = [Fraction(rng.getrandbits(bits), rng.getrandbits(bits) | 1)
+                 for _ in range(8)]
+            Z[i][j] = Z[j][i] = TowerElem(q[:4], q[4:])
+    entries = [[int(j == i) if j < g else Z[i][j - g] for j in range(2 * g)]
+               for i in range(g)]
+    return PeriodMatrix(g, [], entries, intlat.standard_symplectic(g)).to_json()
+
+
 # each placeholder stands for a file holding the JSON its function builds
 FILES = {
     FAMILY: _family,
@@ -118,6 +137,8 @@ FILES = {
     "<(I | tau I) at g = 16>": lambda: _split_family(16),
     "<dense (I | Z) at g = 16>": lambda: _dense_family(16),
     "<g = 4 matrix with 150 parameters>": lambda: _many_params(150),
+    "<(I | Z) at g = 6 with 1,000-bit entries>": lambda: _tall_family(6, 1000),
+    "<(I | Z) at g = 4 with 4,000-bit entries>": lambda: _tall_family(4, 4000),
 }
 
 # (arguments, exit code, SHA-256 of stdout)
@@ -202,6 +223,11 @@ HOSTILE = [
     (["tools", "riemann-check", "--file", "<dense (I | Z) at g = 16>"], 2),
     (["tools", "riemann-check", "--file", "<g = 4 matrix with 150 parameters>",
       *[a for k in range(150) for a in ("--at", f"t{k}=1")]], 2),
+    # and entries past cli.MAX_RIEMANN_MATRIX_BITS: 8 and 8.5 s unbounded
+    (["tools", "riemann-check", "--file", "<(I | Z) at g = 6 with 1,000-bit entries>"], 2),
+    (["tools", "riemann-check", "--file", "<(I | Z) at g = 4 with 4,000-bit entries>"], 2),
+    # every embed at cli.MAX_PREC
+    (["verify", "--only", "positivity", "--prec", "65536"], 0),
 ]
 HOSTILE_BUDGET_S = 2.0
 
