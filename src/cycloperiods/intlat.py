@@ -4,13 +4,15 @@ Matrices are plain lists of lists (rows).  The two generic routines,
 matmul and inverse, take int, Fraction or TowerElem entries in any mix;
 everything else works on integer or rational matrices.  Sizes stay small
 (16x16 for the package's own data, at most MAX_JSON_DIM on a side from
-JSON input), so the classical elementary-operation algorithms are used
-throughout with no modular tricks.  The two lattice workhorses are
-Smith normal form with transforms, whose divisors also give the rank and
-|det| of an integer matrix (H. Cohen, GTM 138, 2.4), and a symplectic
-(Frobenius) basis for alternating forms.  The four elementary
-row and column moves are defined once here, and pel's Hermitian
-congruence reduction uses them too.
+JSON input), so elementary-operation algorithms are used throughout with
+no modular tricks.  The two lattice workhorses are Smith normal form with
+transforms, whose divisors also give the rank and |det| of an integer
+matrix (H. Cohen, GTM 138, 2.4), and a symplectic (Frobenius) basis for
+alternating forms.  Nearest-integer Euclid steps hold the Smith
+transforms to about 3.5, 6 and 10 times rows x bits of the input at 8,
+16 and 32 rows; the symplectic basis, with floor quotients, can grow
+far past its divisors.  The four elementary row and column moves are
+defined once here, and pel's Hermitian congruence reduction uses them.
 """
 
 from fractions import Fraction
@@ -95,10 +97,10 @@ def mat_to_json(A):
     return {"rows": len(A), "cols": len(A[0]), "data": [list(r) for r in A]}
 
 
-# most rows or columns a matrix read from JSON may have.  symplectic_basis
-# on entries in [-9, 9] takes 0.011 s at 32 x 32; what limits the size is
-# smith_normal_form, whose transforms grow with the entries: 0.15 s at
-# 32 x 32 with 3-digit entries, but 2.1 s at 16 x 16 with 30-digit ones
+# most rows or columns a matrix read from JSON may have; cli bounds the
+# height of its entries.  At 32 x 32 symplectic_basis takes 0.02 s on
+# entries in [-9, 9] and smith_normal_form 0.05-0.07 s on 3-digit ones;
+# at 16 x 16 with 30-digit entries smith_normal_form takes 0.07-0.09 s
 # (Python 3.11, 2-core Xeon VM)
 MAX_JSON_DIM = 32
 
@@ -174,51 +176,55 @@ def _add_col(mats, dst, src, c):
 
 # -- Smith normal form -------------------------------------------------
 
+def _euclid(mats, t, line, swap, add):
+    """Clear line()[k], k > t, by Euclid steps: swap an entry of least
+    absolute value into t and subtract its nearest-integer multiple from
+    the others, which leaves each at most half of it."""
+    while any((vals := line())[t + 1:]):
+        p = min((abs(v), k) for k, v in enumerate(vals) if v and k >= t)[1]
+        swap(mats, t, p)
+        vals[t], vals[p] = vals[p], vals[t]
+        b = vals[t]
+        for k in range(t + 1, len(vals)):
+            q = (2 * vals[k] + b) // (2 * b)
+            if q:
+                add(mats, k, t, -q)
+
+
 def smith_normal_form(A):
     """(U, D, V) with U*A*V = D, U and V unimodular, diagonal divisor chain.
 
-    Pivoting always picks a minimal nonzero entry of the remaining block,
-    which keeps the intermediate entries small at these sizes.
+    The first nonzero column of the block moves to t, and Euclid steps
+    clear column t below the pivot and row t to its right, in turn, until
+    both are zero; a row the pivot does not divide is added to row t, and
+    the clearing resumes with a smaller pivot.  Nearest-integer quotients
+    keep U and V small (Kannan and Bachem, SIAM J. Comput. 8(4), 1979).
     """
     m, n = len(A), len(A[0])
     D = [[int(x) for x in row] for row in A]
     U = identity(m)
     V = identity(n)
-    t = 0
-    while t < min(m, n):
-        piv, best = None, None
-        for i in range(t, m):
-            for j in range(t, n):
-                if D[i][j] and (best is None or abs(D[i][j]) < best):
-                    best, piv = abs(D[i][j]), (i, j)
-        if piv is None:
+    column, row = (lambda: [r[t] for r in D]), (lambda: list(D[t]))
+    for t in range(min(m, n)):
+        col = next((j for j in range(t, n)
+                    if any(D[i][j] for i in range(t, m))), None)
+        if col is None:
             break
-        _swap_rows((D, U), t, piv[0])
-        _swap_cols((D, V), t, piv[1])
-        dirty = False
-        for i in range(t + 1, m):
-            if D[i][t]:
-                _add_row((D, U), i, t, -(D[i][t] // D[t][t]))
-                dirty = dirty or D[i][t] != 0
-        for j in range(t + 1, n):
-            if D[t][j]:
-                _add_col((D, V), j, t, -(D[t][j] // D[t][t]))
-                dirty = dirty or D[t][j] != 0
-        if dirty:
-            continue
-        # enforce the divisor chain before moving on
-        bad = None
-        for i in range(t + 1, m):
-            if any(D[i][j] % D[t][t] for j in range(t + 1, n)):
-                bad = i
+        _swap_cols((D, V), t, col)
+        while True:
+            _euclid((D, U), t, column, _swap_rows, _add_row)
+            _euclid((D, V), t, row, _swap_cols, _add_col)
+            if any(column()[t + 1:]):
+                continue
+            # enforce the divisor chain before moving on
+            bad = next((i for i in range(t + 1, m)
+                        if any(D[i][j] % D[t][t] for j in range(t + 1, n))), None)
+            if bad is None:
                 break
-        if bad is not None:
             _add_row((D, U), t, bad, 1)
-            continue
         if D[t][t] < 0:
             D[t] = [-x for x in D[t]]
             U[t] = [-x for x in U[t]]
-        t += 1
     return U, D, V
 
 

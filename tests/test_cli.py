@@ -442,7 +442,7 @@ _TOO_TALL = json.dumps([[0]] * 33)
     '{"rows": 1, "cols": 1, "data": [[[1, 0]]]}',     # zero denominator
     '{"rows": 1, "cols": 1, "data": [[true]]}',
     '{"rows": 33, "cols": 1, "data": %s}' % _TOO_TALL,
-    # accepted entries whose Smith transforms pass the digit limit
+    # 4,000-digit entries, past both height bounds
     "[[%s,%s],[%s,1]]" % ("9" * 4000, "7" * 4000, "3" * 3999),
 ])
 def test_tools_reject_hostile_matrices(runner, command, blob):
@@ -456,6 +456,19 @@ def test_tools_accept_the_largest_matrices(runner):
     result = runner.invoke(cli.main, ["tools", "snf", "--matrix", blob])
     assert result.exit_code == 0
     assert json.loads(result.output)["divisors"] == [0] * 32
+
+
+@pytest.mark.parametrize("command, bound", [
+    ("snf", cli.MAX_SNF_HEIGHT_BITS),
+    ("symplectic-basis", cli.MAX_SYMPLECTIC_HEIGHT_BITS)])
+def test_tools_bound_the_matrix_height(runner, command, bound):
+    # two rows, so the largest entry may have bound / 2 bits
+    for bits, code in ((bound // 2, 0), (bound // 2 + 1, 2)):
+        x = 1 << (bits - 1)
+        blob = json.dumps([[0, x], [-x, 0]])
+        result = runner.invoke(cli.main, ["tools", command, "--matrix", blob])
+        assert result.exit_code == code, _text(result)
+        assert (f"passes {bound}" in _text(result)) == (code == 2)
 
 
 def test_tools_symplectic_basis(runner):

@@ -44,15 +44,25 @@ SNF_8 = [[-4, 14, -3, 2, 6, -6, -6, 3],
          [34, 52, -33, -8, 36, 3, 15, 15]]
 
 
-def seeded_form(n):
-    """An n x n alternating form with entries in [-9, 9], seeded by n."""
+def seeded_form(n, digits=1):
+    """An n x n alternating form with entries of up to `digits` decimal
+    digits, seeded by n."""
     rng = random.Random(n)
+    top = 10 ** digits - 1
     E = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            E[i][j] = rng.randint(-9, 9)
+            E[i][j] = rng.randint(-top, top)
             E[j][i] = -E[i][j]
     return E
+
+
+def seeded_matrix(n, digits):
+    """An n x n integer matrix with entries of up to `digits` decimal
+    digits, seeded by n."""
+    rng = random.Random(n)
+    top = 10 ** digits - 1
+    return [[rng.randint(-top, top) for _ in range(n)] for _ in range(n)]
 
 
 def _family():
@@ -139,6 +149,9 @@ FILES = {
     "<g = 4 matrix with 150 parameters>": lambda: _many_params(150),
     "<(I | Z) at g = 6 with 1,000-bit entries>": lambda: _tall_family(6, 1000),
     "<(I | Z) at g = 4 with 4,000-bit entries>": lambda: _tall_family(4, 4000),
+    "<32 x 32 matrix with 30-digit entries>": lambda: seeded_matrix(32, 30),
+    "<4 x 4 matrix with 300-digit entries>": lambda: seeded_matrix(4, 300),
+    "<32 x 32 form with 300-digit entries>": lambda: seeded_form(32, 300),
 }
 
 # (arguments, exit code, SHA-256 of stdout)
@@ -171,7 +184,7 @@ GOLDEN = [
       "--at", "tau=i", "--at", "z1=1", "--at", "z2=0"], 1,
      "e052e57565adf56bf2b44c170e0645db10ac2a37b7e054fcba716f67d1b586ba"),
     (["tools", "snf", "--file", "<fixed 8 x 8 matrix>"], 0,
-     "3c1daaec40a17c245f3248dd34ea8ddb476d9c0c17d2d6a58abbc84ea09821c2"),
+     "2f60ee4dd13833ef43a80996f1e511b120bcd0e464d7ee75949decd867065ba5"),
     (["tools", "symplectic-basis", "--file", "<6 x 6 Prym form>"], 0,
      "def3fa6d74865f434818f4b173f016f071042eb14f90d98c65aab470469fc5cc"),
     (["tools", "symplectic-basis", "--file", "<seeded 16 x 16 form>"], 0,
@@ -185,13 +198,18 @@ GOLDEN = [
 ]
 
 
-def _run(args, tmp_path):
-    """The CLI on args in a fresh interpreter; placeholders become files."""
+def _materialize(args, tmp_path):
+    """args with each placeholder replaced by a file holding its JSON."""
     for k, placeholder in enumerate(FILES):
         if placeholder in args:
             path = tmp_path / f"input{k}.json"
             path.write_text(json.dumps(FILES[placeholder]()))
             args = [str(path) if a == placeholder else a for a in args]
+    return args
+
+
+def _run(args):
+    """The CLI on args in a fresh interpreter."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -203,7 +221,7 @@ def _run(args, tmp_path):
 @pytest.mark.parametrize("args, code, digest", GOLDEN,
                          ids=[" ".join(a) for a, _, _ in GOLDEN])
 def test_output_is_byte_identical(args, code, digest, tmp_path):
-    proc = _run(args, tmp_path)
+    proc = _run(_materialize(args, tmp_path))
     assert proc.returncode == code, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
@@ -228,6 +246,12 @@ HOSTILE = [
     (["tools", "riemann-check", "--file", "<(I | Z) at g = 4 with 4,000-bit entries>"], 2),
     # every embed at cli.MAX_PREC
     (["verify", "--only", "positivity", "--prec", "65536"], 0),
+    # matrices past cli.MAX_SNF_HEIGHT_BITS and MAX_SYMPLECTIC_HEIGHT_BITS;
+    # unbounded they took over 30 s, 5.3 s (minimal-pivot SNF) and 15.2 s
+    (["tools", "snf", "--file", "<32 x 32 matrix with 30-digit entries>"], 2),
+    (["tools", "snf", "--file", "<4 x 4 matrix with 300-digit entries>"], 2),
+    (["tools", "symplectic-basis", "--file",
+      "<32 x 32 form with 300-digit entries>"], 2),
 ]
 HOSTILE_BUDGET_S = 2.0
 
@@ -235,8 +259,9 @@ HOSTILE_BUDGET_S = 2.0
 @pytest.mark.parametrize("args, code", HOSTILE,
                          ids=[" ".join(a) for a, _ in HOSTILE])
 def test_hostile_input_finishes_within_budget(args, code, tmp_path):
+    args = _materialize(args, tmp_path)
     start = time.perf_counter()
-    proc = _run(args, tmp_path)
+    proc = _run(args)
     elapsed = time.perf_counter() - start
     assert proc.returncode == code, proc.stderr.decode()
     assert b"Traceback" not in proc.stderr
