@@ -216,9 +216,9 @@ def smith_normal_form(A):
             _euclid((D, V), t, row, _swap_cols, _add_col)
             if any(column()[t + 1:]):
                 continue
-            # enforce the divisor chain before moving on
-            bad = next((i for i in range(t + 1, m)
-                        if any(D[i][j] % D[t][t] for j in range(t + 1, n))), None)
+            # enforce the divisor chain before moving on; a unit divides all
+            bad = next((i for i in range(t + 1, m) if abs(D[t][t]) != 1
+                        and any(D[i][j] % D[t][t] for j in range(t + 1, n))), None)
             if bad is None:
                 break
             _add_row((D, U), t, bad, 1)
@@ -263,11 +263,13 @@ def inverse(A):
 
 
 def unimodular_inverse(A):
-    """The integer inverse of an integer matrix of determinant +-1."""
-    inv = inverse(A)
-    if inv is None or any(x.denominator != 1 for row in inv for x in row):
+    """The integer inverse V U of A, det A = +-1, from its Smith form U A V = I."""
+    if any(len(row) != len(A) for row in A):
+        raise ValueError("matrix is not square")
+    U, D, V = smith_normal_form(A)
+    if any(D[i][i] != 1 for i in range(len(A))):
         raise ValueError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in inv]
+    return matmul(V, U)
 
 
 # -- symplectic basis ----------------------------------------------------

@@ -299,7 +299,7 @@ class Conventions:
 
 
 def _family_coeffs(W, conv):
-    """The 3x6 coefficient matrices (constant, z1, z2) of the family.
+    """The 3x6 coefficient matrices (constant, z1, z2) of the family, grouped.
 
     Columns are the images of u_k and rho u_k; row 1 is
     z1 W_1 + z2 W_2 + W_3, rows 2 and 3 are d conj(W_1) + z1 conj(W_3)
@@ -315,17 +315,14 @@ def _family_coeffs(W, conv):
         mults = [RHO, RHO.conjugate(), RHO.conjugate()]
     else:
         mults = [RHO.conjugate(), RHO, RHO]
-    out = []
-    for C in (const, z1, z2):
-        rows = []
-        for row, m in zip(C, mults):
-            shifted = [x * m for x in row]
-            if conv.column_order == "grouped":
-                rows.append(list(row) + shifted)
-            else:
-                rows.append([x for pair in zip(row, shifted) for x in pair])
-        out.append(rows)
-    return out
+    return [[list(row) + [x * m for x in row] for row, m in zip(C, mults)]
+            for C in (const, z1, z2)]
+
+
+def _interleaved(family):
+    """family with its columns in the order u1, rho u1, u2, rho u2, u3, rho u3."""
+    coeffs = [[[row[k] for k in (0, 3, 1, 4, 2, 5)] for row in C] for C in family.coeffs]
+    return PeriodMatrix.from_coeffs(3, family.params, coeffs, family.polarization)
 
 
 def family_periods(W, module, conv):
@@ -334,8 +331,9 @@ def family_periods(W, module, conv):
     Columns are indexed by (u1, u2, u3, rho u1, rho u2, rho u3), so the
     polarization is the full trace-pairing Gram matrix of the module.
     """
-    return PeriodMatrix.from_coeffs(3, ("z1", "z2"), _family_coeffs(W, conv),
-                                    module.g0full)
+    family = PeriodMatrix.from_coeffs(3, ("z1", "z2"), _family_coeffs(W, conv),
+                                      module.g0full)
+    return _interleaved(family) if conv.column_order == "interleaved" else family
 
 
 class MatchResult:
@@ -364,7 +362,7 @@ class MatchResult:
         return real_sign(1 - self.ball_norm()) > 0
 
 
-def match_solver(family, target):
+def match_solver(family, target, row1=None):
     """Solve C * family(z1, z2) = target exactly.
 
     family: PeriodMatrix affine in z1, z2; target: 3x6 tower matrix.  The
@@ -372,13 +370,16 @@ def match_solver(family, target):
     (c11 z1, c11 z2, c11) at once; the remaining two rows each give an
     overdetermined 2x2 linear system.  Every one of the 18 entries is
     then verified; any residual raises MatchError carrying the offending
-    entries.
+    entries.  Calls sharing a dict row1 invert each row-1 matrix once.
     """
     if family.params != ("z1", "z2"):
         raise ValueError(f"family parameters {family.params} are not (z1, z2)")
     P0, P1, P2 = family.coeffs
-    Wx = [P1[0][:3], P2[0][:3], P0[0][:3]]
-    Winv = intlat.inverse(Wx)
+    Wx = (P1[0][:3], P2[0][:3], P0[0][:3])
+    row1 = {} if row1 is None else row1
+    if Wx not in row1:
+        row1[Wx] = intlat.inverse(Wx)
+    Winv = row1[Wx]
     if Winv is None:
         raise MatchError("row-1 coefficient matrix singular")
     w = intlat.matmul(intlat.transpose(Winv), [[x] for x in target[0][:3]])
@@ -419,17 +420,20 @@ def resolve_conventions(W, module, target):
 
     Tries every (embedding, I2 reading, column order) combination and
     keeps those whose family admits an exact match against the target.
-    Exactly one must survive, and (conventions, match, family) of it is
-    returned; anything else raises ConventionError.
+    An order only permutes the columns of one of four coefficient sets,
+    and the row-1 matrices the candidates share (W's rows in all grouped
+    ones) are inverted once.  Exactly one must survive, and (conventions,
+    match, family) of it is returned; anything else raises ConventionError.
     """
-    winners = []
+    winners, row1 = [], {}
     for emb_choice in ("sigma", "sigmabar"):
         for i2 in ("identity", "i-identity"):
-            for order in ("grouped", "interleaved"):
+            grouped = family_periods(W, module, Conventions(emb_choice, i2))
+            for order, family in (("grouped", grouped),
+                                  ("interleaved", _interleaved(grouped))):
                 conv = Conventions(emb_choice, i2, order)
-                family = family_periods(W, module, conv)
                 try:
-                    sol = match_solver(family, target)
+                    sol = match_solver(family, target, row1)
                 except MatchError:
                     continue
                 winners.append((conv, sol, family))

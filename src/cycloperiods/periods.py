@@ -2,7 +2,7 @@
 
 A PeriodMatrix is stored as P = P_0 + sum_k t_k P_k: one dense g x 2g
 tower matrix for the constant part and one per declared parameter, in
-params order.  Every product goes through intlat.matmul, which takes
+params order.  Whole products go through intlat.matmul, which takes
 int, Fraction or TowerElem entries and skips zero factors, so a sparse
 rational polarization inverse, lattice action or base change costs only
 its nonzero entries.  Each tower entry of a product, an evaluation, the
@@ -11,16 +11,16 @@ integer coordinates and reduced once (delayed reduction).  AffineForm is
 the entry type of the JSON format and of the derived `entries` view.
 
 Both Riemann relations are quadratic in the parameters (t_0 = 1 for the
-constant), so they are decided from the constant products P_a E^-1 P_b^T
-and P_a E^-1 conj(P_b)^T, each built when first needed and kept on the
-PeriodMatrix.  With M_ab = P_a E^-1 P_b^T, P E^-1 P^T = 0 holds
-identically when M_aa = 0 for each a and, E^-1 being antisymmetric,
-M_ab = M_ab^T for each a < b (the coefficient of t_a t_b is M_ab + M_ba).
+constant), so they are decided from constant products of X_a = P_a E^-1
+and P_b, built when first needed and kept on the PeriodMatrix, each entry
+one dot.  With M_ab = X_a P_b^T, P E^-1 P^T = 0 holds identically when
+each coefficient C_ab of t_a t_b (M_aa, or M_ab + M_ba if a < b) is 0;
+C_ab is antisymmetric as E^-1 is, and only its entries i < j are formed.
 The Hermitian form of the second relation at a point is, up to sign,
-i sum_ab t_a conj(t_b) P_a E^-1 conj(P_b)^T; real_sign settles the exact
-signs of its leading minors (one zero-skipping expansion), and a precision
-only sizes the decimal ranges printed next to the verdict.  An
-intertwining A P = P R holds when A P_k = P_k R for every k.
+i sum_ab t_a conj(t_b) K_ab, K_ab = X_a conj(P_b)^T (of K_aa only i <= j);
+real_sign settles the exact signs of its leading minors (one zero-skipping
+expansion), and a precision only sizes the decimal ranges printed next to
+the verdict.  An intertwining A P = P R holds when A P_k = P_k R for all k.
 """
 
 import math
@@ -285,14 +285,29 @@ def _rational_inverse(M):
 
 
 def _product(pm, a, b, conj):
-    """P_a E^{-1} P_b^T, or P_a E^{-1} conj(P_b)^T if conj, cached on pm."""
-    cache = pm._products
-    if (a, b, conj) not in cache:
+    """K_ab = X_a conj(P_b)^T if conj, else the coefficient C_ab of t_a t_b
+    in P E^{-1} P^T, cached on pm with X_a = P_a E^{-1}.  Each entry formed
+    is one dot: C_ab's entries i < j (negated below, see the module
+    docstring) and K_ab's, of K_aa only i <= j (None below)."""
+    cache, g = pm._products, pm.g
+    key = ("gram" if conj else "relation", a, b)
+    if key not in cache:
         if a not in cache:
             cache[a] = intlat.matmul(pm.coeffs[a], _polarization_inverse(pm))
-        P = tower_conj(pm.coeffs[b]) if conj else pm.coeffs[b]
-        cache[a, b, conj] = intlat.matmul(cache[a], intlat.transpose(P))
-    return cache[a, b, conj]
+        X, P = cache[a], tower_conj(pm.coeffs[b]) if conj else pm.coeffs[b]
+
+        def pairs(i, j, s=1):   # the products summed in s * (X_a P^T)[i][j]
+            return [(x, y if s == 1 else -y) for x, y in zip(X[i], P[j]) if x and y]
+        C = [[None if conj else ZERO] * g for _ in range(g)]
+        for i in range(g):
+            for j in range(g):
+                if conj and (a != b or i <= j):
+                    C[i][j] = dot(pairs(i, j))
+                elif not conj and i < j:
+                    C[i][j] = dot(pairs(i, j) + (pairs(j, i, -1) if a != b else []))
+                    C[j][i] = -C[i][j]
+        cache[key] = C
+    return cache[key]
 
 
 def riemann_first_relation(pm):
@@ -305,16 +320,9 @@ def riemann_first_relation(pm):
     the relation holds identically.
     """
     names = [()] + [(p,) for p in pm.params]
-    g = pm.g
-    out = {}
-    for a in range(len(names)):
-        for b in range(a, len(names)):
-            M = _product(pm, a, b, False)
-            if a != b:
-                M = [[M[i][j] - M[j][i] for j in range(g)] for i in range(g)]
-            if any(x for row in M for x in row):
-                out[tuple(sorted(names[a] + names[b]))] = M
-    return out
+    coeffs = {tuple(sorted(names[a] + names[b])): _product(pm, a, b, False)
+              for a in range(len(names)) for b in range(a, len(names))}
+    return {m: M for m, M in coeffs.items() if any(x for row in M for x in row)}
 
 
 def first_relation_holds(pm):

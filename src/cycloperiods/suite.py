@@ -226,6 +226,8 @@ def _check_positivity(ctx, strict):
     evidence = {}
     verdicts = []
     for name, pm, pt in points:
+        if pm is not g4:    # built per run, read at 1-3 points: one product each
+            pm, pt = pm.subs(pt), {}
         verdict, minors = periods.riemann_positivity(
             pm, pt, prec=ctx.prec, sign=stcurve.POSITIVITY_SIGN)
         verdicts.append(verdict)
@@ -375,9 +377,8 @@ def _check_display_audit(ctx, strict):
     c11_ok = ctx.match.coeffs["c11"] == stcurve.MATCH_COEFFS["c11"]
 
     res = pel.defw_residual(stcurve.REF_STANDALONE_W, ctx.skew_form)
-    diverg["standalone_W_residual"] = [[i, j] for i in range(3)
-                                       for j in range(3)
-                                       if not res[i][j].is_zero()]
+    diverg["standalone_W_residual"] = [[i, j, str(x)] for i, row in enumerate(res)
+                                       for j, x in enumerate(row) if x]
 
     diverg["special_matrix"] = _diff_entries(stcurve.PRYM_SPECIAL,
                                              stcurve.REF_PRYM_SPECIAL)
@@ -386,10 +387,9 @@ def _check_display_audit(ctx, strict):
                                                stcurve.REF_CYCLE_COMBOS)
     diverg["cycle_display_failed_checks"] = [cid for cid, passed
                                              in ref_results if not passed]
-    ref_cols = intlat.transpose(stcurve.REF_CYCLE_COMBOS)
-    cols = intlat.transpose(stcurve.CYCLE_COMBOS)
-    diverg["cycle_combos"] = [j for j in range(len(cols))
-                              if ref_cols[j] != cols[j]]
+    ref = stcurve.REF_CYCLE_COMBOS
+    diverg["cycle_combos"] = [[i, j, ref[i][j]]
+                              for i, j in _diff_entries(ref, stcurve.CYCLE_COMBOS)]
 
     diverg["family_lattice_coords"] = _diff_entries(
         ctx.prym_family.entries, stcurve.PRYM_FAMILY_DISPLAY)

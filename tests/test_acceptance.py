@@ -118,7 +118,13 @@ def test_criterion_13_display_audit():
     assert div["family_module_coords"] == [[1, 2], [1, 5]]
     assert div["special_matrix"] == [[1, 1]]
     assert div["standalone_W_residual"] == [
-        [1, 1], [1, 2], [2, 1], [2, 2]]
+        [1, 1, "3 + -6*z^2 + 9*z^3"], [1, 2, "z^2 + -3*z^3"],
+        [2, 1, "-1 + z^2 + -3*z^3"], [2, 2, "-3 + 6*z^2 + -10*z^3"]]
     assert div["cycle_display_failed_checks"] == ["combo-gram"]
-    assert div["cycle_combos"] == [2, 3, 6, 7]      # e3, e4, e7, e8
+    # (loop, column, displayed coefficient) in e3, e4, e7, e8
+    assert div["cycle_combos"] == [
+        [0, 2, 1], [0, 6, 0], [1, 3, 1], [2, 2, -1], [2, 6, 1], [2, 7, 0],
+        [4, 2, 1], [4, 6, -1], [4, 7, 0], [5, 2, 1], [7, 3, -1], [8, 6, 0],
+        [10, 2, 0], [10, 3, 0], [10, 7, 0], [11, 2, 0]]
+    assert sorted({j for _, j, _ in div["cycle_combos"]}) == [2, 3, 6, 7]
     assert len(div["family_lattice_coords"]) == 13

@@ -157,9 +157,9 @@ FILES = {
 # (arguments, exit code, SHA-256 of stdout)
 GOLDEN = [
     (["verify", "--json"], 0,
-     "1df2f9acb824e22b53e89f313391026e0d16e06dad6186c33b66a54ed1888347"),
+     "da8e6c06febbb7029b98cf809cc971171e7d05ea2974ddb885e2266c0464c367"),
     (["verify", "--json", "--prec", "512"], 0,
-     "5995d8d1bdc739942c9bb761af1d3000bacae0f82fcfed320671d5053bde9a12"),
+     "bbbc69eaf65d73a784bf8f1a5fd59346c0e5e2338d3641b5135c03af61781774"),
     (["verify", "--only", "positivity", "--prec", "2048", "--json"], 0,
      "8da40b78342e26658f43a4ac81b43cee4f73219c319fb94a63fc071177403811"),
     (["emit", "genus4", *POINT, "--format", "decimal", "--prec", "2048"], 0,
@@ -167,7 +167,7 @@ GOLDEN = [
     (["emit", "prym", "--special", "--format", "decimal", "--prec", "300"], 0,
      "d2884929566d4e8b89b8affd41bb2ef70d13d990d1011c2c1f44da2a7ba35135"),
     (["verify", "--strict", "--json"], 1,
-     "7a8f85098852454bee6cccb53820d26cce8679d86038e70819fb70661d278a12"),
+     "1c3430756e6296524898ddd3ca53fab7536a0beecab5aee529a0768ac9d3cc4e"),
     (["verify"], 0,
      "6b69cade9cb2c47b51257eb3104d5a16cf6eed7a425c5d33b0b6c057eb893ef4"),
     (["emit", "genus4", "--tau", "i"], 0,

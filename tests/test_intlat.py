@@ -229,6 +229,39 @@ def test_unimodular_inverse():
             intlat.unimodular_inverse(A)
 
 
+def _seeded_unimodular(rng, n):
+    """I moved by seeded row additions, swaps and sign changes: det +-1."""
+    A = intlat.identity(n)
+    for _ in range(4 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            c = rng.randint(-3, 3)
+            A[i] = [a + c * b for a, b in zip(A[i], A[j])]
+            A[i], A[j] = A[j], A[i]
+        else:
+            A[i] = [-a for a in A[i]]
+    return A
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_unimodular_inverse_inverts_seeded_unimodular_matrices(n):
+    rng = random.Random(n)
+    for _ in range(5):
+        A = _seeded_unimodular(rng, n)
+        inv = intlat.unimodular_inverse(A)
+        assert all(type(x) is int for row in inv for x in row)
+        assert intlat.matmul(A, inv) == intlat.matmul(inv, A) == intlat.identity(n)
+        # a row doubled (det +-2) or copied onto another (det 0) is refused
+        bad = [[2 * x for x in A[0]]] + A[1:]
+        with pytest.raises(ValueError, match="not unimodular"):
+            intlat.unimodular_inverse(bad)
+        if n > 1:
+            with pytest.raises(ValueError, match="not unimodular"):
+                intlat.unimodular_inverse([A[1]] + A[1:])
+        with pytest.raises(ValueError, match="not square"):
+            intlat.unimodular_inverse(A[1:] if n > 1 else [[1, 0]])
+
+
 def test_matmul_skips_zero_factors_and_mixes_entry_types():
     A = [[2, 0], [Fraction(1, 3), IUNIT]]
     B = [[IUNIT, 0], [0, Fraction(3, 2)]]

@@ -106,3 +106,31 @@ def test_each_genus4_mutant_changes_a_verdict(monkeypatch, verdicts, k, i, j):
     monkeypatch.setattr(stcurve, "GENUS4", PeriodMatrix.from_coeffs(
         pm.g, pm.params, coeffs, pm.polarization))
     assert _verdicts() != verdicts
+
+
+def _unseen_display_mutants(monkeypatch, name):
+    """The +1 mutants of the displayed constant stcurve.<name> that leave
+    the strict display audit byte-identical."""
+    rows = getattr(stcurve, name)
+    base = suite.run_all(strict=True, only="errata").dumps()
+    unseen = []
+    for i, row in enumerate(rows):
+        for j in range(len(row)):
+            monkeypatch.setattr(stcurve, name, [
+                [x + 1 if (r, c) == (i, j) else x for c, x in enumerate(rw)]
+                for r, rw in enumerate(rows)])
+            if suite.run_all(strict=True, only="errata").dumps() == base:
+                unseen.append((i, j))
+    return unseen
+
+
+def test_each_standalone_w_mutant_changes_the_display_audit(monkeypatch):
+    # the residual's values, not only its nonzero positions, are evidence
+    assert sum(map(len, stcurve.REF_STANDALONE_W)) == 9
+    assert _unseen_display_mutants(monkeypatch, "REF_STANDALONE_W") == []
+
+
+def test_each_cycle_combo_mutant_changes_the_display_audit(monkeypatch):
+    # a slip inside a column that already differs shows as its own entry
+    assert sum(map(len, stcurve.REF_CYCLE_COMBOS)) == 96
+    assert _unseen_display_mutants(monkeypatch, "REF_CYCLE_COMBOS") == []

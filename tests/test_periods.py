@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -131,6 +132,78 @@ def test_first_relation_and_intertwining_detect_each_coefficient(
         assert not periods.first_relation_holds(broken)
         assert sorted(periods.riemann_first_relation(broken)) == want
         assert not periods.intertwines(broken, A, R)
+
+
+def _dense_first_relation(pm):
+    """The nonzero coefficients of P E^-1 P^T by plain sums: P_a E^-1 P_a^T,
+    and P_a E^-1 P_b^T + P_b E^-1 P_a^T for a < b."""
+    Einv = intlat.inverse(pm.polarization)
+    n = 2 * pm.g
+
+    def M(a, b):
+        A, B = pm.coeffs[a], pm.coeffs[b]
+        return [[sum((A[i][k] * Einv[k][l] * B[j][l] for k in range(n)
+                      for l in range(n) if Einv[k][l]), ZERO)
+                 for j in range(pm.g)] for i in range(pm.g)]
+
+    names = [()] + [(p,) for p in pm.params]
+    out = {}
+    for a in range(len(names)):
+        for b in range(a, len(names)):
+            C = M(a, a) if a == b else [[x + y for x, y in zip(r, s)]
+                                        for r, s in zip(M(a, b), M(b, a))]
+            if any(x for row in C for x in row):
+                out[tuple(sorted(names[a] + names[b]))] = C
+    return out
+
+
+def _seeded_elem(rng, top=4):
+    """A tower element with seeded small rational coordinates, many 0."""
+    q = [Fraction(rng.randint(-top, top), rng.randint(1, top)) if rng.random() < 0.6
+         else Fraction(0) for _ in range(8)]
+    return TowerElem(q[:4], q[4:])
+
+
+def test_first_relation_matches_the_dense_sums_on_the_suite_matrices():
+    ctx = suite.SuiteContext(128)
+    for pm in (stcurve.GENUS4, stcurve.PRYM_SPECIAL_MATRIX, ctx.family_u,
+               ctx.prym_family, ctx.genus4_family):
+        fresh = PeriodMatrix.from_coeffs(pm.g, pm.params, pm.coeffs,
+                                         pm.polarization)
+        assert periods.riemann_first_relation(fresh) == _dense_first_relation(pm) == {}
+
+
+@pytest.mark.parametrize("name", ["prym_family", "genus4_family"])
+def test_first_relation_matches_the_dense_sums_where_it_fails(name):
+    pm = getattr(suite.SuiteContext(128), name)
+    rng = random.Random(name)
+    failing = 0
+    while failing < 20:
+        # one to three entries of seeded coefficient matrices moved
+        coeffs = [[list(row) for row in C] for C in pm.coeffs]
+        for _ in range(rng.randint(1, 3)):
+            k, i, j = (rng.randrange(len(coeffs)), rng.randrange(pm.g),
+                       rng.randrange(2 * pm.g))
+            coeffs[k][i][j] = coeffs[k][i][j] + _seeded_elem(rng)
+        broken = PeriodMatrix.from_coeffs(pm.g, pm.params, coeffs,
+                                          pm.polarization)
+        want = _dense_first_relation(broken)
+        assert periods.riemann_first_relation(broken) == want
+        failing += bool(want)
+
+
+@pytest.mark.parametrize("name", ["prym_family", "genus4_family"])
+def test_positivity_after_substitution_matches_the_family(name):
+    pm = getattr(suite.SuiteContext(128), name)
+    rng = random.Random(name)
+    for _ in range(20):
+        # small points, many inside the ball, and tau near the upper half plane
+        point = {p: _seeded_elem(rng) * Fraction(1, 8) for p in pm.params}
+        if "tau" in point:
+            point["tau"] = point["tau"] + IUNIT * rng.randint(1, 3)
+        for sign in (1, -1):
+            assert (periods.riemann_positivity(pm.subs(point), {}, sign=sign)
+                    == periods.riemann_positivity(pm, point, sign=sign))
 
 
 def test_period_matrix_coefficients_and_entries_agree():
@@ -373,17 +446,28 @@ def test_positivity_gram_matches_the_dense_product(name, values, sign):
     assert periods.positivity_gram(pm, point, sign) == _dense_gram(pm, point, sign)
 
 
-def test_gram_products_are_built_once_per_matrix(monkeypatch, genus4_family):
-    calls = []
-    real = intlat.matmul
+class _Formed(dict):
+    """A product cache that records the key of every product formed."""
 
-    def counting(A, B):
-        calls.append(A)
-        return real(A, B)
+    def __init__(self):
+        super().__init__()
+        self.keys_formed = []
 
-    monkeypatch.setattr(intlat, "matmul", counting)
+    def __setitem__(self, key, value):
+        self.keys_formed.append(key)
+        super().__setitem__(key, value)
+
+
+def _counting(pm):
+    object.__setattr__(pm, "_products", _Formed())
+    return pm
+
+
+def test_gram_products_are_built_once_per_matrix(genus4_family):
     fam = genus4_family
-    pm = PeriodMatrix.from_coeffs(fam.g, fam.params, fam.coeffs, fam.polarization)
+    pm = _counting(PeriodMatrix.from_coeffs(fam.g, fam.params, fam.coeffs,
+                                            fam.polarization))
+    calls = pm._products.keys_formed
     point = {"tau": _I, "z1": HALF, "z2": cyclo(0, 0, Fraction(1, 3))}
     want = periods.positivity_gram(pm, point)
     # P_a E^-1 for the 4 coefficient matrices, then K_ab for a <= b
@@ -392,7 +476,8 @@ def test_gram_products_are_built_once_per_matrix(monkeypatch, genus4_family):
     assert periods.positivity_gram(pm, point) == want
     assert periods.positivity_gram(pm, {"tau": _I * 2, "z1": ZERO, "z2": ONE})
     assert calls == []
-    # the first relation reuses the cached P_a E^-1 and builds its own M_ab
+    # the first relation reuses the cached P_a E^-1 and builds its own
+    # coefficients, one per a <= b
     assert periods.first_relation_holds(pm)
     assert len(calls) == 10
     calls.clear()
@@ -401,11 +486,12 @@ def test_gram_products_are_built_once_per_matrix(monkeypatch, genus4_family):
     # copies start with no products; zero parameters need none of theirs
     for copy in (pm.subs({}), PeriodMatrix.from_coeffs(
             pm.g, pm.params, pm.coeffs, pm.polarization)):
-        assert periods.positivity_gram(copy, point) == want
-        assert len(calls) == 14
-        calls.clear()
-    periods.positivity_gram(pm.subs({}), {"tau": _I, "z1": ZERO, "z2": ZERO})
-    assert len(calls) == 2 + 3
+        assert not copy._products
+        assert periods.positivity_gram(_counting(copy), point) == want
+        assert len(copy._products.keys_formed) == 14
+    copy = _counting(pm.subs({}))
+    periods.positivity_gram(copy, {"tau": _I, "z1": ZERO, "z2": ZERO})
+    assert len(copy._products.keys_formed) == 2 + 3
 
 
 def test_eval_ball_matches_exact_evaluation():

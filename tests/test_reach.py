@@ -71,7 +71,6 @@ ALLOWED = {
     "pel.Conventions.__repr__": "__repr__",
     "periods.AffineForm.__repr__": "__repr__",
     "report.Check.__repr__": "__repr__",
-    "exactfield.TowerElem.__hash__": "__hash__",
     "periods.AffineForm.__hash__": "__hash__",
     "exactfield.TowerElem.__setattr__": "__setattr__ (immutability guard)",
     "periods.AffineForm.__setattr__": "__setattr__ (immutability guard)",
