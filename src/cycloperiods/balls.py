@@ -69,18 +69,19 @@ class ComplexBall:
                            self.den * q.denominator)
 
     def decimal(self, digits):
-        """Deterministic decimal rendering of the midpoint.
-
-        Truncates toward zero at the requested number of fractional
-        digits; the radius is reported separately by callers.
-        """
+        """The midpoint's parts truncated toward zero to `digits` digits.
+        No radius is printed, and digits past the radius are not certified
+        (ROADMAP item 14)."""
         return (_dec(self.re_n, self.den, digits),
                 _dec(self.im_n, self.den, digits))
 
 
 def _dec(n, den, digits):
     """n/den truncated toward zero to `digits` fractional digits; with
-    none, the whole part without a point."""
-    whole, frac = divmod(abs(n) * 10 ** digits // den, 10 ** digits)
+    none, the whole part without a point.  For den = odd 2^k that is the
+    floor of |n| 5^digits 2^(digits - k) / odd: a division by odd only."""
+    k, n5 = (den & -den).bit_length() - 1, abs(n) * 5 ** digits
+    q = (n5 << digits - k if digits >= k else n5 >> k - digits) // (den >> k)
+    whole, frac = divmod(q, 10 ** digits)
     point = f".{str(frac).zfill(digits)}" if digits else ""
     return f"{'-' if n < 0 else ''}{whole}{point}"

@@ -337,21 +337,21 @@ def _sqrt3_pair_sign(s, t):
 def real_sign(x):
     """Exact sign in {-1, 0, 1} of a real tower element.
 
-    Real elements are exactly (u + v*alpha)/d with u, v in Z[sqrt3] and
-    d > 0.  As alpha > 0, only when u and v disagree in sign is there a
-    contest, decided by the sign of u^2 - v^2 sqrt3 in Z[sqrt3].
+    Real elements are exactly (u + v*alpha)/d with u = s + t sqrt3 and
+    v = p + q sqrt3 in Z[sqrt3] and d > 0.  As alpha > 0, only when u and
+    v disagree in sign is there a contest, decided by the sign of
+    u^2 - v^2 sqrt3 = (s^2 + 3t^2 - 6pq) + (2st - p^2 - 3q^2) sqrt3, squared
+    as Z[sqrt3] pairs.
     """
     x = TowerElem.coerce(x)
     if not x.is_real():
         raise ValueError("real_sign requires a real element")
     # s + t sqrt3 in Q(sqrt3) has the coordinates (s, 2t, 0, -t)
-    u, v = x.n[:4], x.n[4:]
-    su = _sqrt3_pair_sign(u[0], -u[3])
-    sv = _sqrt3_pair_sign(v[0], -v[3])
+    s, t, p, q = x.n[0], -x.n[3], x.n[4], -x.n[7]
+    su, sv = _sqrt3_pair_sign(s, t), _sqrt3_pair_sign(p, q)
     if sv == 0 or su == sv:
         return su
-    w = _zsub(_zmul(u, u), _zsqrt3(_zmul(v, v)))
-    sd = _sqrt3_pair_sign(w[0], -w[3])
+    sd = _sqrt3_pair_sign(s * s + 3 * t * t - 6 * p * q, 2 * s * t - p * p - 3 * q * q)
     if sd == 0:
         # u^2 = v^2 sqrt3 would put alpha inside Q(sqrt3)
         raise ArithmeticError("degenerate comparison in real_sign")

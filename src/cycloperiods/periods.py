@@ -19,7 +19,8 @@ C_ab is antisymmetric as E^-1 is, and only its entries i < j are formed.
 The Hermitian form of the second relation at a point is, up to sign,
 i sum_ab t_a conj(t_b) K_ab, K_ab = X_a conj(P_b)^T (of K_aa only i <= j);
 real_sign settles the exact signs of its leading minors (one zero-skipping
-expansion), and a precision only sizes the decimal ranges printed next to
+expansion that factors out each closed leading block, such as the Z/6
+character blocks), and a precision only sizes the ranges printed next to
 the verdict.  An intertwining A P = P R holds when A P_k = P_k R for all k.
 """
 
@@ -133,24 +134,30 @@ def tower_conj(A):
 def leading_minors(H):
     """Yield the leading principal minors of the square matrix H, k = 1..n.
 
-    Level r keeps the nonzero minors on rows 0..r by column tuple, each
-    expanded along row r over level r - 1, so zero entries and zero
-    sub-minors cost nothing.  Each minor is one exactfield.dot of its
-    signed (entry, sub-minor) pairs, and the generator is lazy: a caller
+    Level r keeps the nonzero minors on rows start..r by column tuple,
+    each expanded along row r over level r - 1 on columns >= start, so
+    zero entries and zero sub-minors cost nothing.  If the only one left
+    is on columns start..r, those rows are zero past column r (a row space
+    with one Pluecker coordinate is a coordinate subspace): the block
+    closes, and its minor joins the factor f of the minors of the trailing
+    block from row r + 1 on.  Each minor is one exactfield.dot of its signed
+    (entry, sub-minor) pairs, times f, and the generator is lazy: a caller
     that stops early skips the later levels.
     """
-    level = {(): ONE}
+    f, start, level = ONE, 0, {(): ONE}
     for r, row in enumerate(H):
         terms = {}
         for cols, m in level.items():
-            for c, x in enumerate(row):
+            for c, x in enumerate(row[start:], start):
                 if x and c not in cols:
                     j = bisect(cols, c)
                     terms.setdefault(cols[:j] + (c,) + cols[j:], []).append(
-                        (x if (r - j) % 2 == 0 else -x, m))
-        level = {cols: dot(pairs) for cols, pairs in terms.items()}
-        level = {cols: m for cols, m in level.items() if m}
-        yield level.get(tuple(range(r + 1)), ZERO)
+                        (x if (r - start - j) % 2 == 0 else -x, m))
+        level = {cols: v for cols, pairs in terms.items() if (v := dot(pairs))}
+        minor = dot([(f, level.get(tuple(range(start, r + 1)), ZERO))])
+        yield minor
+        if len(level) == 1 and minor:
+            f, start, level = minor, r + 1, {(): ONE}
 
 
 class PeriodMatrix:

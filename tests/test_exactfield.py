@@ -1,9 +1,12 @@
 """Exact arithmetic in Q(zeta12)(alpha) and the certified embedding."""
 
 import json
+import random
 import sys
+from bisect import bisect
 from fractions import Fraction
 from math import floor, gcd, isqrt, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,7 +22,7 @@ try:
 except ImportError:         # so is mpmath
     mpmath = None
 
-from cycloperiods import intlat, periods
+from cycloperiods import balls, intlat, periods, stcurve, suite
 from cycloperiods.exactfield import (
     HALF,
     INV_ROOT4_3,
@@ -294,27 +297,33 @@ def _assert_normal(x):
 
 
 if sympy is not None:
-    _a, _z = sympy.symbols("a z")
+    from sympy.polys.matrices import DomainMatrix
+
     # alpha^2 = 2z - z^3 and Phi12(z) = 0; in lex order with a > z the leading
     # terms a^2 and z^4 are coprime, so the relations form a Groebner basis
-    # and the remainder modulo them is the unique normal form
-    _RELATIONS = [sympy.Poly(_a ** 2 - 2 * _z + _z ** 3, _a, _z, domain=sympy.QQ),
-                  sympy.Poly(_z ** 4 - _z ** 2 + 1, _a, _z, domain=sympy.QQ)]
+    # and the remainder modulo them is the unique normal form.  _sympy_det
+    # works in the sparse ring over ZZ; the model of single elements, whose
+    # coordinates are rational, in the same ring over QQ.
+    _RING, _RA, _RZ = sympy.polys.rings.ring("a z", sympy.ZZ, sympy.lex)
+    _RING_RELATIONS = [_RA ** 2 - 2 * _RZ + _RZ ** 3, _RZ ** 4 - _RZ ** 2 + 1]
+    _MONOMIALS = [_RZ ** k for k in range(4)] + [_RA * _RZ ** k for k in range(4)]
+    _QRING = _RING.clone(domain=sympy.QQ)
+    _QRING_RELATIONS = [r.set_ring(_QRING) for r in _RING_RELATIONS]
+    _QMONOMIALS = [b.set_ring(_QRING) for b in _MONOMIALS]
 
 
 def _model(x):
-    """x as a sympy polynomial in a and z, read from its Fraction coordinates."""
-    expr = sum(sympy.Rational(v.numerator, v.denominator) * _a ** i * _z ** k
-               for i, coords in enumerate((x.c, x.a)) for k, v in enumerate(coords))
-    return sympy.Poly(expr, _a, _z, domain=sympy.QQ)
+    """x as a polynomial in a and z over QQ, read from its Fraction coordinates."""
+    return sum((sympy.QQ(v.numerator, v.denominator) * b
+                for v, b in zip(x.c + x.a, _QMONOMIALS) if v), _QRING.zero)
 
 
 def _model_coords(p):
     """The 8 coordinates of the normal form of the polynomial p."""
-    _, rem = sympy.reduced(p, _RELATIONS, _a, _z, order="lex", polys=True)
-    assert rem.degree(_a) < 2 and rem.degree(_z) < 4
-    coeffs = [rem.coeff_monomial((i, k)) for i in range(2) for k in range(4)]
-    return tuple(Fraction(int(q.numerator), int(q.denominator)) for q in coeffs)
+    rem = p.rem(_QRING_RELATIONS)
+    assert rem.degree(0) < 2 and rem.degree(1) < 4
+    return tuple(Fraction(int(q.numerator), int(q.denominator))
+                 for q in map(rem.coeff, _QMONOMIALS))
 
 
 def _wide_square(n):
@@ -365,12 +374,46 @@ def _tall_matrix(draw):
     return A
 
 
-if sympy is not None:
-    from sympy.polys.matrices import DomainMatrix
+@st.composite
+def _block_matrix(draw):
+    """(A, block, below): a g x g tower matrix A, g in 1..6, block lower
+    triangular over a drawn partition of 0..g-1 into runs, block[i] being
+    the index of the run of i.  Entries of the diagonal blocks are zero at
+    a drawn rate; those below the blocks are all zero (block diagonal) or,
+    if below, all nonzero, and then A is not Hermitian.  The coordinates
+    of a row share one denominator; numerators and denominators have up to
+    h bits, h in 1..1000.  The first row of a block may keep one entry
+    only, off the diagonal, so that the expansion holds a single minor that
+    is not the leading one."""
+    rng = draw(st.randoms(use_true_random=False))
+    g, h = draw(st.integers(1, 6)), draw(st.integers(1, 1000))
+    zeros = draw(st.sampled_from([0.0, 0.3]))
+    below = draw(st.booleans())
+    block = [0]
+    for cut in draw(st.lists(st.booleans(), min_size=g - 1, max_size=g - 1)):
+        block.append(block[-1] + cut)
 
-    _RING, _RA, _RZ = sympy.polys.rings.ring("a z", sympy.ZZ, sympy.lex)
-    _RING_RELATIONS = [_RA ** 2 - 2 * _RZ + _RZ ** 3, _RZ ** 4 - _RZ ** 2 + 1]
-    _MONOMIALS = [_RZ ** k for k in range(4)] + [_RA * _RZ ** k for k in range(4)]
+    def entry(d, nonzero=False):
+        while True:
+            x = TowerElem(*([Fraction(rng.randint(-2 ** h, 2 ** h), d)
+                             for _ in range(4)] for _ in range(2)))
+            if x or not nonzero:
+                return x
+
+    A = []
+    for r in range(g):
+        d = rng.randint(1, 2 ** h)
+        A.append([entry(d) if block[c] == block[r] and rng.random() >= zeros
+                  else entry(d, True) if below and block[c] < block[r] else ZERO
+                  for c in range(g)])
+    starts = [r for r in range(g - 1) if block[r + 1] == block[r]
+              and (r == 0 or block[r - 1] != block[r])]
+    if starts and draw(st.booleans()):
+        s = rng.choice(starts)              # a block of two or more rows
+        keep = rng.choice([c for c in range(s + 1, g) if block[c] == block[s]])
+        A[s] = [x if block[c] < block[s] else entry(rng.randint(1, 2 ** h), True)
+                if c == keep else ZERO for c, x in enumerate(A[s])]
+    return A, block, below
 
 
 def _sympy_det(A):
@@ -400,6 +443,79 @@ def test_leading_minors_match_sympy_determinants(A):
         _assert_normal(minor)
         want = _sympy_det([row[:k] for row in A[:k]])
         assert minor.c + minor.a == want
+
+
+def _plain_leading_minors(H):
+    """The leading minors by one expansion over all rows and columns, with
+    no closed blocks: each level holds every nonzero minor of its rows."""
+    level = {(): ONE}
+    for r, row in enumerate(H):
+        terms = {}
+        for cols, m in level.items():
+            for c, x in enumerate(row):
+                if x and c not in cols:
+                    j = bisect(cols, c)
+                    terms.setdefault(cols[:j] + (c,) + cols[j:], []).append(
+                        (x if (r - j) % 2 == 0 else -x, m))
+        level = {cols: v for cols, pairs in terms.items() if (v := dot(pairs))}
+        yield level.get(tuple(range(r + 1)), ZERO)
+
+
+def _pair_counts(A):
+    """The leading minors of A, and the number of pairs of each dot they take."""
+    counts = []
+
+    def counting_dot(pairs):
+        counts.append(len(pairs))
+        return dot(pairs)
+
+    with mock.patch.object(periods, "dot", counting_dot):
+        return list(periods.leading_minors(A)), counts
+
+
+@_needs_sympy
+@settings(max_examples=40, deadline=None)
+@given(_block_matrix())
+def test_leading_minors_of_block_triangular_matrices(drawn):
+    A, block, below = drawn
+    g = len(A)
+    if below and block[-1] > 0:
+        assert A != [[x.conjugate() for x in col] for col in zip(*A)]
+    got, counts = _pair_counts(A)
+    for k, minor in enumerate(got, 1):
+        _assert_normal(minor)
+        assert minor.c + minor.a == _sympy_det([row[:k] for row in A[:k]])
+    # with det A != 0 every block closes by its last row, so the entries
+    # below the blocks cost nothing: the block diagonal part takes the
+    # same dots, pair for pair
+    if got[-1]:
+        diagonal = [[A[r][c] if block[r] == block[c] else ZERO for c in range(g)]
+                    for r in range(g)]
+        assert _pair_counts(diagonal) == (got, counts)
+
+
+def _tall_family_point(rng):
+    """tau, z1, z2 with 512-bit coordinates, Im tau in [1/2, 3] and the
+    real and imaginary parts of z1 and z2 in [-0.44, 0.44]."""
+    def coord(lo, hi):
+        den = rng.randint(2 ** 511, 2 ** 512)
+        return Fraction(rng.randint(floor(lo * den), floor(hi * den)), den)
+
+    box = Fraction(44, 100)
+    return {"tau": coord(-2, 2) + IUNIT * coord(Fraction(1, 2), 3),
+            "z1": coord(-box, box) + IUNIT * coord(-box, box),
+            "z2": coord(-box, box) + IUNIT * coord(-box, box)}
+
+
+def test_closed_blocks_match_the_plain_expansion_at_tall_family_points():
+    pm = suite.SuiteContext(128).genus4_family
+    rng = random.Random(18)
+    for _ in range(20):
+        H = periods.positivity_gram(pm, _tall_family_point(rng),
+                                    stcurve.POSITIVITY_SIGN)
+        # the Z/6 characters split H into blocks of size 1 + 1 + 2
+        assert not any(H[0][1:] + H[1][2:])
+        assert list(periods.leading_minors(H)) == list(_plain_leading_minors(H))
 
 
 @_needs_sympy
@@ -439,7 +555,7 @@ def test_wide_inverse_and_conjugate_match_sympy_model(x):
     X = _model(x)
     # conjugation is zeta -> zeta^11 = zeta^-1 and fixes alpha
     conj = x.conjugate()
-    X11 = sympy.Poly(X.as_expr().subs(_z, _z ** 11), _a, _z, domain=sympy.QQ)
+    X11 = X.compose(_QRING.gens[1], _QRING.gens[1] ** 11)
     assert conj.c + conj.a == _model_coords(X11)
     assume(not x.is_zero())
     one = (Fraction(1),) + (Fraction(0),) * 7
@@ -536,6 +652,79 @@ def test_real_sign_matches_mpmath(x):
         # the value must stand clear of mpmath's rounding for the sign to count
         assert abs(v.real) > mpmath.mpf(10) ** (60 - _MP_DPS) * (1 + abs(v))
         assert got == (1 if v.real > 0 else -1)
+
+
+def _root4_3_convergents(h):
+    """Continued-fraction convergents b/m of 3^(1/4) with 1 <= m < 2^h, read
+    off floor(3^(1/4) 2^N)/2^N, N = 2h + 8, whose expansion agrees with
+    that of 3^(1/4) that far."""
+    p, q, out = _iroot4(3 << 4 * (2 * h + 8)), 1 << 2 * h + 8, []
+    (b0, b1), (m0, m1) = (0, 1), (1, 0)
+    while q:
+        a, p, q = p // q, q, p % q
+        (b0, b1), (m0, m1) = (b1, a * b1 + b0), (m1, a * m1 + m0)
+        if m1 >> h:
+            return out
+        out.append((b1, m1))
+    return out
+
+
+@st.composite
+def _contested(draw):
+    """(x, u, v, bits): a real x = (u + v alpha)/d with u = s + t sqrt3 and
+    v = p + q sqrt3 of opposite signs, s, t, p, q all nonzero, and u/v
+    near -alpha, so that real_sign must compare u^2 with v^2 sqrt3.  With
+    b/m a convergent of 3^(1/4), the pair U = b, V = m or U = m sqrt3,
+    V = b (alpha = sqrt3/alpha) has U ~ V alpha; u = U w + e and v = -V w
+    for w > 0 in Z[sqrt3] and a small e >= 0, the sign of x drawn.
+    Numerators have up to about 2,000 bits."""
+    h = draw(st.integers(2, 1000))
+    b, m = draw(st.sampled_from(_root4_3_convergents(h)))
+    (U0, U1), (V0, V1) = draw(st.sampled_from([((b, 0), (m, 0)), ((0, m), (b, 0))]))
+    w0, w1 = (draw(st.integers(1, 2 ** draw(st.integers(1, 1000)))) for _ in range(2))
+    e0, e1 = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    sign = draw(st.sampled_from([1, -1]))
+    u = (sign * (U0 * w0 + 3 * U1 * w1 + e0), sign * (U0 * w1 + U1 * w0 + e1))
+    v = (-sign * (V0 * w0 + 3 * V1 * w1), -sign * (V0 * w1 + V1 * w0))
+    d = draw(st.integers(1, 2 ** 64))
+    x = TowerElem([Fraction(c, d) for c in (u[0], 2 * u[1], 0, -u[1])],
+                  [Fraction(c, d) for c in (v[0], 2 * v[1], 0, -v[1])])
+    return x, u, v, max(abs(c).bit_length() for c in u + v)
+
+
+@_needs_mpmath
+@settings(max_examples=200, deadline=None)
+@given(_contested())
+def test_real_sign_settles_contested_near_ties(drawn):
+    x, (s, t), (p, q), bits = drawn
+    assert x.is_real() and all((s, t, p, q))
+    with mpmath.workprec(4 * bits + 256):
+        sqrt3 = mpmath.sqrt(3)
+        u, v = s + t * sqrt3, p + q * sqrt3
+        value = u + v * mpmath.root(3, 4)
+        # u and v differ in sign, and the value stands clear of rounding
+        assert u * v < 0
+        assert abs(value) > mpmath.ldexp(abs(u), 64 - (4 * bits + 256))
+        assert real_sign(x) == (1 if value > 0 else -1)
+
+
+def _direct_dec(n, den, digits):
+    """n/den truncated toward zero, from the floor of |n| 10^digits / den."""
+    whole, frac = divmod(abs(n) * 10 ** digits // den, 10 ** digits)
+    point = "." + str(frac).zfill(digits) if digits else ""
+    return ("-" if n < 0 else "") + str(whole) + point
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-2 ** 4000, 2 ** 4000), st.integers(0, 1200),
+       st.sampled_from(["odd", "below", "at", "above"]), st.data())
+def test_decimal_divides_by_the_odd_part_of_the_denominator(n, digits, where, data):
+    # den = odd 2^k with k = 0, or k below, at or above digits
+    k = data.draw(st.integers(*{"odd": (0, 0), "below": (0, max(digits - 1, 0)),
+                                "at": (digits, digits),
+                                "above": (digits + 1, digits + 2000)}[where]))
+    den = (2 * data.draw(st.integers(0, 2 ** 2000)) + 1) << k
+    assert balls._dec(n, den, digits) == _direct_dec(n, den, digits)
 
 
 # -- embed's integer dot product against the Fraction-ball sum ----------------
