@@ -59,10 +59,10 @@ MAX_RIEMANN_PARAMS = 8
 MAX_RIEMANN_MATRIX_BITS = 512
 MAX_RIEMANN_POINT_BITS = 1280
 # largest rows x bits of the largest entry, a Hadamard-style height, of a
-# tools snf and a tools symplectic-basis matrix.  At the bounds the slowest
-# of 15 seeded matrices took 0.5 s, of 300 seeded forms 0.64 s (same VM)
-MAX_SNF_HEIGHT_BITS = 2048
-MAX_SYMPLECTIC_HEIGHT_BITS = 384
+# tools snf or tools symplectic-basis matrix.  At the bound, 32 x 32 with
+# 64-bit entries, smith_normal_form took at most 0.58 s on 15 seeded
+# matrices and symplectic_basis 0.45 s on 300 seeded forms (same VM)
+MAX_MATRIX_HEIGHT_BITS = 2048
 
 _NAMES = {"i": IUNIT, "zeta": ZETA, "alpha": ROOT4_3,
           "rho": RHO, "sqrt3": SQRT3}
@@ -276,9 +276,10 @@ def _read_source(matrix, path, what="matrix"):
     return matrix
 
 
-def _load_matrix(matrix, path, max_height):
+def _load_matrix(matrix, path):
     """Integer matrix from JSON rows or a {"rows", "cols", "data"} object,
-    of height (rows x bits of the largest entry) at most max_height."""
+    of height (rows x bits of the largest entry) at most
+    MAX_MATRIX_HEIGHT_BITS."""
     raw = _read_source(matrix, path)
     try:
         obj = json.loads(raw)
@@ -296,9 +297,10 @@ def _load_matrix(matrix, path, max_height):
     A = [[int(x) for x in row] for row in A]
     height = len(A) * max((abs(x) for row in A for x in row),
                           default=0).bit_length()
-    if height > max_height:
+    if height > MAX_MATRIX_HEIGHT_BITS:
         raise click.UsageError(f"matrix height {height} bits (rows x bits of "
-                               f"the largest entry) passes {max_height}")
+                               f"the largest entry) passes "
+                               f"{MAX_MATRIX_HEIGHT_BITS}")
     return A
 
 
@@ -407,7 +409,7 @@ def tools():
               help="file holding the matrix JSON")
 def snf(matrix, path):
     """Smith normal form and divisor chain."""
-    A = _load_matrix(matrix, path, MAX_SNF_HEIGHT_BITS)
+    A = _load_matrix(matrix, path)
     try:
         U, D, V = intlat.smith_normal_form(A)
     except (ValueError, IndexError) as exc:
@@ -423,7 +425,7 @@ def snf(matrix, path):
               help="file holding the matrix JSON")
 def symplectic_basis(matrix, path):
     """Frobenius basis and polarization type of an alternating form."""
-    A = _load_matrix(matrix, path, MAX_SYMPLECTIC_HEIGHT_BITS)
+    A = _load_matrix(matrix, path)
     try:
         S, divisors = intlat.symplectic_basis(A)
     except intlat.DegenerateFormError as exc:

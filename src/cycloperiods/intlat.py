@@ -8,11 +8,13 @@ JSON input), so elementary-operation algorithms are used throughout with
 no modular tricks.  The two lattice workhorses are Smith normal form with
 transforms, whose divisors also give the rank and |det| of an integer
 matrix (H. Cohen, GTM 138, 2.4), and a symplectic (Frobenius) basis for
-alternating forms.  Nearest-integer Euclid steps hold the Smith
-transforms to about 3.5, 6 and 10 times rows x bits of the input at 8,
-16 and 32 rows; the symplectic basis, with floor quotients, can grow
-far past its divisors.  The four elementary row and column moves are
-defined once here, and pel's Hermitian congruence reduction uses them.
+alternating forms (M. Newman, Integral Matrices, 1972, ch. IV).  Both
+clear by one kernel of nearest-integer Euclid steps, which holds the
+Smith transforms to about 3.5, 6 and 10 times rows x bits of the input
+at 8, 16 and 32 rows, and the symplectic basis to under 4 times at 32.
+The elementary row and column moves and the two congruence moves built
+on them are defined once here; pel's Hermitian congruence reduction
+uses the congruence moves.
 """
 
 from fractions import Fraction
@@ -98,10 +100,10 @@ def mat_to_json(A):
 
 
 # most rows or columns a matrix read from JSON may have; cli bounds the
-# height of its entries.  At 32 x 32 symplectic_basis takes 0.02 s on
-# entries in [-9, 9] and smith_normal_form 0.05-0.07 s on 3-digit ones;
-# at 16 x 16 with 30-digit entries smith_normal_form takes 0.07-0.09 s
-# (Python 3.11, 2-core Xeon VM)
+# height of its entries.  At 32 x 32 symplectic_basis takes 0.01-0.02 s on
+# entries in [-9, 9] and 0.22-0.45 s on 64-bit ones, smith_normal_form
+# 0.07-0.08 s on 3-digit ones; at 16 x 16 with 30-digit entries
+# smith_normal_form takes 0.09-0.11 s (Python 3.11, 2-core Xeon VM)
 MAX_JSON_DIM = 32
 
 
@@ -174,12 +176,29 @@ def _add_col(mats, dst, src, c):
                 r[dst] += c * r[src]
 
 
+# congruence moves: mats[0] is a Gram matrix G, acted on as P G P^dagger,
+# and the rest (a basis, say) as P M
+
+def _congruence_swap(mats, i, j):
+    _swap_rows(mats, i, j)
+    _swap_cols(mats[:1], i, j)
+
+
+def _congruence_add(mats, dst, src, c):
+    _add_row(mats, dst, src, c)
+    _add_col(mats[:1], dst, src, c.conjugate())
+
+
 # -- Smith normal form -------------------------------------------------
 
 def _euclid(mats, t, line, swap, add):
     """Clear line()[k], k > t, by Euclid steps: swap an entry of least
     absolute value into t and subtract its nearest-integer multiple from
-    the others, which leaves each at most half of it."""
+    the others, which leaves each at most half of it.
+
+    smith_normal_form passes a column or row of D with row or column
+    moves; symplectic_basis a row of the Gram matrix with congruence moves.
+    """
     while any((vals := line())[t + 1:]):
         p = min((abs(v), k) for k, v in enumerate(vals) if v and k >= t)[1]
         swap(mats, t, p)
@@ -289,63 +308,40 @@ def symplectic_basis(E):
 
         S^T E S = [[0, D], [-D, 0]],   D = diag(d1 | d2 | ... | dg).
 
-    Pivot pairs are chosen by minimal positive pairing value (then lowest
-    index), which lands J3-type forms directly on their divisor chain.
-    Degenerate input raises DegenerateFormError with a radical basis.
+    The rows of B carry the basis and G = B E B^T every pairing.  The
+    least pairing of the remaining block moves to (t, t + 1), and Euclid
+    steps, congruence moves on G, clear row t past t + 1 and row t + 1
+    past t, in turn, until both are zero; a vector whose pairings the
+    pivot d does not divide is added to vector t, and the clearing
+    resumes with a smaller pivot, as in smith_normal_form.  Degenerate
+    input raises DegenerateFormError with a radical basis.
     """
     n = len(E)
     if not is_alternating(E):
         raise ValueError("symplectic_basis requires an alternating form")
-    # basis[w] is the w-th basis vector and G = B E B^T holds every
-    # pairing; each basis move is applied to G as the matching congruence
-    basis = identity(n)
     G = [list(row) for row in E]
-    remaining = list(range(n))
-    out_a, out_b, divisors = [], [], []
-
-    while True:
-        best = None
-        for ii in range(len(remaining)):
-            for jj in range(ii + 1, len(remaining)):
-                i, j = remaining[ii], remaining[jj]
-                v = G[i][j]
-                if v != 0 and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j) if v > 0 else (abs(v), j, i)
-        if best is None:
-            break
-        d, i, j = best
-        others = [w for w in remaining if w not in (i, j)]
-        # divisibility scan: all pairings with the pivot pair must be
-        # multiples of d, else one move strictly shrinks the minimum
-        w = next((w for w in others if G[i][w] % d or G[j][w] % d), None)
-        if w is not None:
-            if G[i][w] % d:
-                q, src = -(G[i][w] // d), j
-            else:
-                q, src = G[j][w] // d, i
-            _add_row((basis, G), w, src, q)
-            _add_col((G,), w, src, q)
-            continue
-        # clear the pivot pair against everything else
-        for w in others:
-            for u, src, sign in ((i, j, -1), (j, i, 1)):
-                q = sign * (G[u][w] // d)
-                _add_row((basis, G), w, src, q)
-                _add_col((G,), w, src, q)
-        # divisor chain among the complement: fold an offending vector
-        # into the pivot to expose a smaller pairing next round
-        bad = next((u for k, u in enumerate(others)
-                    if any(G[u][v] % d for v in others[k + 1:])), None)
-        if bad is not None:
-            _add_row((basis, G), i, bad, 1)
-            _add_col((G,), i, bad, 1)
-            continue
-        out_a.append(basis[i])
-        out_b.append(basis[j])
-        divisors.append(d)
-        remaining = others
-
-    if remaining:
-        raise DegenerateFormError([basis[w] for w in remaining])
-    S = transpose(out_a + out_b)  # columns a1..ag, b1..bg
-    return S, divisors
+    B = identity(n)
+    mats = (G, B)
+    row, next_row = (lambda: list(G[t])), (lambda: list(G[t + 1]))
+    t = 0
+    while (pair := min(((abs(G[i][j]), i, j) for i in range(t, n)
+                        for j in range(i + 1, n) if G[i][j]), default=None)):
+        _congruence_swap(mats, t, pair[1])
+        _congruence_swap(mats, t + 1, pair[2])
+        while True:
+            _euclid(mats, t + 1, row, _congruence_swap, _congruence_add)
+            _euclid(mats, t, next_row, _congruence_swap, _congruence_add)
+            if any(G[t][t + 2:]):
+                continue
+            d = G[t][t + 1]
+            bad = next((k for k in range(t + 2, n) if abs(d) != 1
+                        and any(x % d for x in G[k][t + 2:])), None)
+            if bad is None:
+                break
+            _congruence_add(mats, t, bad, 1)
+        if G[t][t + 1] < 0:
+            _congruence_swap(mats, t, t + 1)
+        t += 2
+    if t < n:
+        raise DegenerateFormError(B[t:])
+    return transpose(B[0:t:2] + B[1:t:2]), [G[k][k + 1] for k in range(0, t, 2)]

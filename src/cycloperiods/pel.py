@@ -174,13 +174,10 @@ def ldl_hermitian(G):
         if piv is None:
             break
         if piv != k:
-            intlat._swap_rows((A, S), k, piv)
-            intlat._swap_cols((A,), k, piv)
+            intlat._congruence_swap((A, S), k, piv)
         for r in range(k + 1, n):
             if A[r][k]:
-                c = -(A[r][k] / A[k][k])
-                intlat._add_row((A, S), r, k, c)
-                intlat._add_col((A,), r, k, c.conjugate())
+                intlat._congruence_add((A, S), r, k, -(A[r][k] / A[k][k]))
     off = [(i, j) for i in range(n) for j in range(n) if i != j and A[i][j]]
     if off:
         raise ValueError(f"congruence reduction left entries at {off}")

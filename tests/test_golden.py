@@ -44,11 +44,9 @@ SNF_8 = [[-4, 14, -3, 2, 6, -6, -6, 3],
          [34, 52, -33, -8, 36, 3, 15, 15]]
 
 
-def seeded_form(n, digits=1):
-    """An n x n alternating form with entries of up to `digits` decimal
-    digits, seeded by n."""
+def seeded_form(n, top=9):
+    """An n x n alternating form with entries in [-top, top], seeded by n."""
     rng = random.Random(n)
-    top = 10 ** digits - 1
     E = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -151,7 +149,8 @@ FILES = {
     "<(I | Z) at g = 4 with 4,000-bit entries>": lambda: _tall_family(4, 4000),
     "<32 x 32 matrix with 30-digit entries>": lambda: seeded_matrix(32, 30),
     "<4 x 4 matrix with 300-digit entries>": lambda: seeded_matrix(4, 300),
-    "<32 x 32 form with 300-digit entries>": lambda: seeded_form(32, 300),
+    "<32 x 32 form with 64-bit entries>": lambda: seeded_form(32, 2 ** 64 - 1),
+    "<32 x 32 form with 300-digit entries>": lambda: seeded_form(32, 10 ** 300 - 1),
 }
 
 # (arguments, exit code, SHA-256 of stdout)
@@ -188,9 +187,9 @@ GOLDEN = [
     (["tools", "symplectic-basis", "--file", "<6 x 6 Prym form>"], 0,
      "def3fa6d74865f434818f4b173f016f071042eb14f90d98c65aab470469fc5cc"),
     (["tools", "symplectic-basis", "--file", "<seeded 16 x 16 form>"], 0,
-     "e17df2a432e1d7044e74b6bdbf518c7e9f88b492a9db628e38c7b35d4891a9a8"),
+     "80fdb9779be807c147021d0d8073f93f19d752f2cf46694afcd1b1217d1f150f"),
     (["tools", "symplectic-basis", "--file", "<seeded 32 x 32 form>"], 0,
-     "03ac7ac83d4a088ef9fda3bfa94fb5d46aef05e720d3d39a9f0e656c636f78c5"),
+     "5c63b295f3001c7e6ca8ccce0ae45168c9ee5d1b3a67babc25942b89ecdec59d"),
     (["tools", "symplectic-basis", "--matrix",
       "[[0,2,0,0],[-2,0,0,0],[0,0,0,0],[0,0,0,0]]"], 2,
      # a usage error prints nothing on stdout
@@ -246,8 +245,12 @@ HOSTILE = [
     (["tools", "riemann-check", "--file", "<(I | Z) at g = 4 with 4,000-bit entries>"], 2),
     # every embed at cli.MAX_PREC
     (["verify", "--only", "positivity", "--prec", "65536"], 0),
-    # matrices past cli.MAX_SNF_HEIGHT_BITS and MAX_SYMPLECTIC_HEIGHT_BITS;
-    # unbounded they took over 30 s, 5.3 s (minimal-pivot SNF) and 15.2 s
+    # a form at cli.MAX_MATRIX_HEIGHT_BITS: over 8 seeds 0.39 s median and
+    # 0.53 s at most, printing 0.75 MB (2-core Xeon VM)
+    (["tools", "symplectic-basis", "--file",
+      "<32 x 32 form with 64-bit entries>"], 0),
+    # matrices past cli.MAX_MATRIX_HEIGHT_BITS; unbounded they took over
+    # 30 s, 5.3 s (minimal-pivot SNF) and 15.2 s (floor-quotient basis)
     (["tools", "snf", "--file", "<32 x 32 matrix with 30-digit entries>"], 2),
     (["tools", "snf", "--file", "<4 x 4 matrix with 300-digit entries>"], 2),
     (["tools", "symplectic-basis", "--file",

@@ -402,6 +402,65 @@ def test_symplectic_basis_normal_form(B):
         assert b % a == 0
 
 
+def _seeded_alternating(rng, n, h):
+    E = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            E[i][j] = rng.randint(-h, h)
+            E[j][i] = -E[i][j]
+    return E
+
+
+def test_symplectic_basis_of_a_32x32_with_16_bit_entries_stays_small():
+    rng = random.Random(149)
+    E = _seeded_alternating(rng, 32, 2 ** 16 - 1)
+    S, divs = intlat.symplectic_basis(E)
+    assert intlat.matmul(intlat.transpose(S), intlat.matmul(E, S)) == \
+        _symplectic_block(divs)
+    assert [d for d in divs for _ in (0, 1)] == intlat.snf_divisors(E)
+    # 1,743 bits; the least-pairing elimination with floor quotients
+    # reached 49,848 against 269-bit divisors
+    assert _bits(S) < 4096
+
+
+def _seeded_symplectic_input(seed):
+    """An n x n alternating form, 1 <= n <= 10, of entries up to 10^30:
+    dense, or B^T C B with C alternating k x k, so often degenerate."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 10)
+    h = 10 ** rng.choice((1, 3, 10, 30))
+    if seed % 2:
+        return _seeded_alternating(rng, n, h)
+    k = rng.randint(1, n)
+    C = _seeded_alternating(rng, k, h)
+    B = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)]
+    return intlat.matmul(intlat.transpose(B), intlat.matmul(C, B))
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@pytest.mark.parametrize("seed", range(40))
+def test_symplectic_basis_matches_sympy_with_a_small_basis(seed):
+    from sympy.matrices.normalforms import smith_normal_form
+    E = _seeded_symplectic_input(seed)
+    n = len(E)
+    D = smith_normal_form(sympy.Matrix(E), domain=sympy.ZZ)
+    smith = sorted((abs(int(D[i, i])) for i in range(n)),
+                   key=lambda d: (d == 0, d))
+    try:
+        S, divs = intlat.symplectic_basis(E)
+    except intlat.DegenerateFormError as exc:
+        S = exc.radical
+        assert len(S) == smith.count(0) and sympy.Matrix(S).rank() == len(S)
+        assert intlat.matmul(E, intlat.transpose(S)) == [[0] * len(S)] * n
+    else:
+        assert [d for d in divs for _ in (0, 1)] == smith
+        assert intlat.matmul(intlat.transpose(S), intlat.matmul(E, S)) == \
+            _symplectic_block(divs)
+        assert abs(sympy.Matrix(S).det()) == 1
+    # within six times the Hadamard-style height n * bits of the input
+    assert _bits(S) <= 6 * n * (_bits(E) + 1)
+
+
 def test_symplectic_basis_reports_radical():
     E = [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]
     with pytest.raises(intlat.DegenerateFormError) as err:
