@@ -7,11 +7,12 @@ The layers, from the ground up:
 - intlat: integer and rational matrix utilities (Smith form, whose
   divisors give ranks and determinants, and symplectic bases);
 - covers: cyclic-cover character tables and loop-homology models;
-- periods: parametric period matrices, Riemann relations, splittings,
-  intertwining searches;
+- periods: parametric period matrices, Riemann relations, intertwining
+  searches;
 - pel: the rank-3 unitary module, its skew-Hermitian form, congruence
   diagonalization, the 2-ball family and the exact matching step;
-- stcurve: the frozen data of the curve y^6 = x(x+1)(x-t);
+- stcurve: the frozen data of the curve y^6 = x(x+1)(x-t), and the
+  assembly of its genus-4 family from the elliptic and Prym blocks;
 - suite / report / cli: the thirteen checks and the command line.
 """
 

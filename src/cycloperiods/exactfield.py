@@ -169,10 +169,12 @@ class TowerElem:
     def from_json(obj):
         try:
             c, a = ([Fraction(n, d) for n, d in obj[k]] for k in ("c", "a"))
-        except (KeyError, TypeError, ValueError) as exc:
+            ints = all(type(v) is int for k in ("c", "a") for p in obj[k] for v in p)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed tower element: {exc}") from exc
-        if len(c) != 4 or len(a) != 4:
-            raise ValueError("tower element needs 4+4 coordinates")
+        if not ints or len(c) != 4 or len(a) != 4:
+            raise ValueError("malformed tower element: it needs 4+4 "
+                             "coordinates [n, d], ints with d != 0")
         return TowerElem(c, a)
 
     def to_json(self):

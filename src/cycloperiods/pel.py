@@ -8,6 +8,11 @@ family_periods writes down the induced period matrices over the 2-ball;
 match_solver locates the parameter point where the family meets a given
 constant period matrix, and prym_family rebases the matched family to
 the lattice coordinates it came from.
+
+The family is built under a reading of the construction's ambiguous
+choices, the dict {"embedding", "I2_in_Jz", "column_order"} that the
+report prints; resolve_conventions finds the one reading that matches,
+and row_multipliers is the one place its embedding is decided.
 """
 
 from fractions import Fraction
@@ -271,31 +276,14 @@ def diagonalize_W(T):
 
 # -- the period family over the 2-ball -----------------------------------
 
-class Conventions:
-    """Resolved readings of the family construction's ambiguous choices."""
-
-    def __init__(self, embedding="sigma", i2="identity", column_order="grouped"):
-        if embedding not in ("sigma", "sigmabar"):
-            raise ValueError(f"unknown embedding {embedding!r}")
-        if i2 not in ("identity", "i-identity"):
-            raise ValueError(f"unknown I2 reading {i2!r}")
-        if column_order not in ("grouped", "interleaved"):
-            raise ValueError(f"unknown column order {column_order!r}")
-        self.embedding = embedding
-        self.i2 = i2
-        self.column_order = column_order
-
-    def to_json(self):
-        return {"embedding": self.embedding,
-                "I2_in_Jz": self.i2,
-                "column_order": self.column_order}
-
-    def __repr__(self):
-        return (f"Conventions({self.embedding}, I2={self.i2}, "
-                f"{self.column_order})")
+def row_multipliers(reading):
+    """rho's image in the three family rows: (rho, rho_bar, rho_bar) under
+    the reading's embedding "sigma", their conjugates under "sigmabar"."""
+    rho = RHO if reading["embedding"] == "sigma" else RHO.conjugate()
+    return rho, rho.conjugate(), rho.conjugate()
 
 
-def _family_coeffs(W, conv):
+def _family_coeffs(W, reading):
     """The 3x6 coefficient matrices (constant, z1, z2) of the family, grouped.
 
     Columns are the images of u_k and rho u_k; row 1 is
@@ -303,15 +291,12 @@ def _family_coeffs(W, conv):
     and d conj(W_2) + z2 conj(W_3), with d = 1 or i by the I2 reading.
     """
     Wc = tower_conj(W)
-    d = ONE if conv.i2 == "identity" else IUNIT
+    d = ONE if reading["I2_in_Jz"] == "identity" else IUNIT
     zero = [ZERO] * 3
     const = [W[2], [x * d for x in Wc[0]], [x * d for x in Wc[1]]]
     z1 = [W[0], Wc[2], zero]
     z2 = [W[1], zero, Wc[2]]
-    if conv.embedding == "sigma":
-        mults = [RHO, RHO.conjugate(), RHO.conjugate()]
-    else:
-        mults = [RHO.conjugate(), RHO, RHO]
+    mults = row_multipliers(reading)
     return [[list(row) + [x * m for x in row] for row, m in zip(C, mults)]
             for C in (const, z1, z2)]
 
@@ -322,15 +307,15 @@ def _interleaved(family):
     return PeriodMatrix.from_coeffs(3, family.params, coeffs, family.polarization)
 
 
-def family_periods(W, module, conv):
+def family_periods(W, module, reading):
     """Period matrix of the family in module-generator coordinates.
 
     Columns are indexed by (u1, u2, u3, rho u1, rho u2, rho u3), so the
     polarization is the full trace-pairing Gram matrix of the module.
     """
-    family = PeriodMatrix.from_coeffs(3, ("z1", "z2"), _family_coeffs(W, conv),
+    family = PeriodMatrix.from_coeffs(3, ("z1", "z2"), _family_coeffs(W, reading),
                                       module.g0full)
-    return _interleaved(family) if conv.column_order == "interleaved" else family
+    return _interleaved(family) if reading["column_order"] == "interleaved" else family
 
 
 class MatchResult:
@@ -419,25 +404,27 @@ def resolve_conventions(W, module, target):
     keeps those whose family admits an exact match against the target.
     An order only permutes the columns of one of four coefficient sets,
     and the row-1 matrices the candidates share (W's rows in all grouped
-    ones) are inverted once.  Exactly one must survive, and (conventions,
-    match, family) of it is returned; anything else raises ConventionError.
+    ones) are inverted once.  Exactly one must survive, and (reading,
+    match, family) of it is returned; anything else raises ConventionError
+    with the readings that matched as its candidates.
     """
     winners, row1 = [], {}
-    for emb_choice in ("sigma", "sigmabar"):
+    for embedding in ("sigma", "sigmabar"):
         for i2 in ("identity", "i-identity"):
-            grouped = family_periods(W, module, Conventions(emb_choice, i2))
+            reading = {"embedding": embedding, "I2_in_Jz": i2,
+                       "column_order": "grouped"}
+            grouped = family_periods(W, module, reading)
             for order, family in (("grouped", grouped),
                                   ("interleaved", _interleaved(grouped))):
-                conv = Conventions(emb_choice, i2, order)
                 try:
                     sol = match_solver(family, target, row1)
                 except MatchError:
                     continue
-                winners.append((conv, sol, family))
+                winners.append((dict(reading, column_order=order), sol, family))
     if len(winners) != 1:
         raise ConventionError(
             f"{len(winners)} convention choices reproduce the target",
-            [c.to_json() for c, _, _ in winners])
+            [reading for reading, _, _ in winners])
     return winners[0]
 
 

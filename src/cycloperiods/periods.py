@@ -264,13 +264,17 @@ class PeriodMatrix:
     @classmethod
     def from_json(cls, obj):
         try:
-            g = int(obj["g"])
-            params = [str(p) for p in obj["params"]]
+            g, params = obj["g"], obj["params"]
             entries = [[AffineForm.from_json(e) for e in row]
                        for row in obj["entries"]]
             pol = intlat.mat_from_json(obj["polarization"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed period matrix object: {exc}") from exc
+        if (type(g) is not int or type(params) is not list
+                or any(type(p) is not str for p in params)
+                or any(x.denominator != 1 for row in pol for x in row)):
+            raise ValueError("malformed period matrix object: g must be an int, "
+                             "params strings and the polarization integral")
         pm = cls(g, params, entries, pol)
         _polarization_inverse(pm)       # a degenerate polarization is refused here
         return pm
@@ -451,35 +455,3 @@ def intertwiner_search(pm, exponents, R, signs=(1, -1)):
                 hits.append((s, name))
     return hits
 
-
-def combine_split_family(top_forms, top_cols, sub, sub_cols,
-                         basis, params, polarization):
-    """Assemble a split period matrix and return to the basis of interest.
-
-    Row 0 carries the affine forms top_forms[c] in the columns top_cols,
-    rows 1.. carry the PeriodMatrix sub in the columns sub_cols; everything
-    else is zero.  Each coefficient matrix is multiplied by basis^(-1) on
-    the right, so the output is indexed by the original lattice basis and
-    carries the supplied polarization.
-    """
-    top_forms = [AffineForm.coerce(f) for f in top_forms]
-    params = tuple(params)
-    used = set(sub.params).union(*(f.coeffs for f in top_forms))
-    if not used <= set(params):
-        raise ValueError(f"entries use undeclared parameters "
-                         f"{sorted(used - set(params))}")
-    Binv = _rational_inverse(tuple(map(tuple, basis)))
-    if Binv is None:
-        raise ValueError("basis matrix is singular")
-    g = 1 + sub.g
-    sub_coeffs = dict(zip((None,) + sub.params, sub.coeffs))
-    coeffs = []
-    for name in (None,) + params:
-        big = [[ZERO] * (2 * g) for _ in range(g)]
-        for c, f in zip(top_cols, top_forms):
-            big[0][c] = f.const if name is None else f.coeffs.get(name, ZERO)
-        for r, row in enumerate(sub_coeffs.get(name, ())):
-            for c, x in zip(sub_cols, row):
-                big[1 + r][c] = x
-        coeffs.append(intlat.matmul(big, Binv))
-    return PeriodMatrix.from_coeffs(g, params, coeffs, polarization)

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import covers, intlat
 from .exactfield import ONE, ZERO, HALF, RHO, INV_ROOT4_3, ROOT4_3, cyclo
-from .periods import AffineForm, PeriodMatrix, combine_split_family
+from .periods import AffineForm, PeriodMatrix, _rational_inverse
 
 _A3 = ROOT4_3 ** 3
 
@@ -288,12 +288,22 @@ def genus4_family(prym):
     the symplectic e-basis.  With the special Prym matrix this recovers
     GENUS4 up to the basis bookkeeping.
     """
+    params = ("tau",) + tuple(p for p in prym.params if p != "tau")
     three = cyclo(3)
-    top = [AffineForm.variable("tau", three), AffineForm(three, {"tau": three})]
-    return combine_split_family(
-        top, ELL_COLS, prym, PRYM_COLS, SPLITTING_BASIS,
-        ("tau",) + tuple(p for p in prym.params if p != "tau"),
-        intlat.standard_symplectic(4))
+    top = {None: (ZERO, three), "tau": (three, three)}
+    sub = dict(zip((None,) + prym.params, prym.coeffs))
+    Binv = _rational_inverse(tuple(map(tuple, SPLITTING_BASIS)))
+    coeffs = []
+    for name in (None,) + params:
+        big = [[ZERO] * 8 for _ in range(4)]
+        for c, x in zip(ELL_COLS, top.get(name, ())):
+            big[0][c] = x
+        for r, row in enumerate(sub.get(name, ())):
+            for c, x in zip(PRYM_COLS, row):
+                big[1 + r][c] = x
+        coeffs.append(intlat.matmul(big, Binv))
+    return PeriodMatrix.from_coeffs(4, params, coeffs,
+                                    intlat.standard_symplectic(4))
 
 
 # -- the matched point ------------------------------------------------------

@@ -1,8 +1,10 @@
 """The thirteen verification checks for the curve data.
 
-Each check has a stable id, a tag for --only filtering, and an anchor
-string naming the quantity it pins down.  run_all assembles a Report;
-the suite never raises on a failing check, only on programming errors.
+Each check is declared once, by @_register(id, tag, anchor): a stable
+id, a tag for --only filtering, and an anchor string naming the quantity
+it pins down.  It returns (ok, evidence), or (verdict, evidence) for a
+third outcome, and run_all makes the report.Check; the suite never
+raises on a failing check, only on programming errors.
 
 Checks that need the resolved family conventions go inconclusive when
 the convention search does not land on a unique winner, since nothing
@@ -13,10 +15,10 @@ import os
 import traceback
 
 from . import covers, intlat, pel, periods, report, stcurve
-from .exactfield import HALF, IUNIT, RHO, ZERO, embed, zeta_power
+from .exactfield import HALF, IUNIT, ZERO, embed, zeta_power
 
-# frozen per run; the embedding/I2/column-order entries are appended
-# from the resolved conventions when the resolution succeeds
+# frozen per run; the reading pel.resolve_conventions returns (embedding,
+# I2 and column order) is appended when the resolution succeeds
 RUN_CONVENTIONS = {
     "side": "right-plain",
     "positivity_sign": stcurve.POSITIVITY_SIGN,
@@ -79,8 +81,10 @@ class SuiteContext:
 CHECKS = []
 
 
-def _register(id, tag):
+def _register(id, tag, anchor):
+    # the anchor rides on the function, which functools.wraps copies
     def wrap(fn):
+        fn.anchor = anchor
         CHECKS.append((id, tag, fn))
         return fn
     return wrap
@@ -88,6 +92,11 @@ def _register(id, tag):
 
 def _submatrix(M, rows, cols):
     return [[M[i][j] for j in cols] for i in rows]
+
+
+def _diag(xs):
+    return [[x if i == j else ZERO for j in range(len(xs))]
+            for i, x in enumerate(xs)]
 
 
 def _diff_entries(A, B):
@@ -99,7 +108,7 @@ def _diff_entries(A, B):
             if x != B[i][j]]
 
 
-@_register("lattice-type", "snf")
+@_register("lattice-type", "snf", "snf(B^T J B | prym) = (1,1,1,1,3,3)")
 def _check_snf(ctx, strict):
     J = intlat.standard_symplectic(4)
     B = stcurve.SPLITTING_BASIS
@@ -117,13 +126,12 @@ def _check_snf(ctx, strict):
           and prym_divs == [1, 1, 1, 1, 3, 3]
           and list(sympl_divs) == [1, 1, 3]
           and full_divs == [1, 1, 1, 1, 3, 3, 3, 3])
-    evidence = {"prym_snf": prym_divs, "symplectic_type": list(sympl_divs),
+    return ok, {"prym_snf": prym_divs, "symplectic_type": list(sympl_divs),
                 "full_snf": full_divs, "mixed_block_nonzero": mixed}
-    return report.Check("lattice-type", "snf(B^T J B | prym) = (1,1,1,1,3,3)",
-                        "pass" if ok else "fail", evidence)
 
 
-@_register("cycle-basis", "homology")
+@_register("cycle-basis", "homology",
+           "Gram(e) = J_std; shift acts symplectically, order 6")
 def _check_homology(ctx, strict):
     model = stcurve.HOMOLOGY_MODEL
     results = covers.verify_homology_model(model, stcurve.CYCLE_COMBOS)
@@ -140,15 +148,13 @@ def _check_homology(ctx, strict):
             break
     ok = (ok and R == stcurve.DECK_SYMPLECTIC_ACTION
           and symplectic and order == 6)
-    evidence = {"model_checks": [[cid, passed] for cid, passed in results],
+    return ok, {"model_checks": [[cid, passed] for cid, passed in results],
                 "deck_action_symplectic": symplectic,
                 "deck_action_order": order}
-    return report.Check("cycle-basis",
-                        "Gram(e) = J_std; shift acts symplectically, order 6",
-                        "pass" if ok else "fail", evidence)
 
 
-@_register("cover-table", "covers")
+@_register("cover-table", "covers",
+           "n=6, a=(1,1,1,3): dims (0,0,1,1,2), genus 4")
 def _check_covers(ctx, strict):
     cover = stcurve.CURVE_COVER
     table = cover.table()
@@ -158,13 +164,12 @@ def _check_covers(ctx, strict):
     quot = stcurve.ELLIPTIC_QUOTIENT_COVER
     ok = (table == want and genus == 4 and dims_sum == 4
           and quot.genus() == 1)
-    evidence = {"table": [list(r) for r in table], "genus": genus,
+    return ok, {"table": [list(r) for r in table], "genus": genus,
                 "quotient_genus": quot.genus()}
-    return report.Check("cover-table", "n=6, a=(1,1,1,3): dims (0,0,1,1,2), genus 4",
-                        "pass" if ok else "fail", evidence)
 
 
-@_register("split-product", "split")
+@_register("split-product", "split",
+           "Z B = blockdiag((3 tau, 3 tau + 3), special)")
 def _check_split(ctx, strict):
     pm = stcurve.GENUS4
     # Z B = Z0 + tau Zt against the blocks its columns must carry
@@ -181,13 +186,10 @@ def _check_split(ctx, strict):
            if Z0[i][j] != want0[i][j] or Zt[i][j] != want_t[i][j]]
     diffs = _diff_entries(sp, stcurve.REF_PRYM_SPECIAL)
     ok = not bad and diffs == [[1, 1]]
-    evidence = {"bad_entries": bad, "displayed_special_divergence": diffs}
-    return report.Check("split-product",
-                        "Z B = blockdiag((3 tau, 3 tau + 3), special)",
-                        "pass" if ok else "fail", evidence)
+    return ok, {"bad_entries": bad, "displayed_special_divergence": diffs}
 
 
-@_register("riemann-symbolic", "riemann")
+@_register("riemann-symbolic", "riemann", "P E^-1 P^T = 0 identically")
 def _check_riemann(ctx, strict):
     mats = [("genus4", stcurve.GENUS4),
             ("prym-special", stcurve.PRYM_SPECIAL_MATRIX),
@@ -195,13 +197,9 @@ def _check_riemann(ctx, strict):
             ("prym-family", ctx.prym_family),
             ("genus4-family", ctx.genus4_family)]
     evidence = {}
-    ok = True
     for name, pm in mats:
-        holds = periods.first_relation_holds(pm)
-        evidence[name] = holds
-        ok = ok and holds
-    return report.Check("riemann-symbolic", "P E^-1 P^T = 0 identically",
-                        "pass" if ok else "fail", evidence)
+        evidence[name] = periods.first_relation_holds(pm)
+    return all(evidence.values()), evidence
 
 
 # the minors' signs are exact at any precision, but below this many bits
@@ -210,7 +208,8 @@ def _check_riemann(ctx, strict):
 CERTIFICATION_FLOOR = 64
 
 
-@_register("riemann-positive", "positivity")
+@_register("riemann-positive", "positivity",
+           "i P E^-1 conj(P)^T definite (sign +1)")
 def _check_positivity(ctx, strict):
     g4 = stcurve.GENUS4
     zstar = ctx.match.point()
@@ -242,12 +241,12 @@ def _check_positivity(ctx, strict):
         out = "inconclusive"
     else:
         out = "pass"
-    return report.Check("riemann-positive",
-                        "i P E^-1 conj(P)^T definite (sign +1)",
-                        out, evidence)
+    return out, evidence
 
 
-@_register("deck-twist", "intertwine")
+@_register("deck-twist", "intertwine",
+           "diag(zeta^4, zeta^8, zeta^8) intertwines exactly one"
+           " variant, which preserves the pairing")
 def _check_intertwine(ctx, strict):
     hits = periods.intertwiner_search(ctx.prym_family,
                                       stcurve.PRYM_WEIGHT_EXPONENTS,
@@ -257,15 +256,12 @@ def _check_intertwine(ctx, strict):
     preserves = intlat.matmul(intlat.transpose(M),
                               intlat.matmul(J3, M)) == J3
     ok = hits == [(1, "plain")] and preserves
-    evidence = {"hits": [[s, v] for s, v in hits],
+    return ok, {"hits": [[s, v] for s, v in hits],
                 "pairing_preserved": preserves}
-    return report.Check("deck-twist",
-                        "diag(zeta^4, zeta^8, zeta^8) intertwines exactly one"
-                        " variant, which preserves the pairing",
-                        "pass" if ok else "fail", evidence)
 
 
-@_register("module-form", "pel-t")
+@_register("module-form", "pel-t",
+           "T skew-Hermitian, signature (2,1), 36 integral traces")
 def _check_module_form(ctx, strict):
     module = ctx.module
     grams_ok = (module.g0 == stcurve.REF_PAIRING_GRAM
@@ -275,28 +271,23 @@ def _check_module_form(ctx, strict):
     sig = pel.signature(T)
     integral_ok, offenders = pel.integrality_check(module, T)
     ok = grams_ok and displayed_ok and sig == (2, 1) and integral_ok
-    evidence = {"generator_grams_match": grams_ok,
+    return ok, {"generator_grams_match": grams_ok,
                 "displayed_T_match": displayed_ok,
                 "signature": list(sig),
                 "trace_offenders": [[i, j, str(g), str(w)]
                                     for i, j, g, w in offenders[:6]]}
-    return report.Check("module-form",
-                        "T skew-Hermitian, signature (2,1), 36 integral traces",
-                        "pass" if ok else "fail", evidence)
 
 
-@_register("form-diagonal", "defw")
+@_register("form-diagonal", "defw",
+           "W^* D W reproduces T (residual 0 or < 2^-100)")
 def _check_diagonal(ctx, strict):
     res = pel.defw_residual(ctx.diagonalizer, ctx.skew_form)
     ok = all(x.is_zero() for row in res for x in row)
-    evidence = {"exact": True,
+    return ok, {"exact": True,
                 "residual_bound": "0 (exact)" if ok else "nonzero"}
-    return report.Check("form-diagonal",
-                        "W^* D W reproduces T (residual 0 or < 2^-100)",
-                        "pass" if ok else "fail", evidence)
 
 
-@_register("ball-point", "match")
+@_register("ball-point", "match", "z* exact, |z*|^2 < 1 certified")
 def _check_match(ctx, strict):
     m = ctx.match
     point_ok = m.point() == stcurve.MATCH_POINT
@@ -304,15 +295,13 @@ def _check_match(ctx, strict):
     inside = m.in_unit_ball()
     norm = embed(m.ball_norm(), prec=96)
     ok = point_ok and coeff_ok and inside
-    evidence = {"point_match": point_ok, "coeff_match": coeff_ok,
+    return ok, {"point_match": point_ok, "coeff_match": coeff_ok,
                 "in_unit_ball": inside,
                 "norm_decimal": norm.decimal(16)}
-    return report.Check("ball-point",
-                        "z* exact, |z*|^2 < 1 certified",
-                        "pass" if ok else "fail", evidence)
 
 
-@_register("special-fiber", "family")
+@_register("special-fiber", "family",
+           "family(z*) = special; genus-4 assembly = Z(tau)")
 def _check_special_fiber(ctx, strict):
     at_star = ctx.prym_family.evaluate(ctx.match.point())
     fiber_ok = not _diff_entries(at_star, stcurve.PRYM_SPECIAL)
@@ -321,20 +310,14 @@ def _check_special_fiber(ctx, strict):
     genus4_ok = (assembled.params == base.params
                  and assembled.coeffs == base.coeffs)
     ok = fiber_ok and genus4_ok
-    evidence = {"prym_fiber_exact": fiber_ok,
+    return ok, {"prym_fiber_exact": fiber_ok,
                 "genus4_assembly_exact": genus4_ok}
-    return report.Check("special-fiber",
-                        "family(z*) = special; genus-4 assembly = Z(tau)",
-                        "pass" if ok else "fail", evidence)
 
 
-@_register("module-endo", "endo")
+@_register("module-endo", "endo",
+           "rho acts on columns; deck twist holds family-wide")
 def _check_endo(ctx, strict):
-    conv = ctx.conventions
-    rho, rho_bar = RHO, RHO.conjugate()
-    if conv.embedding == "sigmabar":
-        rho, rho_bar = rho_bar, rho
-    A_rho = [[rho, ZERO, ZERO], [ZERO, rho_bar, ZERO], [ZERO, ZERO, rho_bar]]
+    A_rho = _diag(pel.row_multipliers(ctx.conventions))
     R_rho = [[0] * 6 for _ in range(6)]
     for k in range(3):
         R_rho[3 + k][k] = 1
@@ -342,31 +325,24 @@ def _check_endo(ctx, strict):
         R_rho[3 + k][3 + k] = -1
     rho_ok = periods.intertwines(ctx.family_u, A_rho, R_rho)
 
-    e4, e8 = stcurve.PRYM_WEIGHT_EXPONENTS[0], stcurve.PRYM_WEIGHT_EXPONENTS[1]
-    A3 = [[zeta_power(e4), ZERO, ZERO],
-          [ZERO, zeta_power(e8), ZERO],
-          [ZERO, ZERO, zeta_power(e8)]]
+    A3 = _diag([zeta_power(e) for e in stcurve.PRYM_WEIGHT_EXPONENTS])
     prym_ok = periods.intertwines(ctx.prym_family, A3, stcurve.PRYM_SHIFT)
 
     # the full order-6 deck map only lives on the Jacobian locus, so it
     # is tested on the tau-family and on the assembly pinned at z*
-    A4 = [[ZERO] * 4 for _ in range(4)]
-    for i, e in enumerate(stcurve.FORM_WEIGHT_EXPONENTS):
-        A4[i][i] = zeta_power(e)
+    A4 = _diag([zeta_power(e) for e in stcurve.FORM_WEIGHT_EXPONENTS])
     R6 = stcurve.DECK_SYMPLECTIC_ACTION
     genus4_ok = periods.intertwines(stcurve.GENUS4, A4, R6)
     pinned_ok = periods.intertwines(ctx.genus4_at_star, A4, R6)
     ok = rho_ok and prym_ok and genus4_ok and pinned_ok
-    evidence = {"rho_endomorphism": rho_ok,
+    return ok, {"rho_endomorphism": rho_ok,
                 "prym_family_deck": prym_ok,
                 "genus4_tau_family_deck": genus4_ok,
                 "genus4_assembly_at_star_deck": pinned_ok}
-    return report.Check("module-endo",
-                        "rho acts on columns; deck twist holds family-wide",
-                        "pass" if ok else "fail", evidence)
 
 
-@_register("display-audit", "errata")
+@_register("display-audit", "errata",
+           "first family row and c11 exact; slips enumerated")
 def _check_display_audit(ctx, strict):
     diverg = {}
 
@@ -394,18 +370,9 @@ def _check_display_audit(ctx, strict):
     diverg["family_lattice_coords"] = _diff_entries(
         ctx.prym_family.entries, stcurve.PRYM_FAMILY_DISPLAY)
 
-    any_div = any(bool(v) for v in diverg.values())
-    if not (first_row_ok and c11_ok):
-        out = "fail"
-    elif strict and any_div:
-        out = "fail"
-    else:
-        out = "pass"
-    evidence = {"first_row_exact": first_row_ok, "c11_exact": c11_ok,
+    ok = first_row_ok and c11_ok and not (strict and any(diverg.values()))
+    return ok, {"first_row_exact": first_row_ok, "c11_exact": c11_ok,
                 "strict": strict, "divergences": diverg}
-    return report.Check("display-audit",
-                        "first family row and c11 exact; slips enumerated",
-                        out, evidence)
 
 
 # innermost frames kept in the evidence of an "unexpected error" verdict
@@ -419,7 +386,9 @@ def run_all(prec=128, only=None, strict=False):
         if only and only not in (tag, cid):
             continue
         try:
-            checks.append(fn(ctx, strict))
+            out, evidence = fn(ctx, strict)
+            verdict = out if isinstance(out, str) else "pass" if out else "fail"
+            checks.append(report.Check(cid, fn.anchor, verdict, evidence))
         except pel.ConventionError as exc:
             checks.append(report.Check(
                 cid, "convention resolution", "inconclusive",
@@ -435,7 +404,7 @@ def run_all(prec=128, only=None, strict=False):
                                for f in frames]}))
     conventions = dict(RUN_CONVENTIONS)
     try:
-        conventions.update(ctx.conventions.to_json())
+        conventions.update(ctx.conventions)
     except Exception:
         conventions["resolution"] = "unresolved"
     return report.Report(checks, conventions)

@@ -566,6 +566,44 @@ def test_tools_riemann_check_refuses_a_degenerate_polarization(runner, tmp_path)
     assert "Traceback" not in _text(result)
 
 
+# (1 | a) with a second, unused parameter b: the genus-1 matrix that the
+# truncating reads of 1.7, true, [3, 2], [true, 1] and "ab" reproduce
+_GENUS1 = periods.PeriodMatrix(1, ["a", "b"],
+                               [[1, periods.AffineForm.variable("a")]],
+                               intlat.standard_symplectic(1)).to_json()
+
+
+def _edited(path, value):
+    """The JSON text of _GENUS1 with the entry at path set to value."""
+    root = obj = json.loads(json.dumps(_GENUS1))
+    *keys, last = path
+    for k in keys:
+        obj = obj[k]
+    obj[last] = value
+    return json.dumps(root)
+
+
+_COORD = ("entries", 0, 0, "const", "c", 0)
+
+
+@pytest.mark.parametrize("blob", [
+    _edited(_COORD, [1, 0]),
+    _edited(_COORD, [True, 1]),
+    _edited(("polarization", "data", 0, 1), [3, 2]),
+    json.dumps(_GENUS1).replace('"g": 1,', '"g": 1.7,'),
+    json.dumps(_GENUS1).replace('"g": 1,', '"g": true,'),
+    json.dumps(_GENUS1).replace('"g": 1,', '"g": 1e999,'),
+    _edited(("params",), "ab"),
+], ids=["zero-denominator", "boolean-coordinate", "fractional-polarization",
+        "float-g", "boolean-g", "overflowing-g", "string-params"])
+def test_tools_riemann_check_rejects_malformed_json(runner, blob):
+    result = runner.invoke(cli.main, ["tools", "riemann-check", "--matrix", blob,
+                                      "--at", "a=-i", "--at", "b=0"])
+    assert result.exit_code == 2, _text(result)
+    assert "malformed period matrix" in _text(result)
+    assert "Traceback" not in _text(result)
+
+
 @pytest.mark.parametrize("g, p, code", [
     (cli.MAX_RIEMANN_GENUS, 1, 0), (cli.MAX_RIEMANN_GENUS + 1, 1, 2),
     (1, cli.MAX_RIEMANN_PARAMS, 0), (1, cli.MAX_RIEMANN_PARAMS + 1, 2)])

@@ -338,11 +338,34 @@ def test_convention_resolution_is_unique():
     module = _module()
     conv, _, family = pel.resolve_conventions(stcurve.FAMILY_W, module,
                                               _target(module))
-    assert (conv.embedding, conv.i2, conv.column_order) == (
-        "sigma", "identity", "grouped")
+    assert conv == {"embedding": "sigma", "I2_in_Jz": "identity",
+                    "column_order": "grouped"}
     # the winner's family is the one family_periods builds for it
     assert family.coeffs == pel.family_periods(stcurve.FAMILY_W, module,
                                                conv).coeffs
+
+
+# rho on the module basis (u1, u2, u3, rho u1, rho u2, rho u3), acting on
+# the right: the R_rho of the module-endo check
+_R_RHO = [[0, 0, 0, -1, 0, 0], [0, 0, 0, 0, -1, 0], [0, 0, 0, 0, 0, -1],
+          [1, 0, 0, -1, 0, 0], [0, 1, 0, 0, -1, 0], [0, 0, 1, 0, 0, -1]]
+
+
+@pytest.mark.parametrize("embedding", ["sigma", "sigmabar"])
+@pytest.mark.parametrize("i2", ["identity", "i-identity"])
+def test_every_grouped_reading_carries_its_row_multipliers(embedding, i2):
+    reading = {"embedding": embedding, "I2_in_Jz": i2,
+               "column_order": "grouped"}
+    mults = pel.row_multipliers(reading)
+    rho, rho_bar = RHO, RHO.conjugate()
+    assert mults == ((rho, rho_bar, rho_bar) if embedding == "sigma"
+                     else (rho_bar, rho, rho))
+    family = pel.family_periods(stcurve.FAMILY_W, _module(), reading)
+    for C in family.coeffs:
+        for row, m in zip(C, mults):
+            assert list(row[3:]) == [x * m for x in row[:3]]
+    A = [[m if i == j else ZERO for j in range(3)] for i, m in enumerate(mults)]
+    assert periods.intertwines(family, A, _R_RHO)
 
 
 def test_convention_resolution_fails_on_garbage_target():

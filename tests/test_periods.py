@@ -591,16 +591,13 @@ def test_subs_keeps_remaining_parameters():
     assert fixed.entries[0][0] == AffineForm.coerce(_I)
 
 
-def test_combine_split_family_reassembles_the_tau_block():
-    # a one-parameter stand-in with the same splitting combinatorics as
-    # the real assembly, checked column by column against the basis
+def test_genus4_family_reassembles_the_tau_block():
+    # the assembly of the constant special fiber, checked column by column
+    # against the splitting basis
     prym = stcurve.PRYM_SPECIAL
-    tau = AffineForm.variable("tau")
-    top = [tau * 3, tau * 3 + 3]
-    pm = periods.combine_split_family(
-        top, stcurve.ELL_COLS, stcurve.PRYM_SPECIAL_MATRIX,
-        stcurve.PRYM_COLS, stcurve.SPLITTING_BASIS, ("tau",),
-        intlat.standard_symplectic(4))
+    pm = stcurve.genus4_family(stcurve.PRYM_SPECIAL_MATRIX)
+    assert pm.params == ("tau",)
+    assert pm.polarization == tuple(map(tuple, intlat.standard_symplectic(4)))
     Z0, Zt = (intlat.matmul(P, stcurve.SPLITTING_BASIS) for P in pm.coeffs)
     assert [Z0[0][c] for c in stcurve.ELL_COLS] == [ZERO, 3]
     assert [Zt[0][c] for c in stcurve.ELL_COLS] == [3, 3]

@@ -68,7 +68,6 @@ ALLOWED = {
     "pel.ConventionError.__init__": "exception constructor",
     "pel.ModuleError.__init__": "exception constructor",
     "balls.ComplexBall.__repr__": "__repr__",
-    "pel.Conventions.__repr__": "__repr__",
     "periods.AffineForm.__repr__": "__repr__",
     "report.Check.__repr__": "__repr__",
     "periods.AffineForm.__hash__": "__hash__",
