@@ -16,6 +16,7 @@ import click
 from . import covers, intlat, pel, periods, stcurve, suite
 from .exactfield import (IUNIT, RHO, ROOT4_3, SQRT3, ZETA, TowerElem, embed,
                          real_sign)
+from .report import dumps_json
 
 
 # -- tower literals --------------------------------------------------------
@@ -231,11 +232,11 @@ def _echo_json(build, *args):
     """Print build(*args) as JSON.
 
     Python will not turn an integer of more than 4,300 digits into a
-    string, in str() and json.dumps alike; such a result is a usage error
+    string, in str() and dumps_json alike; such a result is a usage error
     (exit 2) instead of a traceback.
     """
     try:
-        text = json.dumps(build(*args), indent=2, sort_keys=True)
+        text = dumps_json(build(*args))
     except ValueError as exc:
         raise click.UsageError(f"result too large to print: {exc}")
     click.echo(text)
@@ -276,15 +277,21 @@ def _read_source(matrix, path, what="matrix"):
     return matrix
 
 
+def _load_json(matrix, path):
+    """The JSON of --matrix or --file.  Text that is not JSON, holds an
+    integer past Python's digit limit or nests deeper than the parser's
+    recursion limit is a usage error."""
+    try:
+        return json.loads(_read_source(matrix, path))
+    except (ValueError, RecursionError) as exc:
+        raise click.UsageError(f"matrix is not valid JSON: {exc}")
+
+
 def _load_matrix(matrix, path):
     """Integer matrix from JSON rows or a {"rows", "cols", "data"} object,
     of height (rows x bits of the largest entry) at most
     MAX_MATRIX_HEIGHT_BITS."""
-    raw = _read_source(matrix, path)
-    try:
-        obj = json.loads(raw)
-    except ValueError as exc:       # also integers past Python's digit limit
-        raise click.UsageError(f"matrix is not valid JSON: {exc}")
+    obj = _load_json(matrix, path)
     try:
         if isinstance(obj, dict):
             A = intlat.mat_from_json(obj)
@@ -446,10 +453,10 @@ def symplectic_basis(matrix, path):
 def riemann_check(matrix, path, assignments, prec):
     """First bilinear relation, and positivity at a chosen point."""
     _check_range("--prec", prec, 16, MAX_PREC)
-    raw = _read_source(matrix, path)
+    obj = _load_json(matrix, path)
     try:
-        pm = periods.PeriodMatrix.from_json(json.loads(raw))
-    except (json.JSONDecodeError, ValueError, TypeError) as exc:
+        pm = periods.PeriodMatrix.from_json(obj)
+    except (ValueError, TypeError) as exc:
         raise click.UsageError(f"malformed period matrix: {exc}")
     if pm.g > MAX_RIEMANN_GENUS or len(pm.params) > MAX_RIEMANN_PARAMS:
         raise click.UsageError(
@@ -480,7 +487,7 @@ def riemann_check(matrix, path, assignments, prec):
                "positivity": verdict,
                "precision_bits": prec,
                "minor_ranges": [[k, lo, hi] for k, lo, hi in minors]}
-    click.echo(json.dumps(payload, indent=2, sort_keys=True))
+    click.echo(dumps_json(payload))
     if not relation or verdict == "not-positive":
         sys.exit(1)
 

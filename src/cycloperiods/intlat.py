@@ -12,9 +12,11 @@ alternating forms (M. Newman, Integral Matrices, 1972, ch. IV).  Both
 clear by one kernel of nearest-integer Euclid steps, which holds the
 Smith transforms to about 3.5, 6 and 10 times rows x bits of the input
 at 8, 16 and 32 rows, and the symplectic basis to under 4 times at 32.
-The elementary row and column moves and the two congruence moves built
-on them are defined once here; pel's Hermitian congruence reduction
-uses the congruence moves.
+Each row of the reduced matrix carries its transform's row behind it,
+[D | U] or [G | B], and V is carried transposed, so every Euclid step is
+one of two moves, _swap and _add: a row move on one set of rows and a
+column move on another, or both on one set for a congruence.  pel's
+Hermitian congruence reduction makes the same moves on [A | S] rows.
 """
 
 from fractions import Fraction
@@ -145,69 +147,79 @@ def mat_from_json(obj):
     return out
 
 
-# -- elementary moves ----------------------------------------------------
-# Each move acts in place on every matrix of mats, so an elimination
-# carries its transforms (or its Gram matrix) along with the matrix it
-# reduces.  They stay private: a tracer that wraps each public function
-# would otherwise add a span to every move.
+# -- moves on augmented rows -----------------------------------------------
+# They stay private: a tracer that wraps each public function would
+# otherwise add a span to every move.
 
-def _swap_rows(mats, i, j):
-    for M in mats:
-        M[i], M[j] = M[j], M[i]
-
-
-def _swap_cols(mats, i, j):
-    for M in mats:
-        for r in M:
-            r[i], r[j] = r[j], r[i]
+def _swap(X, Y, i, j):
+    """Swap rows i and j of X and columns i and j of the rows Y."""
+    X[i], X[j] = X[j], X[i]
+    for r in Y:
+        r[i], r[j] = r[j], r[i]
 
 
-def _add_row(mats, dst, src, c):
-    """Row dst += c * row src."""
-    for M in mats:
-        M[dst] = [a + c * b if b else a for a, b in zip(M[dst], M[src])]
-
-
-def _add_col(mats, dst, src, c):
-    """Column dst += c * column src."""
-    for M in mats:
-        for r in M:
-            if r[src]:
-                r[dst] += c * r[src]
-
-
-# congruence moves: mats[0] is a Gram matrix G, acted on as P G P^dagger,
-# and the rest (a basis, say) as P M
-
-def _congruence_swap(mats, i, j):
-    _swap_rows(mats, i, j)
-    _swap_cols(mats[:1], i, j)
-
-
-def _congruence_add(mats, dst, src, c):
-    _add_row(mats, dst, src, c)
-    _add_col(mats[:1], dst, src, c.conjugate())
+def _add(X, Y, dst, src, c):
+    """Row dst of X += c * row src, and column dst of the rows Y +=
+    conj(c) * column src."""
+    X[dst] = [a + c * b if b else a for a, b in zip(X[dst], X[src])]
+    c = c.conjugate()
+    for r in Y:
+        if r[src]:
+            r[dst] += c * r[src]
 
 
 # -- Smith normal form -------------------------------------------------
 
-def _euclid(mats, t, line, swap, add):
-    """Clear line()[k], k > t, by Euclid steps: swap an entry of least
-    absolute value into t and subtract its nearest-integer multiple from
-    the others, which leaves each at most half of it.
+def _euclid(X, Y, t, line):
+    """Clear line()[k], k > t, by Euclid steps, each one _swap or _add on
+    (X, Y): swap an entry of least absolute value into t and subtract its
+    nearest-integer multiple from the others, which leaves each at most
+    half of it.
 
-    smith_normal_form passes a column or row of D with row or column
-    moves; symplectic_basis a row of the Gram matrix with congruence moves.
+    The Smith form passes a column of D with row moves on [D | U] and a
+    row of D with column moves; symplectic_basis a row of the Gram matrix
+    with congruence moves on [G | B].
     """
     while any((vals := line())[t + 1:]):
         p = min((abs(v), k) for k, v in enumerate(vals) if v and k >= t)[1]
-        swap(mats, t, p)
+        _swap(X, Y, t, p)
         vals[t], vals[p] = vals[p], vals[t]
         b = vals[t]
         for k in range(t + 1, len(vals)):
             q = (2 * vals[k] + b) // (2 * b)
             if q:
-                add(mats, k, t, -q)
+                _add(X, Y, k, t, -q)
+
+
+def _smith(A, transforms):
+    """The rows [D | U] of the Smith form and the rows of V^T, or with no
+    transforms the rows of D and empty rows; see smith_normal_form."""
+    m, n = len(A), len(A[0])
+    R = [[int(x) for x in row] + u
+         for row, u in zip(A, identity(m) if transforms else [[]] * m)]
+    Vt = identity(n) if transforms else [[]] * n
+    column, row = (lambda: [r[t] for r in R]), (lambda: R[t][:n])
+    for t in range(min(m, n)):
+        col = next((j for j in range(t, n) if any(r[j] for r in R[t:])), None)
+        if col is None:
+            break
+        _swap(Vt, R, t, col)
+        while True:
+            _euclid(R, (), t, column)
+            # the rows above t are zero from column t on
+            _euclid(Vt, R[t:], t, row)
+            if any(column()[t + 1:]):
+                continue
+            # enforce the divisor chain before moving on; a unit divides all
+            d = R[t][t]
+            bad = next((i for i in range(t + 1, m) if abs(d) != 1
+                        and any(x % d for x in R[i][t + 1:n])), None)
+            if bad is None:
+                break
+            _add(R, (), t, bad, 1)
+        if R[t][t] < 0:
+            R[t] = [-x for x in R[t]]
+    return R, Vt
 
 
 def smith_normal_form(A):
@@ -219,39 +231,17 @@ def smith_normal_form(A):
     the clearing resumes with a smaller pivot.  Nearest-integer quotients
     keep U and V small (Kannan and Bachem, SIAM J. Comput. 8(4), 1979).
     """
-    m, n = len(A), len(A[0])
-    D = [[int(x) for x in row] for row in A]
-    U = identity(m)
-    V = identity(n)
-    column, row = (lambda: [r[t] for r in D]), (lambda: list(D[t]))
-    for t in range(min(m, n)):
-        col = next((j for j in range(t, n)
-                    if any(D[i][j] for i in range(t, m))), None)
-        if col is None:
-            break
-        _swap_cols((D, V), t, col)
-        while True:
-            _euclid((D, U), t, column, _swap_rows, _add_row)
-            _euclid((D, V), t, row, _swap_cols, _add_col)
-            if any(column()[t + 1:]):
-                continue
-            # enforce the divisor chain before moving on; a unit divides all
-            bad = next((i for i in range(t + 1, m) if abs(D[t][t]) != 1
-                        and any(D[i][j] % D[t][t] for j in range(t + 1, n))), None)
-            if bad is None:
-                break
-            _add_row((D, U), t, bad, 1)
-        if D[t][t] < 0:
-            D[t] = [-x for x in D[t]]
-            U[t] = [-x for x in U[t]]
-    return U, D, V
+    n = len(A[0])
+    R, Vt = _smith(A, True)
+    return [r[n:] for r in R], [r[:n] for r in R], transpose(Vt)
 
 
 def snf_divisors(A):
     """The Smith divisors: the rank of A is the number of nonzero ones, and
-    for square A their product is |det A|."""
-    _, D, _ = smith_normal_form(A)
-    return [D[i][i] for i in range(min(len(D), len(D[0])))]
+    for square A their product is |det A|.  The elimination of
+    smith_normal_form runs on D alone."""
+    R, _ = _smith(A, False)
+    return [R[i][i] for i in range(min(len(R), len(A[0])))]
 
 
 # -- inverses --------------------------------------------------------------
@@ -308,40 +298,40 @@ def symplectic_basis(E):
 
         S^T E S = [[0, D], [-D, 0]],   D = diag(d1 | d2 | ... | dg).
 
-    The rows of B carry the basis and G = B E B^T every pairing.  The
-    least pairing of the remaining block moves to (t, t + 1), and Euclid
-    steps, congruence moves on G, clear row t past t + 1 and row t + 1
-    past t, in turn, until both are zero; a vector whose pairings the
-    pivot d does not divide is added to vector t, and the clearing
-    resumes with a smaller pivot, as in smith_normal_form.  Degenerate
-    input raises DegenerateFormError with a radical basis.
+    Each row of G = B E B^T, every pairing of the basis B, carries the
+    row of B behind it.  The least pairing of the remaining block moves to
+    (t, t + 1), and Euclid steps, congruence moves on [G | B], clear row t
+    past t + 1 and row t + 1 past t, in turn, until both are zero; a
+    vector whose pairings the pivot d does not divide is added to vector
+    t, and the clearing resumes with a smaller pivot, as in
+    smith_normal_form.  Degenerate input raises DegenerateFormError with
+    a radical basis.
     """
     n = len(E)
     if not is_alternating(E):
         raise ValueError("symplectic_basis requires an alternating form")
-    G = [list(row) for row in E]
-    B = identity(n)
-    mats = (G, B)
-    row, next_row = (lambda: list(G[t])), (lambda: list(G[t + 1]))
+    R = [list(row) + u for row, u in zip(E, identity(n))]
+    row, next_row = (lambda: R[t][:n]), (lambda: R[t + 1][:n])
     t = 0
-    while (pair := min(((abs(G[i][j]), i, j) for i in range(t, n)
-                        for j in range(i + 1, n) if G[i][j]), default=None)):
-        _congruence_swap(mats, t, pair[1])
-        _congruence_swap(mats, t + 1, pair[2])
+    while (pair := min(((abs(R[i][j]), i, j) for i in range(t, n)
+                        for j in range(i + 1, n) if R[i][j]), default=None)):
+        _swap(R, R, t, pair[1])
+        _swap(R, R, t + 1, pair[2])
         while True:
-            _euclid(mats, t + 1, row, _congruence_swap, _congruence_add)
-            _euclid(mats, t, next_row, _congruence_swap, _congruence_add)
-            if any(G[t][t + 2:]):
+            _euclid(R, R, t + 1, row)
+            _euclid(R, R, t, next_row)
+            if any(R[t][t + 2:n]):
                 continue
-            d = G[t][t + 1]
+            d = R[t][t + 1]
             bad = next((k for k in range(t + 2, n) if abs(d) != 1
-                        and any(x % d for x in G[k][t + 2:])), None)
+                        and any(x % d for x in R[k][t + 2:n])), None)
             if bad is None:
                 break
-            _congruence_add(mats, t, bad, 1)
-        if G[t][t + 1] < 0:
-            _congruence_swap(mats, t, t + 1)
+            _add(R, R, t, bad, 1)
+        if R[t][t + 1] < 0:
+            _swap(R, R, t, t + 1)
         t += 2
     if t < n:
-        raise DegenerateFormError(B[t:])
-    return transpose(B[0:t:2] + B[1:t:2]), [G[k][k + 1] for k in range(0, t, 2)]
+        raise DegenerateFormError([r[n:] for r in R[t:]])
+    B = [r[n:] for r in R]
+    return transpose(B[0:t:2] + B[1:t:2]), [R[k][k + 1] for k in range(0, t, 2)]

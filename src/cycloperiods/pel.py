@@ -172,22 +172,22 @@ def ldl_hermitian(G):
            if G[j][i].conjugate() != G[i][j]]
     if bad:
         raise ValueError(f"matrix is not Hermitian at {bad}")
-    A = [row[:] for row in G]
-    S = intlat.identity(n)
+    # each row of A carries the row of S behind it: [A | S]
+    R = [row[:] + u for row, u in zip(G, intlat.identity(n))]
     for k in range(n):
-        piv = next((r for r in range(k, n) if A[r][r]), None)
+        piv = next((r for r in range(k, n) if R[r][r]), None)
         if piv is None:
             break
         if piv != k:
-            intlat._congruence_swap((A, S), k, piv)
+            intlat._swap(R, R, k, piv)
         for r in range(k + 1, n):
-            if A[r][k]:
-                intlat._congruence_add((A, S), r, k, -(A[r][k] / A[k][k]))
-    off = [(i, j) for i in range(n) for j in range(n) if i != j and A[i][j]]
+            if R[r][k]:
+                intlat._add(R, R, r, k, -(R[r][k] / R[k][k]))
+    off = [(i, j) for i in range(n) for j in range(n) if i != j and R[i][j]]
     if off:
         raise ValueError(f"congruence reduction left entries at {off}")
-    return ([[TowerElem.coerce(x) for x in row] for row in A],
-            [[TowerElem.coerce(x) for x in row] for row in S])
+    return ([[TowerElem.coerce(x) for x in row[:n]] for row in R],
+            [[TowerElem.coerce(x) for x in row[n:]] for row in R])
 
 
 def pivot_signs(T):

@@ -7,6 +7,8 @@ gives 3, otherwise 0.  Usage errors are the caller's problem (2).
 """
 
 import json
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 
 VERDICTS = ("pass", "fail", "inconclusive")
 
@@ -38,8 +40,7 @@ class Report:
                 "conventions": self.conventions}
 
     def dumps(self):
-        return json.dumps(self.to_json(), indent=2, sort_keys=True,
-                          default=str)
+        return dumps_json(self.to_json())
 
     def exit_code(self):
         verdicts = {c.verdict for c in self.checks}
@@ -69,3 +70,35 @@ class Report:
         lines.append(f"{n['pass']} passed, {n['fail']} failed, "
                      f"{n['inconclusive']} inconclusive")
         return "\n".join(lines)
+
+
+def dumps_json(obj, indent="\n"):
+    """The text of json.dumps(obj, indent=2, sort_keys=True, default=str).
+
+    An indent makes json.dumps drop its C encoder.  Here strings go
+    through json's C string encoder, rows of plain ints are joined in C,
+    and lists, tuples and dicts with string keys are laid out as json lays
+    them out; anything else goes to json.dumps.  An int past Python's
+    4,300-digit limit raises ValueError, as in json.dumps.  indent is the
+    line break and indentation of the level obj sits at.
+    """
+    t, inner = type(obj), indent + "  "
+    sep = "," + inner
+    if (t is list or t is tuple) and obj:
+        items = (map(int.__repr__, obj) if {*map(type, obj)} == {int}
+                 else [dumps_json(x, inner) for x in obj])
+        return f"[{inner}{sep.join(items)}{indent}]"
+    if t is dict and obj and {*map(type, obj)} == {str}:
+        items = [f"{encode_basestring_ascii(k)}: {dumps_json(v, inner)}"
+                 for k, v in sorted(obj.items())]
+        return f"{{{inner}{sep.join(items)}{indent}}}"
+    if t is str:
+        return encode_basestring_ascii(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if t is float and isfinite(obj):
+        return float.__repr__(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    return json.dumps(obj, indent=2, sort_keys=True,
+                      default=str).replace("\n", indent)

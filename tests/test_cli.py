@@ -2,6 +2,8 @@
 
 import json
 from fractions import Fraction
+from math import inf, nan
+from operator import mul
 
 import pytest
 from click.testing import CliRunner
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycloperiods import cli, intlat, periods, stcurve, suite
+from cycloperiods.report import dumps_json
 from cycloperiods.exactfield import (
     HALF, INV_ROOT4_3, IUNIT, ONE, RHO, TowerElem, cyclo, zeta_power,
 )
@@ -697,3 +700,35 @@ def test_tools_covers_bounds_the_exponent_list(runner):
         assert result.exit_code == code, _text(result)
     assert f"at most {top}" in _text(result)
     assert "Traceback" not in _text(result)
+
+
+# values for the JSON writer: ints up to and past Python's 4,300-digit
+# limit for int-to-str conversion, floats with NaN and +-inf, non-ASCII
+# strings, bools, None and Fractions (written through default=str), in
+# nested lists, tuples and dicts, empty ones and ones with non-string keys;
+# rows of ints, alone and mixed with bools, which are ints to isinstance
+_digits = st.integers(4290, 4310).map(lambda d: 10 ** (d - 1))
+_scalars = st.one_of(st.integers(),
+                     st.builds(mul, st.sampled_from((-1, 1)), _digits),
+                     st.floats(), st.sampled_from((nan, inf, -inf)),
+                     st.text(), st.booleans(), st.none(), st.fractions())
+_keys = st.one_of(st.text(), st.integers(-3, 3), st.floats(), st.booleans(),
+                  st.none())
+_json_values = st.recursive(_scalars, lambda inner: st.one_of(
+    st.lists(inner), st.lists(inner).map(tuple), st.lists(st.integers()),
+    st.lists(st.integers() | st.booleans()),
+    st.dictionaries(st.text(), inner), st.dictionaries(_keys, inner)),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_values)
+def test_dumps_json_matches_json_dumps_byte_for_byte(obj):
+    try:
+        want = json.dumps(obj, indent=2, sort_keys=True, default=str)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)) as err:
+            dumps_json(obj)
+        assert type(err.value) is type(exc)
+    else:
+        assert dumps_json(obj) == want

@@ -135,8 +135,13 @@ def _tall_family(g, bits):
     return PeriodMatrix(g, [], entries, intlat.standard_symplectic(g)).to_json()
 
 
-# each placeholder stands for a file holding the JSON its function builds
+# a file of 100,000 "[", nested past the JSON parser's recursion limit
+DEEP = "<100,000 [>"
+
+# each placeholder stands for a file holding the JSON its function builds,
+# or the text it returns
 FILES = {
+    DEEP: lambda: "[" * 100_000,
     FAMILY: _family,
     "<fixed 8 x 8 matrix>": lambda: SNF_8,
     "<6 x 6 Prym form>": _prym_form,
@@ -202,7 +207,8 @@ def _materialize(args, tmp_path):
     for k, placeholder in enumerate(FILES):
         if placeholder in args:
             path = tmp_path / f"input{k}.json"
-            path.write_text(json.dumps(FILES[placeholder]()))
+            text = FILES[placeholder]()
+            path.write_text(text if type(text) is str else json.dumps(text))
             args = [str(path) if a == placeholder else a for a in args]
     return args
 
@@ -255,6 +261,10 @@ HOSTILE = [
     (["tools", "snf", "--file", "<4 x 4 matrix with 300-digit entries>"], 2),
     (["tools", "symplectic-basis", "--file",
       "<32 x 32 form with 300-digit entries>"], 2),
+    # the parser's RecursionError was a traceback and exit 1
+    (["tools", "snf", "--file", DEEP], 2),
+    (["tools", "symplectic-basis", "--file", DEEP], 2),
+    (["tools", "riemann-check", "--file", DEEP], 2),
 ]
 HOSTILE_BUDGET_S = 2.0
 

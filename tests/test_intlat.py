@@ -1,5 +1,6 @@
 """Integer lattice routines checked against small classical oracles."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -478,3 +479,163 @@ def test_mat_json_roundtrip():
         intlat.mat_from_json({"rows": 2, "cols": 2, "data": [[1, 2]]})
     with pytest.raises(ValueError):
         intlat.mat_from_json({"rows": 1, "cols": 1, "data": [["x"]]})
+
+
+# -- the Euclid moves, pinned ---------------------------------------------
+# SHA-256 of each output on seeded inputs, written out by _hex_repr and
+# recorded before the moves were carried on augmented rows: the same moves
+# in the same order give the same transforms, bases and radicals byte for
+# byte, so any change to which moves the eliminations make, or in what
+# order, changes a digest.
+
+def _seeded_pinned(m, n, bits, rank=None):
+    """An m x n matrix with entries of up to `bits` bits, seeded by its
+    shape; of rank at most `rank` when that is given (0: all zero)."""
+    rng = random.Random(1000 * m + n + bits)
+    h = 2 ** bits - 1
+    if rank is None:
+        return [[rng.randint(-h, h) for _ in range(n)] for _ in range(m)]
+    B = [[rng.randint(-h, h) for _ in range(rank)] for _ in range(m)]
+    C = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(rank)]
+    return [[sum(b[k] * C[k][j] for k in range(rank)) for j in range(n)]
+            for b in B]
+
+
+def _hex_repr(x):
+    """x written out with its ints in hex, which has no digit limit."""
+    if isinstance(x, (list, tuple)):
+        return "[" + ",".join(map(_hex_repr, x)) + "]"
+    return hex(x) if type(x) is int else repr(x)
+
+
+def _digest(obj):
+    return hashlib.sha256(_hex_repr(obj).encode()).hexdigest()
+
+
+# (rows, cols, entry bits, rank bound or None) -> SHA-256 of (U, D, V);
+# rank bound 0 is the zero matrix, and 3 x 0 has empty rows
+SNF_DIGESTS = {
+    (1, 1, 8, None):
+        'bce26184e2bedf6f101614dfd99e9902f3d31c689192873e83327ea0e10a1cf1',
+    (2, 2, 8, None):
+        '05e7c425ed6fe0a65ca35614cba75a18b4182379529bdd173fe9c7dafbabb057',
+    (3, 3, 64, None):
+        'fe14b5033e21c7e92f588d0a5896290775450282e82ea65f7607cb03b4d8bb4e',
+    (4, 4, 16, None):
+        'f2f9e4b72625e2b5e9bf7094947c7eb974afa26540e99bba2de8392be3f4142d',
+    (5, 5, 4, None):
+        '0d6fc1abea17b9ebcdcdf74763c75ed43323eac3c210e0e8f9e3ffe8bde96927',
+    (8, 8, 64, None):
+        '5f9b2bd2b9dd65d7d58db3c9540c03dc81c1bb6a40fea565ac813dc676871229',
+    (12, 12, 32, None):
+        'e3d68bbdb194485a7c70dc67a2a6f0939a78e10e94142791ff63a0785182cf95',
+    (16, 16, 64, None):
+        '0df7324c01ea32a6260667aa279c92f7095daa2040395fc38fa0a8fed546e53c',
+    (24, 24, 16, None):
+        '902256d52d9cffb69af75a7c0a50532a20a5d78bd52a561adf22cacca77066c8',
+    (32, 32, 16, None):
+        'ca43bb815ab719e38d23aabcaf927eb4b70a71ec1f884b224a23c8f726142740',
+    (32, 32, 64, None):
+        '7e341f0b2dbab2d2b791f2c3f7e6fb680d9c97e650a6dae66541e79ebb3441be',
+    (3, 7, 16, None):
+        '074adb5ca13a2b8a1defc1bcd7c9e1f7b835ee6a0b2ae33ddc47d7d7f385f61b',
+    (7, 3, 16, None):
+        'd19dbe4fd19102af5b6b8d7e4c219056913fc9dd1cbc56f439bdc61e05ed75cd',
+    (1, 6, 64, None):
+        '4bc28af4e8953f02e409ef00001767589754cc21dd2769f1f5cc5424eab20fb7',
+    (6, 1, 64, None):
+        '05d9acfba216a78a4a522df794c0462265be4776b2dedbcdf6c0c55b4fd679c5',
+    (12, 20, 32, None):
+        '518cb82d232d0d5f090b1c2e48ef38232dc8d54bfa8a0b04cce57d763a3e0de4',
+    (20, 12, 32, None):
+        '4f4ebdf02a7ad30a8580e0d79a007595b74ccd73ef5b72ccc1071a22e4000867',
+    (8, 8, 16, 5):
+        '62897f4a614dc9a2a714cbc10f47915e387bd5c221a5d0636fb1d1461bda12f4',
+    (10, 6, 16, 3):
+        '90dd785403a3497021f4a10d9d52e0e3b02cbf69ffb3d0abfb845b861a0a0a3b',
+    (6, 10, 16, 2):
+        '746bbb46a76337f83bfdf13c77260b5bbf4401f3160e4dc441ee0e94747756d9',
+    (16, 16, 32, 15):
+        'deea5198f57e0ecab5819ff8a5fc1fcceb252828c5ad0bab28dead609beeead4',
+    (1, 1, 8, 0):
+        '35ab2193a089fee8a0a950876be3f06d2b5d67b633d0ab536ea4f2b34eeb3d23',
+    (4, 6, 8, 0):
+        '6516ca4f28a5bb660df5dd928fd42ceddc70ef321fde98a4e6e0debd85fd93cb',
+    (6, 4, 8, 0):
+        '7d54d11d68551ec5ca888cddd6ffa0837b6103761385da5e39bc128a5d3e987e',
+    (3, 0, 8, None):
+        'c06893fdcd13a03bd4da22b2155ce324e572a414d401d91276d45dc791e66746',
+}
+
+
+@pytest.mark.parametrize("case", SNF_DIGESTS, ids=str)
+def test_smith_normal_form_makes_the_pinned_moves(case):
+    U, D, V = intlat.smith_normal_form(_seeded_pinned(*case))
+    assert _digest((U, D, V)) == SNF_DIGESTS[case]
+
+
+def _seeded_pinned_form(n, bits, rank=None):
+    """An n x n alternating form with entries of up to `bits` bits, seeded
+    by its size; B C B^T, of rank at most `rank`, when that is given."""
+    rng = random.Random(1000 * n + bits)
+    if rank is None:
+        return _seeded_alternating(rng, n, 2 ** bits - 1)
+    C = _seeded_alternating(rng, rank, 2 ** bits - 1)
+    B = [[rng.randint(-9, 9) for _ in range(rank)] for _ in range(n)]
+    BC = [[sum(map(mul, b, c)) for c in zip(*C)] for b in B]
+    return [[sum(map(mul, x, y)) for y in B] for x in BC]
+
+
+# (size, entry bits, rank bound of the inner form or None) -> SHA-256 of
+# ("basis", S, divisors) or of ("radical", radical)
+SYMPLECTIC_DIGESTS = {
+    (2, 8, None):
+        '605ed7eac3736fc982808f837f2069b87bf8519e27364078663d6860f59164f6',
+    (4, 64, None):
+        '4f06dd6fa9d7f618ecfa2fb7ba9def24ffcea42b5470d4cbc6233eaf2e787625',
+    (6, 4, None):
+        '94916edeea46b657b58c66134019cfe58befcea27bbd1f7f8b0e3a7391372e40',
+    (8, 16, None):
+        'e15b1e24433b49237f1c7b3cf7813438bc9de722b3f13e918b96f01a45df7aaf',
+    (10, 64, None):
+        '3f5eb09e153f162d08d5a86ddc82ed019d0eda690b1774c667313a54a41d72b7',
+    (16, 16, None):
+        'd84ff2b4d424039b88d9100456a920e5511336b7569075c6f38d5eeda774f7af',
+    (16, 64, None):
+        '330df76ee70b7d2dc6801f64971a75412fce3b837f7da1cfd74852a239a83f82',
+    (24, 8, None):
+        '2416eeac011aace5322f4ddc548f3cce0e63ffb4c772d4cd579633ff4c153030',
+    (32, 4, None):
+        '08e5be9110114345771e1e3b425fbef2ea8ed36a03f15ace4f9b7265e9998c5a',
+    (32, 16, None):
+        '8cc48c348c505559cdcdbd11240d2db7b460359cd617e063f7920f8091d351f8',
+    (32, 64, None):
+        'd0d4e4e5aa1b9711b02b9065843f35ea618582c315a710b70706358939cee313',
+    (1, 8, None):
+        'c7db6f8f9478c5c24fbf4f307970b0555b46363309b2c01b4d9d36e042ed0c12',
+    (5, 16, None):
+        '1f8481016d93cec3514b52f0df64f4f6d95b6ea0b0f9fdc23da05ea8066a9aa4',
+    (7, 4, None):
+        '035fc903298d48bc758041cc8c6284ccb87649f4131c79c734dc0dce57bc2e57',
+    (8, 16, 4):
+        '9a765c8f68292cbdbd6c96c046c2643d4d7b7e1d5401db015dc8d79d27c60196',
+    (12, 32, 6):
+        'f539493d423969f79292966e253583b3309d23b61e0f6b032b2df67af231beb1',
+    (9, 8, 3):
+        '65f0dc977120d0e0aae3a47a2f48b32c2db8cb8e8320237e74a560c838675f8e',
+    (32, 16, 30):
+        '51065cdaeb3fac94d2fbe8765b8dcde27c797061b14573210f290e8bb15849f9',
+    (4, 8, 0):
+        'b40a61734b2f654af7339198d451bffcd55962340492596f61ef1f90d21ee081',
+    (6, 64, 5):
+        '6023dc0530d51641534526b41c0ad410b525113821feae7b586f98392d80c756',
+}
+
+
+@pytest.mark.parametrize("case", SYMPLECTIC_DIGESTS, ids=str)
+def test_symplectic_basis_makes_the_pinned_moves(case):
+    try:
+        out = ("basis", *intlat.symplectic_basis(_seeded_pinned_form(*case)))
+    except intlat.DegenerateFormError as exc:
+        out = ("radical", exc.radical)
+    assert _digest(out) == SYMPLECTIC_DIGESTS[case]
