@@ -18,7 +18,8 @@ products is one `dot` with delayed reduction (as in ANTIC and
 FFLAS-FFPACK): the products are added in integer coordinates over one
 running denominator and reduced by one final gcd.  The operators +, -
 and * are each one `dot` too (x + y is the sum of x*1 and y*1), so there
-is no second path for sums or rational scaling.
+is no second path for sums or rational scaling.  `dot` finds a rational-
+valued tower operand by counting zeros, and an integral result takes no gcd.
 Inverses are closed form: 1/(b + a alpha) = (b - a alpha)/(b^2 - a^2 sqrt3),
 1/x = conj(x)/(x conj(x)) in Q(zeta12), and 1/(s + t sqrt3) =
 (s - t sqrt3)/(s^2 - 3t^2).  The embedding zeta -> exp(i*pi/6), alpha ->
@@ -38,6 +39,7 @@ from .balls import ComplexBall
 
 _Z4 = (0, 0, 0, 0)
 _Z7 = (0,) * 7
+_Z8 = (0,) * 8
 
 
 # -- integer vectors of Z[zeta12] ----------------------------------------
@@ -78,8 +80,8 @@ def _raw(n, d):
 
 
 def _make(n, d):
-    """Element n / d for d != 0, reduced by one gcd to d > 0."""
-    g = gcd(d, *n) if d > 0 else -gcd(d, *n)
+    """Element n / d for d != 0, reduced by one gcd to d > 0 (none for d = 1)."""
+    g = 1 if d == 1 else gcd(d, *n) if d > 0 else -gcd(d, *n)
     return _raw(n, d) if g == 1 else _raw(tuple([v // g for v in n]), d // g)
 
 
@@ -89,13 +91,15 @@ def dot(pairs):
     formula), added over a running denominator and reduced once."""
     s = None
     for x, y in pairs:
-        # a tower element first, a rational or rational-valued one second
-        if type(x) is not TowerElem or type(y) is TowerElem and x.n[1:] == _Z7:
+        # a tower element first, a rational or rational-valued one (seven
+        # zeros after n[0]) second
+        if type(x) is not TowerElem or (type(y) is TowerElem
+                                        and x.n.count(0) == 7 + (not x.n[0])):
             x, y = y, x
         if type(x) is not TowerElem:            # two rationals
             p = x * y
             t, e = (p.numerator,) + _Z7, p.denominator
-        elif type(y) is not TowerElem or y.n[1:] == _Z7:    # only a scaling
+        elif type(y) is not TowerElem or y.n.count(0) == 7 + (not y.n[0]):
             p, q = (y.n[0], y.d) if type(y) is TowerElem else (y.numerator, y.denominator)
             t, e = (x.n if p == 1 else [v * p for v in x.n]), x.d * q
         else:   # Phi12 convolutions with z^4 = z^2 - 1, alpha^2 = 2z - z^3
@@ -256,10 +260,10 @@ class TowerElem:
         return _raw(_zconj(self.n[:4]) + _zconj(self.n[4:]), self.d)
 
     def is_zero(self):
-        return not any(self.n)
+        return self.n == _Z8
 
     def __bool__(self):
-        return any(self.n)
+        return self.n != _Z8
 
     def is_rational(self):
         return self.n[1:] == _Z7
@@ -280,6 +284,8 @@ class TowerElem:
         return (Fraction(n0, self.d), Fraction(-n3, self.d))
 
     def __eq__(self, other):
+        if type(other) is TowerElem:
+            return self.n == other.n and self.d == other.d
         if isinstance(other, (int, Fraction)):
             other = TowerElem.coerce(other)
         if not isinstance(other, TowerElem):

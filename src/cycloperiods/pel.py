@@ -21,7 +21,7 @@ from math import isqrt
 
 from . import intlat
 from .exactfield import (TowerElem, ZERO, ONE, IUNIT, RHO, SQRT3, ROOT4_3,
-                         real_sign)
+                         dot, real_sign)
 from .periods import PeriodMatrix, tower_conj
 
 
@@ -344,51 +344,66 @@ class MatchResult:
         return real_sign(1 - self.ball_norm()) > 0
 
 
-def match_solver(family, target, row1=None):
+def _row1_solve(Wx, t):
+    """(c11, z1, z2) from row 1's matrix Wx and target t, or the error."""
+    Winv = intlat.inverse(Wx)
+    if Winv is None:
+        return "row-1 coefficient matrix singular"
+    w = intlat.matmul(intlat.transpose(Winv), [[x] for x in t])
+    if not w[2][0]:
+        return "row-1 system forces c11 = 0"
+    return w[2][0], w[0][0] / w[2][0], w[1][0] / w[2][0]
+
+
+def _pair_solve(eqs):
+    """(c, c') with c a + c' b = t for the (a, b, t) of eqs, from the first
+    two equations with a nonzero determinant; None if there are none."""
+    for (a1, b1, t1), (a2, b2, t2) in itertools.combinations(eqs, 2):
+        det = dot(((a1, b2), (-a2, b1)))
+        if det:
+            return (dot(((t1, b2), (-t2, b1))) / det,
+                    dot(((a1, t2), (-a2, t1))) / det)
+    return None
+
+
+def match_solver(family, target, shared=None):
     """Solve C * family(z1, z2) = target exactly.
 
     family: PeriodMatrix affine in z1, z2; target: 3x6 tower matrix.  The
     first row is inverted through its coefficient matrix, which pins
     (c11 z1, c11 z2, c11) at once; the remaining two rows each give an
-    overdetermined 2x2 linear system.  Every one of the 18 entries is
-    then verified; any residual raises MatchError carrying the offending
-    entries.  Calls sharing a dict row1 invert each row-1 matrix once.
+    overdetermined 2x2 linear system in the first three columns.  Every
+    one of the 18 entries is then verified, each residual one dot; any
+    nonzero residual raises MatchError carrying the offending entries.
+    Calls sharing a dict `shared` solve each distinct system once: it is
+    keyed on each system's entries, target included, so one dict may
+    serve any families and targets.
     """
     if family.params != ("z1", "z2"):
         raise ValueError(f"family parameters {family.params} are not (z1, z2)")
+    shared = {} if shared is None else shared
     P0, P1, P2 = family.coeffs
-    Wx = (P1[0][:3], P2[0][:3], P0[0][:3])
-    row1 = {} if row1 is None else row1
-    if Wx not in row1:
-        row1[Wx] = intlat.inverse(Wx)
-    Winv = row1[Wx]
-    if Winv is None:
-        raise MatchError("row-1 coefficient matrix singular")
-    w = intlat.matmul(intlat.transpose(Winv), [[x] for x in target[0][:3]])
-    c11 = w[2][0]
-    if not c11:
-        raise MatchError("row-1 system forces c11 = 0")
-    point = {"z1": w[0][0] / c11, "z2": w[1][0] / c11}
-    F = family.evaluate(point)
+    key = ((P1[0][:3], P2[0][:3], P0[0][:3]), tuple(target[0][:3]))
+    if key not in shared:
+        shared[key] = _row1_solve(*key)
+    if isinstance(shared[key], str):
+        raise MatchError(shared[key])
+    c11, z1, z2 = shared[key]
+    F = family.evaluate({"z1": z1, "z2": z2})
     coeffs = {"c11": c11}
     for ri, names in ((1, ("c22", "c23")), (2, ("c32", "c33"))):
-        eqs = [(F[1][k], F[2][k], target[ri][k]) for k in range(3)]
-        solved = None
-        for (a1, b1, t1_), (a2, b2, t2_) in itertools.combinations(eqs, 2):
-            det = a1 * b2 - a2 * b1
-            if det:
-                solved = ((t1_ * b2 - t2_ * b1) / det,
-                          (a1 * t2_ - a2 * t1_) / det)
-                break
-        if solved is None:
+        eqs = tuple((F[1][k], F[2][k], target[ri][k]) for k in range(3))
+        if eqs not in shared:
+            shared[eqs] = _pair_solve(eqs)
+        if shared[eqs] is None:
             raise MatchError(f"row {ri + 1} system is degenerate")
-        coeffs[names[0]], coeffs[names[1]] = solved
-    result = MatchResult(point["z1"], point["z2"], coeffs)
-    CF = intlat.matmul(result.block_matrix(), F)
+        coeffs[names[0]], coeffs[names[1]] = shared[eqs]
+    result = MatchResult(z1, z2, coeffs)
     residuals = []
-    for i in range(3):
-        for j in range(6):
-            r = CF[i][j] - target[i][j]
+    for i, row in enumerate(result.block_matrix()):
+        for j in range(6):      # (C F)[i][j] - target[i][j]
+            r = dot([(c, F[k][j]) for k, c in enumerate(row) if c]
+                    + [(target[i][j], -1)])
             if r:
                 residuals.append((i, j, r))
     if residuals:
@@ -403,12 +418,13 @@ def resolve_conventions(W, module, target):
     Tries every (embedding, I2 reading, column order) combination and
     keeps those whose family admits an exact match against the target.
     An order only permutes the columns of one of four coefficient sets,
-    and the row-1 matrices the candidates share (W's rows in all grouped
-    ones) are inverted once.  Exactly one must survive, and (reading,
-    match, family) of it is returned; anything else raises ConventionError
-    with the readings that matched as its candidates.
+    and the candidates share one match_solver dict: the four grouped
+    readings solve one row-1 system (one c11, one point), and readings
+    with one I2 reading the same 2x2 systems.  Exactly one must survive,
+    and (reading, match, family) of it is returned; anything else raises
+    ConventionError with the readings that matched as its candidates.
     """
-    winners, row1 = [], {}
+    winners, shared = [], {}
     for embedding in ("sigma", "sigmabar"):
         for i2 in ("identity", "i-identity"):
             reading = {"embedding": embedding, "I2_in_Jz": i2,
@@ -417,7 +433,7 @@ def resolve_conventions(W, module, target):
             for order, family in (("grouped", grouped),
                                   ("interleaved", _interleaved(grouped))):
                 try:
-                    sol = match_solver(family, target, row1)
+                    sol = match_solver(family, target, shared)
                 except MatchError:
                     continue
                 winners.append((dict(reading, column_order=order), sol, family))

@@ -29,7 +29,9 @@ RUN_CONVENTIONS = {
 
 
 # stage name -> builder of its value from the context; the stages are the
-# shared pipeline of the checks, each built at most once per context
+# shared pipeline of the checks, each built at most once per context: the
+# families at z* (prym_at_star, genus4_at_star) and deck-twist's search
+# (deck_hits, whose (1, "plain") hit is module-endo's) serve several checks
 STAGES = {
     "module": lambda ctx: pel.build_module(
         stcurve.PRYM_SHIFT, list(stcurve.MODULE_GENS),
@@ -46,7 +48,11 @@ STAGES = {
     "prym_family": lambda ctx: pel.prym_family(
         ctx.match, ctx.family_u, ctx.module),
     "genus4_family": lambda ctx: stcurve.genus4_family(ctx.prym_family),
+    "prym_at_star": lambda ctx: ctx.prym_family.subs(ctx.match.point()),
     "genus4_at_star": lambda ctx: ctx.genus4_family.subs(ctx.match.point()),
+    "deck_hits": lambda ctx: periods.intertwiner_search(
+        ctx.prym_family, stcurve.PRYM_WEIGHT_EXPONENTS, stcurve.PRYM_SHIFT,
+        signs=(1,)),
 }
 
 
@@ -212,20 +218,19 @@ CERTIFICATION_FLOOR = 64
            "i P E^-1 conj(P)^T definite (sign +1)")
 def _check_positivity(ctx, strict):
     g4 = stcurve.GENUS4
-    zstar = ctx.match.point()
     points = [("genus4 tau=i", g4, {"tau": IUNIT}),
               ("genus4 tau=2i", g4, {"tau": IUNIT * 2}),
               ("genus4 tau=1+i", g4, {"tau": IUNIT + 1}),
               ("family z=0", ctx.prym_family, {"z1": ZERO, "z2": ZERO}),
-              ("family z=z*", ctx.prym_family, zstar),
+              ("family z=z*", ctx.prym_at_star, {}),
               ("family z=(1/2,0)", ctx.prym_family,
                {"z1": HALF, "z2": ZERO}),
-              ("genus4-family tau=2i, z=z*", ctx.genus4_family,
-               dict(zstar, tau=IUNIT * 2))]
+              ("genus4-family tau=2i, z=z*", ctx.genus4_at_star,
+               {"tau": IUNIT * 2})]
     evidence = {}
     verdicts = []
     for name, pm, pt in points:
-        if pm is not g4:    # built per run, read at 1-3 points: one product each
+        if pt and pm is not g4:     # built per run, read at 1-3 points: one product each
             pm, pt = pm.subs(pt), {}
         verdict, minors = periods.riemann_positivity(
             pm, pt, prec=ctx.prec, sign=stcurve.POSITIVITY_SIGN)
@@ -248,9 +253,7 @@ def _check_positivity(ctx, strict):
            "diag(zeta^4, zeta^8, zeta^8) intertwines exactly one"
            " variant, which preserves the pairing")
 def _check_intertwine(ctx, strict):
-    hits = periods.intertwiner_search(ctx.prym_family,
-                                      stcurve.PRYM_WEIGHT_EXPONENTS,
-                                      stcurve.PRYM_SHIFT, signs=(1,))
+    hits = ctx.deck_hits
     J3 = stcurve.PRYM_POLARIZATION
     M = stcurve.PRYM_SHIFT
     preserves = intlat.matmul(intlat.transpose(M),
@@ -303,8 +306,8 @@ def _check_match(ctx, strict):
 @_register("special-fiber", "family",
            "family(z*) = special; genus-4 assembly = Z(tau)")
 def _check_special_fiber(ctx, strict):
-    at_star = ctx.prym_family.evaluate(ctx.match.point())
-    fiber_ok = not _diff_entries(at_star, stcurve.PRYM_SPECIAL)
+    fiber_ok = not _diff_entries(ctx.prym_at_star.coeffs[0],
+                                 stcurve.PRYM_SPECIAL)
     assembled = ctx.genus4_at_star
     base = stcurve.GENUS4
     genus4_ok = (assembled.params == base.params
@@ -325,15 +328,17 @@ def _check_endo(ctx, strict):
         R_rho[3 + k][3 + k] = -1
     rho_ok = periods.intertwines(ctx.family_u, A_rho, R_rho)
 
-    A3 = _diag([zeta_power(e) for e in stcurve.PRYM_WEIGHT_EXPONENTS])
-    prym_ok = periods.intertwines(ctx.prym_family, A3, stcurve.PRYM_SHIFT)
+    # deck-twist's (sign 1, plain) variant: diag(zeta^e) against PRYM_SHIFT
+    prym_ok = (1, "plain") in ctx.deck_hits
 
-    # the full order-6 deck map only lives on the Jacobian locus, so it
-    # is tested on the tau-family and on the assembly pinned at z*
+    # the full order-6 deck map only lives on the Jacobian locus, so it is
+    # tested on the tau-family and on the assembly at z* if that differs
     A4 = _diag([zeta_power(e) for e in stcurve.FORM_WEIGHT_EXPONENTS])
     R6 = stcurve.DECK_SYMPLECTIC_ACTION
     genus4_ok = periods.intertwines(stcurve.GENUS4, A4, R6)
-    pinned_ok = periods.intertwines(ctx.genus4_at_star, A4, R6)
+    pinned = ctx.genus4_at_star
+    pinned_ok = (genus4_ok if pinned.coeffs == stcurve.GENUS4.coeffs
+                 else periods.intertwines(pinned, A4, R6))
     ok = rho_ok and prym_ok and genus4_ok and pinned_ok
     return ok, {"rho_endomorphism": rho_ok,
                 "prym_family_deck": prym_ok,

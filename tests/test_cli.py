@@ -189,6 +189,17 @@ def test_verify_unexpected_error_keeps_a_traceback(runner, monkeypatch):
     assert check["verdict"] == "pass" and "traceback" not in check["evidence"]
 
 
+@pytest.mark.parametrize("strict", [False, True])
+def test_every_only_run_matches_the_full_run(strict):
+    # a partial run builds only the stages its checks read (--only endo
+    # builds deck_hits without deck-twist), and must read them the same
+    full = {c.id: dumps_json(c.to_json())
+            for c in suite.run_all(prec=128, strict=strict).checks}
+    for x in sorted({x for pair in suite.check_tags() for x in pair}):
+        part = suite.run_all(prec=128, only=x, strict=strict).checks
+        assert part and all(dumps_json(c.to_json()) == full[c.id] for c in part), x
+
+
 def test_verify_low_precision_is_inconclusive(runner):
     result = runner.invoke(cli.main,
                            ["verify", "--only", "positivity", "--prec", "16"])

@@ -43,14 +43,22 @@ from cycloperiods.exactfield import (
 )
 
 # the 97 fractions in [-4, 4] with denominator at most 6, which is the set
-# st.fractions(-4, 4, max_denominator=6) draws from; sampling them from a
-# list costs a fraction of its generation time.  Simplest first, so that
-# shrinking heads for 0, 1, -1, ...
-_rat = st.sampled_from(sorted({Fraction(n, d) for d in range(1, 7)
-                               for n in range(-4 * d, 4 * d + 1)},
-                              key=lambda q: (q.denominator, abs(q), q < 0)))
-_coords = st.tuples(_rat, _rat, _rat, _rat)
-_elems = st.builds(TowerElem, _coords, _coords)
+# st.fractions(-4, 4, max_denominator=6) draws from.  Simplest first, so
+# that shrinking heads for 0, 1, -1, ...
+_RATS = sorted({Fraction(n, d) for d in range(1, 7) for n in range(-4 * d, 4 * d + 1)},
+               key=lambda q: (q.denominator, abs(q), q < 0))
+
+
+def _digits(k, count):
+    """count fractions of _RATS, read from the base-97 digits of k."""
+    return tuple(_RATS[k // len(_RATS) ** i % len(_RATS)] for i in range(count))
+
+
+# the coordinates of an element in one integer draw, not one sampled draw
+# per coordinate: the same values, each example cheaper to draw
+_coords = st.integers(0, len(_RATS) ** 4 - 1).map(lambda k: _digits(k, 4))
+_elems = st.integers(0, len(_RATS) ** 8 - 1).map(
+    lambda k: TowerElem(_digits(k, 4), _digits(k // len(_RATS) ** 4, 4)))
 _nonzero = _elems.filter(lambda x: not x.is_zero())
 
 
@@ -250,8 +258,9 @@ def test_embedding_commutes_with_conjugation(x):
 
 
 @settings(max_examples=500, deadline=None)
-@given(_rat, _rat, _rat, _rat)
-def test_real_sign_agrees_with_embedding(s, t, u, v):
+@given(_coords)
+def test_real_sign_agrees_with_embedding(coords):
+    s, t, u, v = coords
     x = (TowerElem.coerce(s) + SQRT3 * t
          + ROOT4_3 * (TowerElem.coerce(u) + SQRT3 * v))
     assert x.is_real()
@@ -913,6 +922,54 @@ def test_dot_matches_the_sum_of_products(pairs):
     # exact cancellation leaves the canonical zero
     cancelled = dot(pairs + [(-TowerElem.coerce(x), y) for x, y in pairs])
     assert cancelled == ZERO and cancelled.n == ZERO.n and cancelled.d == 1
+
+
+@st.composite
+def _integral_pairs(draw):
+    """0..8 pairs from dot's integral regime, each kind on either side:
+    small d = 1 tower elements (full, in Q(zeta12), or one coordinate
+    alone, such as 5 zeta^3), +-1 scalings as ints, Fractions or tower
+    elements, rational-valued tower elements with denominators 1..3, and
+    zeros."""
+    rng = draw(st.randoms(use_true_random=False))
+
+    def operand():
+        kind = rng.randrange(6)
+        if kind == 0:
+            return rng.choice([1, -1, Fraction(1), Fraction(-1), ONE, -ONE])
+        if kind == 1:
+            return TowerElem.coerce(Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
+        if kind == 2:
+            return rng.choice([0, ZERO])
+        if kind == 3:
+            n = [0] * 8
+            n[rng.randrange(8)] = rng.choice([-9, -2, -1, 1, 2, 9])
+            return TowerElem(n[:4], n[4:])
+        c = [rng.randint(-9, 9) for _ in range(4)]
+        return TowerElem(c, [rng.randint(-9, 9) for _ in range(4)] if kind == 4 else ())
+
+    return [(operand(), operand()) for _ in range(draw(st.integers(0, 8)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_integral_pairs())
+def test_dot_in_its_integral_regime(pairs):
+    got = dot(pairs)
+    _assert_normal(got)
+    want = [Fraction(0)] * 8
+    for x, y in pairs:
+        p = _fraction_product(TowerElem.coerce(x), TowerElem.coerce(y))
+        want = [u + v for u, v in zip(want, p)]
+    assert got.c + got.a == tuple(want)
+    # the zero and equality tests agree with the normal form they read
+    elems = [got] + [TowerElem.coerce(v) for pair in pairs for v in pair]
+    elems += [TowerElem.coerce(x * y) for x, y in pairs]
+    elems += [TowerElem.coerce(x + y) for x, y in pairs]
+    for x in elems:
+        _assert_normal(x)
+        assert bool(x) is any(x.n) and x.is_zero() is not any(x.n)
+        for y in elems:
+            assert (x == y) is ((x.n, x.d) == (y.n, y.d))
 
 
 def test_dot_edge_cases():

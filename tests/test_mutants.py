@@ -4,9 +4,12 @@ The matrices are built once at import, cannot be changed in place, and
 are read by the suite at call time.  So a test can swap a constant for
 a mutant with monkeypatch: adding 1 to any one entry of PRYM_SPECIAL or
 of either coefficient matrix of GENUS4 must change at least one verdict
-of the thirteen checks, or the checks do not pin that entry down.
+of the thirteen checks, or the checks do not pin that entry down.  The
+same holds for a seeded sample of the +1 mutants of the working constants
+that the suite's shared stages read.
 """
 
+import random
 import sys
 import types
 
@@ -134,3 +137,28 @@ def test_each_cycle_combo_mutant_changes_the_display_audit(monkeypatch):
     # a slip inside a column that already differs shows as its own entry
     assert sum(map(len, stcurve.REF_CYCLE_COMBOS)) == 96
     assert _unseen_display_mutants(monkeypatch, "REF_CYCLE_COMBOS") == []
+
+
+# a seeded sample of the +1 mutants of the working constants that the
+# shared stages read: the module (PRYM_SHIFT, MODULE_GENS), the convention
+# search (FAMILY_W) and the deck actions (PRYM_SHIFT, DECK_SYMPLECTIC_ACTION)
+WORKING_SAMPLE = [(name, i, j) for name in (
+    "PRYM_SHIFT", "FAMILY_W", "MODULE_GENS", "DECK_SYMPLECTIC_ACTION")
+    for i, j in random.Random(name).sample(
+        [(i, j) for i, row in enumerate(getattr(stcurve, name))
+         for j in range(len(row))], 6)]
+
+
+def _plus_one(rows, i, j):
+    """rows with 1 added to entry (i, j), in rows' own container types."""
+    return type(rows)(type(row)(x + 1 if (r, c) == (i, j) else x
+                                for c, x in enumerate(row))
+                      for r, row in enumerate(rows))
+
+
+@pytest.mark.parametrize("name, i, j", WORKING_SAMPLE,
+                         ids=[f"{n}-{i}-{j}" for n, i, j in WORKING_SAMPLE])
+def test_each_sampled_working_mutant_changes_a_verdict(monkeypatch, verdicts,
+                                                       name, i, j):
+    monkeypatch.setattr(stcurve, name, _plus_one(getattr(stcurve, name), i, j))
+    assert _verdicts() != verdicts

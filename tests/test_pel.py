@@ -404,6 +404,28 @@ def test_match_solver_rejects_inconsistent_targets():
         pel.match_solver(family, target)
 
 
+def test_match_solver_keys_its_shared_solves_on_the_target():
+    module, conv, _ = _resolved()
+    family = pel.family_periods(stcurve.FAMILY_W, module, conv)
+    target = _target(module)
+    doubled = [[x * 2 for x in row] for row in target]      # 2C, the same z*
+    swapped = [target[0], target[2], target[1]]             # C's rows 2, 3 swapped
+    slipped = [row[:] for row in target]
+    slipped[2][3] = slipped[2][3] + ONE
+    shared = {}
+    first = pel.match_solver(family, target, shared)
+    for other in (doubled, swapped):
+        got = pel.match_solver(family, other, shared)
+        want = pel.match_solver(family, other)
+        assert got.point() == want.point() == first.point()
+        assert got.coeffs == want.coeffs != first.coeffs
+    assert pel.match_solver(family, doubled, shared).coeffs["c11"] == first.coeffs["c11"] * 2
+    assert pel.match_solver(family, swapped, shared).coeffs["c22"] == first.coeffs["c32"]
+    with pytest.raises(pel.MatchError):
+        pel.match_solver(family, slipped, shared)
+    assert pel.match_solver(family, target, shared).coeffs == first.coeffs
+
+
 def test_prym_family_passes_through_the_special_fiber():
     module, conv, match = _resolved()
     family = pel.family_periods(stcurve.FAMILY_W, module, conv)
