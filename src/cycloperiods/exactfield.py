@@ -18,8 +18,8 @@ products is one `dot` with delayed reduction (as in ANTIC and
 FFLAS-FFPACK): the products are added in integer coordinates over one
 running denominator and reduced by one final gcd.  The operators +, -
 and * are each one `dot` too (x + y is the sum of x*1 and y*1), so there
-is no second path for sums or rational scaling.  `dot` finds a rational-
-valued tower operand by counting zeros, and an integral result takes no gcd.
+is no second path for sums or rational scaling.  An integral result
+(d = 1) takes no gcd.
 Inverses are closed form: 1/(b + a alpha) = (b - a alpha)/(b^2 - a^2 sqrt3),
 1/x = conj(x)/(x conj(x)) in Q(zeta12), and 1/(s + t sqrt3) =
 (s - t sqrt3)/(s^2 - 3t^2).  The embedding zeta -> exp(i*pi/6), alpha ->
@@ -91,15 +91,13 @@ def dot(pairs):
     formula), added over a running denominator and reduced once."""
     s = None
     for x, y in pairs:
-        # a tower element first, a rational or rational-valued one (seven
-        # zeros after n[0]) second
-        if type(x) is not TowerElem or (type(y) is TowerElem
-                                        and x.n.count(0) == 7 + (not x.n[0])):
+        # a tower element first, a rational or rational-valued one second
+        if type(x) is not TowerElem or type(y) is TowerElem and x.n[1:] == _Z7:
             x, y = y, x
         if type(x) is not TowerElem:            # two rationals
             p = x * y
             t, e = (p.numerator,) + _Z7, p.denominator
-        elif type(y) is not TowerElem or y.n.count(0) == 7 + (not y.n[0]):
+        elif type(y) is not TowerElem or y.n[1:] == _Z7:    # only a scaling
             p, q = (y.n[0], y.d) if type(y) is TowerElem else (y.numerator, y.denominator)
             t, e = (x.n if p == 1 else [v * p for v in x.n]), x.d * q
         else:   # Phi12 convolutions with z^4 = z^2 - 1, alpha^2 = 2z - z^3
@@ -284,12 +282,11 @@ class TowerElem:
         return (Fraction(n0, self.d), Fraction(-n3, self.d))
 
     def __eq__(self, other):
-        if type(other) is TowerElem:
-            return self.n == other.n and self.d == other.d
-        if isinstance(other, (int, Fraction)):
-            other = TowerElem.coerce(other)
-        if not isinstance(other, TowerElem):
-            return NotImplemented
+        if type(other) is not TowerElem:
+            if isinstance(other, (int, Fraction)):
+                other = TowerElem.coerce(other)
+            if not isinstance(other, TowerElem):
+                return NotImplemented
         return self.n == other.n and self.d == other.d
 
     def __hash__(self):

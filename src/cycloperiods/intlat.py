@@ -64,22 +64,19 @@ def product_rows(A, B):
     # only if both sides have rational entries can an entry lack a tower factor
     mixed = fused and ka - {TowerElem} and kb - {TowerElem}
     for row in A:
-        if not fused:
-            acc = [0] * width
-            for a, terms in zip(row, nonzero):
-                if a:
-                    for j, b in terms:
-                        acc[j] += a * b
-            yield acc
-            continue
-        acc = [[] for _ in range(width)]
+        acc = [[] for _ in range(width)] if fused else [0] * width
         for a, terms in zip(row, nonzero):
             if a:
                 for j, b in terms:
-                    acc[j].append((a, b))
-        yield [dot(p) if p and (not mixed or any(
-            type(a) is TowerElem or type(b) is TowerElem for a, b in p))
-               else sum(a * b for a, b in p) for p in acc]
+                    if fused:
+                        acc[j].append((a, b))
+                    else:
+                        acc[j] += a * b
+        if fused:
+            acc = [dot(p) if p and (not mixed or any(
+                type(a) is TowerElem or type(b) is TowerElem for a, b in p))
+                   else sum(a * b for a, b in p) for p in acc]
+        yield acc
 
 
 def matmul(A, B):

@@ -345,13 +345,13 @@ class MatchResult:
 
 
 def _row1_solve(Wx, t):
-    """(c11, z1, z2) from row 1's matrix Wx and target t, or the error."""
+    """(c11, z1, z2) from row 1's matrix Wx and target t, or the MatchError."""
     Winv = intlat.inverse(Wx)
     if Winv is None:
-        return "row-1 coefficient matrix singular"
+        return MatchError("row-1 coefficient matrix singular")
     w = intlat.matmul(intlat.transpose(Winv), [[x] for x in t])
     if not w[2][0]:
-        return "row-1 system forces c11 = 0"
+        return MatchError("row-1 system forces c11 = 0")
     return w[2][0], w[0][0] / w[2][0], w[1][0] / w[2][0]
 
 
@@ -366,7 +366,7 @@ def _pair_solve(eqs):
     return None
 
 
-def match_solver(family, target, shared=None):
+def match_solver(family, target, row1=None, pairs=None):
     """Solve C * family(z1, z2) = target exactly.
 
     family: PeriodMatrix affine in z1, z2; target: 3x6 tower matrix.  The
@@ -375,29 +375,32 @@ def match_solver(family, target, shared=None):
     overdetermined 2x2 linear system in the first three columns.  Every
     one of the 18 entries is then verified, each residual one dot; any
     nonzero residual raises MatchError carrying the offending entries.
-    Calls sharing a dict `shared` solve each distinct system once: it is
-    keyed on each system's entries, target included, so one dict may
-    serve any families and targets.
+    Calls sharing the dicts solve each distinct system once: row1 maps
+    (row-1 matrix, target row) to (c11, z1, z2) or the MatchError, and
+    pairs maps a 2x2 system's (a, b, target) rows to its solution or
+    None.  Keyed on their inputs, target included, they may serve any
+    families and targets.
     """
     if family.params != ("z1", "z2"):
         raise ValueError(f"family parameters {family.params} are not (z1, z2)")
-    shared = {} if shared is None else shared
+    row1 = {} if row1 is None else row1
+    pairs = {} if pairs is None else pairs
     P0, P1, P2 = family.coeffs
     key = ((P1[0][:3], P2[0][:3], P0[0][:3]), tuple(target[0][:3]))
-    if key not in shared:
-        shared[key] = _row1_solve(*key)
-    if isinstance(shared[key], str):
-        raise MatchError(shared[key])
-    c11, z1, z2 = shared[key]
+    if key not in row1:
+        row1[key] = _row1_solve(*key)
+    if isinstance(row1[key], MatchError):     # raised afresh for each call
+        raise row1[key].with_traceback(None)
+    c11, z1, z2 = row1[key]
     F = family.evaluate({"z1": z1, "z2": z2})
     coeffs = {"c11": c11}
     for ri, names in ((1, ("c22", "c23")), (2, ("c32", "c33"))):
         eqs = tuple((F[1][k], F[2][k], target[ri][k]) for k in range(3))
-        if eqs not in shared:
-            shared[eqs] = _pair_solve(eqs)
-        if shared[eqs] is None:
+        if eqs not in pairs:
+            pairs[eqs] = _pair_solve(eqs)
+        if pairs[eqs] is None:
             raise MatchError(f"row {ri + 1} system is degenerate")
-        coeffs[names[0]], coeffs[names[1]] = shared[eqs]
+        coeffs[names[0]], coeffs[names[1]] = pairs[eqs]
     result = MatchResult(z1, z2, coeffs)
     residuals = []
     for i, row in enumerate(result.block_matrix()):
@@ -418,13 +421,13 @@ def resolve_conventions(W, module, target):
     Tries every (embedding, I2 reading, column order) combination and
     keeps those whose family admits an exact match against the target.
     An order only permutes the columns of one of four coefficient sets,
-    and the candidates share one match_solver dict: the four grouped
+    and the candidates share match_solver's dicts: the four grouped
     readings solve one row-1 system (one c11, one point), and readings
     with one I2 reading the same 2x2 systems.  Exactly one must survive,
     and (reading, match, family) of it is returned; anything else raises
     ConventionError with the readings that matched as its candidates.
     """
-    winners, shared = [], {}
+    winners, row1, pairs = [], {}, {}
     for embedding in ("sigma", "sigmabar"):
         for i2 in ("identity", "i-identity"):
             reading = {"embedding": embedding, "I2_in_Jz": i2,
@@ -433,7 +436,7 @@ def resolve_conventions(W, module, target):
             for order, family in (("grouped", grouped),
                                   ("interleaved", _interleaved(grouped))):
                 try:
-                    sol = match_solver(family, target, shared)
+                    sol = match_solver(family, target, row1, pairs)
                 except MatchError:
                     continue
                 winners.append((dict(reading, column_order=order), sol, family))

@@ -49,16 +49,21 @@ _RATS = sorted({Fraction(n, d) for d in range(1, 7) for n in range(-4 * d, 4 * d
                key=lambda q: (q.denominator, abs(q), q < 0))
 
 
-def _digits(k, count):
-    """count fractions of _RATS, read from the base-97 digits of k."""
-    return tuple(_RATS[k // len(_RATS) ** i % len(_RATS)] for i in range(count))
+def _digits(size, count):
+    """count fractions of _RATS from one draw of size bytes, read as the
+    base-97 digits of an integer (2**(8 size) is 49 or more times
+    97**count, so about uniform).  Hypothesis draws fixed-size bytes
+    uniformly, unlike its integers, which seldom reach 97**4, and shrinks
+    them towards zero bytes, so towards (0, 0, ...)."""
+    return st.binary(min_size=size, max_size=size).map(lambda b: tuple(
+        _RATS[int.from_bytes(b, "big") // len(_RATS) ** i % len(_RATS)]
+        for i in range(count)))
 
 
-# the coordinates of an element in one integer draw, not one sampled draw
-# per coordinate: the same values, each example cheaper to draw
-_coords = st.integers(0, len(_RATS) ** 4 - 1).map(lambda k: _digits(k, 4))
-_elems = st.integers(0, len(_RATS) ** 8 - 1).map(
-    lambda k: TowerElem(_digits(k, 4), _digits(k // len(_RATS) ** 4, 4)))
+# the coordinates of an element in one draw, not one sampled draw per
+# coordinate: the same values, about as uniform, each example cheaper
+_coords = _digits(4, 4)
+_elems = _digits(8, 8).map(lambda c: TowerElem(c[:4], c[4:]))
 _nonzero = _elems.filter(lambda x: not x.is_zero())
 
 

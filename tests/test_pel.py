@@ -2,6 +2,7 @@
 
 import math
 import random
+import traceback
 from fractions import Fraction
 
 import pytest
@@ -412,18 +413,32 @@ def test_match_solver_keys_its_shared_solves_on_the_target():
     swapped = [target[0], target[2], target[1]]             # C's rows 2, 3 swapped
     slipped = [row[:] for row in target]
     slipped[2][3] = slipped[2][3] + ONE
-    shared = {}
-    first = pel.match_solver(family, target, shared)
+    shared = {}, {}     # row1, pairs
+    first = pel.match_solver(family, target, *shared)
     for other in (doubled, swapped):
-        got = pel.match_solver(family, other, shared)
+        got = pel.match_solver(family, other, *shared)
         want = pel.match_solver(family, other)
         assert got.point() == want.point() == first.point()
         assert got.coeffs == want.coeffs != first.coeffs
-    assert pel.match_solver(family, doubled, shared).coeffs["c11"] == first.coeffs["c11"] * 2
-    assert pel.match_solver(family, swapped, shared).coeffs["c22"] == first.coeffs["c32"]
+    assert pel.match_solver(family, doubled, *shared).coeffs["c11"] == first.coeffs["c11"] * 2
+    assert pel.match_solver(family, swapped, *shared).coeffs["c22"] == first.coeffs["c32"]
     with pytest.raises(pel.MatchError):
-        pel.match_solver(family, slipped, shared)
-    assert pel.match_solver(family, target, shared).coeffs == first.coeffs
+        pel.match_solver(family, slipped, *shared)
+    assert pel.match_solver(family, target, *shared).coeffs == first.coeffs
+
+
+def test_match_solver_raises_a_shared_row1_error_afresh():
+    module, conv, _ = _resolved()
+    family = pel.family_periods(stcurve.FAMILY_W, module, conv)
+    zeroed = [[ZERO] * 6] + _target(module)[1:]     # row 1 forces c11 = 0
+    shared = {}, {}
+    depths = []
+    for _ in range(3):
+        with pytest.raises(pel.MatchError, match="forces c11 = 0") as err:
+            pel.match_solver(family, zeroed, *shared)
+        depths.append(len(traceback.extract_tb(err.value.__traceback__)))
+    # solved once, and the cached error's traceback does not grow per raise
+    assert len(shared[0]) == 1 and depths[0] == depths[2]
 
 
 def test_prym_family_passes_through_the_special_fiber():
