@@ -389,7 +389,7 @@ def match_solver(family, target, row1=None, pairs=None):
     key = ((P1[0][:3], P2[0][:3], P0[0][:3]), tuple(target[0][:3]))
     if key not in row1:
         row1[key] = _row1_solve(*key)
-    if isinstance(row1[key], MatchError):     # raised afresh for each call
+    if isinstance(row1[key], MatchError):     # a fresh traceback per raise
         raise row1[key].with_traceback(None)
     c11, z1, z2 = row1[key]
     F = family.evaluate({"z1": z1, "z2": z2})
