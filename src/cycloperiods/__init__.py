@@ -21,7 +21,7 @@ from .exactfield import (TowerElem, cyclo, zeta_power, embed, real_sign,
                          ROOT4_3, INV_ROOT4_3)
 from .balls import ComplexBall
 from .covers import CyclicCover, HomologyModel
-from .periods import AffineForm, PeriodMatrix
+from .periods import PeriodMatrix
 from .pel import (PELModule, build_module, solve_T, diagonalize_W,
                   family_periods, match_solver, resolve_conventions,
                   prym_family)
@@ -33,7 +33,7 @@ __all__ = [
     "ZERO", "ONE", "HALF", "ZETA", "IUNIT", "RHO", "SQRT3",
     "ROOT4_3", "INV_ROOT4_3",
     "ComplexBall", "CyclicCover", "HomologyModel",
-    "AffineForm", "PeriodMatrix",
+    "PeriodMatrix",
     "PELModule", "build_module", "solve_T", "diagonalize_W",
     "family_periods", "match_solver", "resolve_conventions", "prym_family",
     "Check", "Report", "run_all",

@@ -304,7 +304,7 @@ def _family_coeffs(W, reading):
 def _interleaved(family):
     """family with its columns in the order u1, rho u1, u2, rho u2, u3, rho u3."""
     coeffs = [[[row[k] for k in (0, 3, 1, 4, 2, 5)] for row in C] for C in family.coeffs]
-    return PeriodMatrix.from_coeffs(3, family.params, coeffs, family.polarization)
+    return PeriodMatrix(3, family.params, coeffs, family.polarization)
 
 
 def family_periods(W, module, reading):
@@ -313,8 +313,7 @@ def family_periods(W, module, reading):
     Columns are indexed by (u1, u2, u3, rho u1, rho u2, rho u3), so the
     polarization is the full trace-pairing Gram matrix of the module.
     """
-    family = PeriodMatrix.from_coeffs(3, ("z1", "z2"), _family_coeffs(W, reading),
-                                      module.g0full)
+    family = PeriodMatrix(3, ("z1", "z2"), _family_coeffs(W, reading), module.g0full)
     return _interleaved(family) if reading["column_order"] == "interleaved" else family
 
 
@@ -450,7 +449,7 @@ def resolve_conventions(W, module, target):
 def prym_family(match, family, module):
     """C * family rebased to lattice coordinates, with pairing polarization."""
     C, Binv = match.block_matrix(), intlat.unimodular_inverse(module.basis)
-    return PeriodMatrix.from_coeffs(
+    return PeriodMatrix(
         3, family.params,
         [intlat.matmul(intlat.matmul(C, P), Binv) for P in family.coeffs],
         module.pairing)

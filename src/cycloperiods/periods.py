@@ -7,8 +7,9 @@ int, Fraction or TowerElem entries and skips zero factors, so a sparse
 rational polarization inverse, lattice action or base change costs only
 its nonzero entries.  Each tower entry of a product, an evaluation, the
 Gram matrix or a minor is one exactfield.dot: its products are summed in
-integer coordinates and reduced once (delayed reduction).  AffineForm is
-the entry type of the JSON format and of the derived `entries` view.
+integer coordinates and reduced once (delayed reduction).  In JSON each
+entry is {"const": c, name: coefficient, ...}, with only the nonzero
+coefficients listed.
 
 Both Riemann relations are quadratic in the parameters (t_0 = 1 for the
 constant), so they are decided from constant products of X_a = P_a E^-1
@@ -27,102 +28,10 @@ the verdict.  An intertwining A P = P R holds when A P_k = P_k R for all k.
 import math
 import sys
 from bisect import bisect
-from fractions import Fraction
 from functools import lru_cache
 
 from . import intlat
 from .exactfield import TowerElem, ZERO, ONE, IUNIT, dot, embed, real_sign, zeta_power
-
-
-class AffineForm:
-    """const + sum over named parameters of coeff * parameter."""
-
-    __slots__ = ("const", "coeffs")
-
-    def __init__(self, const=ZERO, coeffs=None):
-        object.__setattr__(self, "const", TowerElem.coerce(const))
-        clean = {}
-        for name, v in (coeffs or {}).items():
-            v = TowerElem.coerce(v)
-            if not v.is_zero():
-                clean[str(name)] = v
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffineForm is immutable")
-
-    @staticmethod
-    def coerce(x):
-        if isinstance(x, AffineForm):
-            return x
-        return AffineForm(x)
-
-    @staticmethod
-    def variable(name, coeff=ONE):
-        return AffineForm(ZERO, {name: coeff})
-
-    def __add__(self, other):
-        if isinstance(other, (TowerElem, int, Fraction)):
-            other = AffineForm.coerce(other)
-        if not isinstance(other, AffineForm):
-            return NotImplemented
-        coeffs = dict(self.coeffs)
-        for name, v in other.coeffs.items():
-            coeffs[name] = coeffs.get(name, ZERO) + v
-        return AffineForm(self.const + other.const, coeffs)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return AffineForm(-self.const, {n: -v for n, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (TowerElem, int, Fraction)):
-            other = AffineForm.coerce(other)
-        if not isinstance(other, AffineForm):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        """Scalar multiple; a product of two forms is not affine."""
-        if isinstance(other, AffineForm):
-            raise TypeError("the product of two affine forms is not affine")
-        s = TowerElem.coerce(other)
-        return AffineForm(self.const * s,
-                          {n: v * s for n, v in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, (TowerElem, int, Fraction)):
-            other = AffineForm.coerce(other)
-        if not isinstance(other, AffineForm):
-            return NotImplemented
-        return self.const == other.const and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.const, tuple(sorted(self.coeffs.items()))))
-
-    def __repr__(self):
-        parts = [] if self.const.is_zero() else [repr(self.const)]
-        for name in sorted(self.coeffs):
-            parts.append(f"({self.coeffs[name]!r})*{name}")
-        return " + ".join(parts) if parts else "0"
-
-    def to_json(self):
-        obj = {"const": self.const.to_json()}
-        for name in sorted(self.coeffs):
-            obj[name] = self.coeffs[name].to_json()
-        return obj
-
-    @classmethod
-    def from_json(cls, obj):
-        if "const" not in obj:
-            raise ValueError("affine form object needs a 'const' entry")
-        const = TowerElem.from_json(obj["const"])
-        coeffs = {name: TowerElem.from_json(v)
-                  for name, v in obj.items() if name != "const"}
-        return cls(const, coeffs)
 
 
 # -- matrices over the tower ----------------------------------------------
@@ -166,33 +75,13 @@ class PeriodMatrix:
     coeffs[0] is the constant tower matrix P_0 and coeffs[1 + k] the
     coefficient matrix of params[k], each a g x 2g tuple of tuples.  The
     polarization, a 2g x 2g tuple of tuples, is the alternating Gram
-    matrix of the lattice basis indexing the columns.  Parameter names are fixed up front so that
-    serialization and evaluation are unambiguous.
+    matrix of the lattice basis indexing the columns.  Parameter names are
+    fixed up front so that serialization and evaluation are unambiguous.
     """
 
     __slots__ = ("g", "params", "coeffs", "polarization", "_products")
 
-    def __init__(self, g, params, entries, polarization):
-        """From a g x 2g matrix of AffineForms or tower scalars."""
-        forms = [[AffineForm.coerce(x) for x in row] for row in entries]
-        params = tuple(str(p) for p in params)
-        used = set().union(*(f.coeffs for row in forms for f in row))
-        if not used <= set(params):
-            raise ValueError(f"entries use undeclared parameters "
-                             f"{sorted(used - set(params))}")
-        coeffs = [[[f.const for f in row] for row in forms]]
-        coeffs += [[[f.coeffs.get(p, ZERO) for f in row] for row in forms]
-                   for p in params]
-        self._init(g, params, coeffs, polarization)
-
-    @classmethod
-    def from_coeffs(cls, g, params, coeffs, polarization):
-        """From the constant and the per-parameter g x 2g tower matrices."""
-        pm = object.__new__(cls)
-        pm._init(g, params, coeffs, polarization)
-        return pm
-
-    def _init(self, g, params, coeffs, polarization):
+    def __init__(self, g, params, coeffs, polarization):
         params = tuple(str(p) for p in params)
         if len(set(params)) != len(params):
             raise ValueError(f"repeated parameter names in {list(params)}")
@@ -216,13 +105,6 @@ class PeriodMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("PeriodMatrix is immutable")
 
-    @property
-    def entries(self):
-        """The matrix as AffineForms, computed from coeffs."""
-        P0, named = self.coeffs[0], list(zip(self.params, self.coeffs[1:]))
-        return [[AffineForm(x, {p: C[i][j] for p, C in named})
-                 for j, x in enumerate(row)] for i, row in enumerate(P0)]
-
     def _substitute(self, assignment):
         """P_0 + sum t_k P_k over the assigned t_k, one dot per entry, and
         the unassigned (name, P_k)."""
@@ -235,9 +117,8 @@ class PeriodMatrix:
 
     def subs(self, assignment):
         P0, kept = self._substitute(assignment)
-        return PeriodMatrix.from_coeffs(
-            self.g, [p for p, _ in kept], [P0] + [C for _, C in kept],
-            self.polarization)
+        return PeriodMatrix(self.g, [p for p, _ in kept], [P0] + [C for _, C in kept],
+                            self.polarization)
 
     def evaluate(self, assignment):
         """Exact tower matrix at a full parameter assignment."""
@@ -256,17 +137,22 @@ class PeriodMatrix:
         return [[embed(x, prec) for x in row] for row in self.evaluate(assignment)]
 
     def to_json(self):
+        named = sorted(zip(self.params, self.coeffs[1:]))
+
+        def entry(i, j, x):
+            return {"const": x.to_json(),
+                    **{p: C[i][j].to_json() for p, C in named if C[i][j]}}
         return {"g": self.g,
                 "params": list(self.params),
-                "entries": [[f.to_json() for f in row] for row in self.entries],
+                "entries": [[entry(i, j, x) for j, x in enumerate(row)]
+                            for i, row in enumerate(self.coeffs[0])],
                 "polarization": intlat.mat_to_json(self.polarization)}
 
     @classmethod
     def from_json(cls, obj):
         try:
             g, params = obj["g"], obj["params"]
-            entries = [[AffineForm.from_json(e) for e in row]
-                       for row in obj["entries"]]
+            entries = [[_entry_from_json(e) for e in row] for row in obj["entries"]]
             pol = intlat.mat_from_json(obj["polarization"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed period matrix object: {exc}") from exc
@@ -275,9 +161,23 @@ class PeriodMatrix:
                 or any(x.denominator != 1 for row in pol for x in row)):
             raise ValueError("malformed period matrix object: g must be an int, "
                              "params strings and the polarization integral")
-        pm = cls(g, params, entries, pol)
+        used = {p for row in entries for e in row for p, x in e.items()
+                if p is not None and x}
+        if not used <= set(params):
+            raise ValueError(f"entries use undeclared parameters "
+                             f"{sorted(used - set(params))}")
+        pm = cls(g, params, [[[e.get(p, ZERO) for e in row] for row in entries]
+                             for p in [None, *params]], pol)
         _polarization_inverse(pm)       # a degenerate polarization is refused here
         return pm
+
+
+def _entry_from_json(obj):
+    """{"const": c, name: coefficient, ...} as {None: c, name: coefficient}."""
+    if "const" not in obj:
+        raise ValueError("affine form object needs a 'const' entry")
+    return {None: TowerElem.from_json(obj["const"]),
+            **{p: TowerElem.from_json(v) for p, v in obj.items() if p != "const"}}
 
 
 def _polarization_inverse(pm):

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import covers, intlat
 from .exactfield import ONE, ZERO, HALF, RHO, INV_ROOT4_3, ROOT4_3, cyclo
-from .periods import AffineForm, PeriodMatrix, _rational_inverse
+from .periods import PeriodMatrix, _rational_inverse
 
 _A3 = ROOT4_3 ** 3
 
@@ -119,11 +119,13 @@ DECK_SYMPLECTIC_ACTION = [
 
 
 def genus4_period_matrix():
-    """4x8 matrix over tau in the symplectic e-basis, standard polarization."""
-    tau = AffineForm.variable("tau")
+    """4x8 matrix over tau in the symplectic e-basis, standard polarization.
+
+    Only the first row carries tau: it reads (tau, tau, 0, -tau - 1, 1, 1, 0, -1).
+    """
     c = cyclo
-    rows = [
-        [tau, tau, c(0), -tau - 1, c(1), c(1), c(0), c(-1)],
+    const = [
+        [0, 0, 0, -1, 1, 1, 0, -1],
         [c(-1, 0, 1), c(1), c(1, 0, -1), c(1),
          c(1), c(0, 0, -1), c(0, 0, 1), c(1, 0, -1)],
         [c(0, -1, 0, 1), c(0, 0, 0, -1), c(-1, 1, 2, -2), c(0, -1, 1),
@@ -131,7 +133,8 @@ def genus4_period_matrix():
         [c(0, 1, 0, -1), c(0, 0, 0, 1), c(-1, -1, 2, 2), c(0, 1, 1),
          c(1), c(-1, 0, 1), c(2, 2, -1, -1), c(0, 0, 1)],
     ]
-    return PeriodMatrix(4, ("tau",), rows, intlat.standard_symplectic(4))
+    tau = [[1, 1, 0, -1, 0, 0, 0, 0]] + [[0] * 8] * 3
+    return PeriodMatrix(4, ("tau",), [const, tau], intlat.standard_symplectic(4))
 
 
 GENUS4 = genus4_period_matrix()
@@ -185,7 +188,7 @@ REF_PRYM_SPECIAL = (
     PRYM_SPECIAL[1][:1] + (cyclo(0, 1, 0, 2),) + PRYM_SPECIAL[1][2:],
     PRYM_SPECIAL[2],
 )
-PRYM_SPECIAL_MATRIX = PeriodMatrix(3, (), PRYM_SPECIAL, PRYM_POLARIZATION)
+PRYM_SPECIAL_MATRIX = PeriodMatrix(3, (), [PRYM_SPECIAL], PRYM_POLARIZATION)
 
 # order-3 action on the Prym lattice
 PRYM_SHIFT = [
@@ -243,40 +246,44 @@ FAMILY_W = [
 # -- displayed family matrices --------------------------------------------
 
 
-_Z1, _Z2 = AffineForm.variable("z1"), AffineForm.variable("z2")
+# Each display is affine in (z1, z2), stored as its (constant, z1, z2)
+# coefficient matrices, each a 3x6 tuple of tuples.
 
-# displayed 3x6 family in module-generator coordinates (affine in z): the
-# right half of each row is its left half times the row's multiplier
-SHIMURA_FAMILY_DISPLAY = tuple(tuple(row + [x * m for x in row]) for row, m in [
-    ([_Z2 * INV_ROOT4_3, _Z1 + 1, _Z1 * cyclo(3, -1) + cyclo(3, 0, 0, -1)],
-     cyclo(-1, 0, 1)),
-    ([AffineForm(), _Z1 + 1,
-      (_Z1 + 1) * cyclo(3, 0, 0, -1) + cyclo(3) - cyclo(0, 1, 0, -1)],
-     cyclo(0, 0, -1)),
-    ([AffineForm(INV_ROOT4_3), _Z2, _Z2 * cyclo(3, 0, 0, 1)], cyclo(0, 0, -1)),
-])
+# displayed family in module-generator coordinates: the right half of each
+# row is its left half times the row's multiplier
+SHIMURA_FAMILY_DISPLAY = tuple(
+    tuple(tuple(row + [x * m for x in row]) for row, m in zip(C, (
+        cyclo(-1, 0, 1), cyclo(0, 0, -1), cyclo(0, 0, -1))))
+    for C in ([[ZERO, ONE, cyclo(3, 0, 0, -1)],
+               [ZERO, ONE, cyclo(3, 0, 0, -1) + cyclo(3) - cyclo(0, 1, 0, -1)],
+               [INV_ROOT4_3, ZERO, ZERO]],
+              [[ZERO, ONE, cyclo(3, -1)],
+               [ZERO, ONE, cyclo(3, 0, 0, -1)],
+               [ZERO, ZERO, ZERO]],
+              [[INV_ROOT4_3, ZERO, ZERO],
+               [ZERO, ZERO, ZERO],
+               [ZERO, ONE, cyclo(3, 0, 0, 1)]]))
 
-# displayed 3x6 family in the Prym lattice coordinates (affine in z)
+# displayed family in the Prym lattice coordinates
 PRYM_FAMILY_DISPLAY = (
-    (_Z2 * (INV_ROOT4_3 * cyclo(1, 3, 1)), (_Z1 + 1) * cyclo(1, 3, 1),
-     (_Z1 + 1) * cyclo(3, 8, 0, -1),
-     _Z2 * (INV_ROOT4_3 * cyclo(-2, -3, 1, 3)), (_Z1 + 1) * cyclo(-2, -3, 1, 3),
-     _Z1 * cyclo(-3, -7, 3, 8) + cyclo(-6, -8, 6, 10)),
-    (AffineForm(cyclo(-1, 1, 2, -2)),
-     _Z2 * (_A3 * cyclo(-1, 0, 1, 1)) - (_Z1 - 1) * cyclo(0, 0, 3),
-     _Z2 * (_A3 * cyclo(-1, -2, 3, 3)) - (_Z1 - 1) * (3 * cyclo(-1, -3, 1)),
-     AffineForm(cyclo(2, -2, -1, 1)),
-     (_Z1 + 1) * 3 + _Z2 * (_A3 * cyclo(1, -1, 0, 1)),
-     _Z1 * cyclo(-3, 0, 0, 9) - _Z2 * (_A3 * cyclo(9, -9, -3, 12))
-     + cyclo(0, 0, -3, 9)),
-    (AffineForm(cyclo(-1, -1, 2, 2)),
-     _Z2 * (_A3 * cyclo(-1, 0, 1, 1)) + (_Z1 - 1) * cyclo(-4, -5, 2, 4),
-     _Z2 * (_A3 * cyclo(-4, -1, 3, 3)) + _Z1 * cyclo(-11, -17, 1, 10)
-     + cyclo(-11, -13, 2, 8),
-     AffineForm(cyclo(2, -2, -1, -1)),
-     _Z2 * (_A3 * cyclo(1, 1, 0, -1)) + (_Z1 + 1) * cyclo(2, 4, 2, 1),
-     _Z1 * cyclo(7, 10, 10, 1) - _Z2 * (_A3 * cyclo(-3, -3, -1, 1))
-     + cyclo(2, 8, 5, 5)),
+    ((ZERO, cyclo(1, 3, 1), cyclo(3, 8, 0, -1),
+      ZERO, cyclo(-2, -3, 1, 3), cyclo(-6, -8, 6, 10)),
+     (cyclo(-1, 1, 2, -2), cyclo(0, 0, 3), cyclo(-3, -9, 3),
+      cyclo(2, -2, -1, 1), cyclo(3), cyclo(0, 0, -3, 9)),
+     (cyclo(-1, -1, 2, 2), cyclo(4, 5, -2, -4), cyclo(-11, -13, 2, 8),
+      cyclo(2, -2, -1, -1), cyclo(2, 4, 2, 1), cyclo(2, 8, 5, 5))),
+    ((ZERO, cyclo(1, 3, 1), cyclo(3, 8, 0, -1),
+      ZERO, cyclo(-2, -3, 1, 3), cyclo(-3, -7, 3, 8)),
+     (ZERO, cyclo(0, 0, -3), cyclo(3, 9, -3),
+      ZERO, cyclo(3), cyclo(-3, 0, 0, 9)),
+     (ZERO, cyclo(-4, -5, 2, 4), cyclo(-11, -17, 1, 10),
+      ZERO, cyclo(2, 4, 2, 1), cyclo(7, 10, 10, 1))),
+    ((INV_ROOT4_3 * cyclo(1, 3, 1), ZERO, ZERO,
+      INV_ROOT4_3 * cyclo(-2, -3, 1, 3), ZERO, ZERO),
+     (ZERO, _A3 * cyclo(-1, 0, 1, 1), _A3 * cyclo(-1, -2, 3, 3),
+      ZERO, _A3 * cyclo(1, -1, 0, 1), _A3 * cyclo(-9, 9, 3, -12)),
+     (ZERO, _A3 * cyclo(-1, 0, 1, 1), _A3 * cyclo(-4, -1, 3, 3),
+      ZERO, _A3 * cyclo(1, 1, 0, -1), _A3 * cyclo(3, 3, 1, -1))),
 )
 
 
@@ -302,8 +309,7 @@ def genus4_family(prym):
             for c, x in zip(PRYM_COLS, row):
                 big[1 + r][c] = x
         coeffs.append(intlat.matmul(big, Binv))
-    return PeriodMatrix.from_coeffs(4, params, coeffs,
-                                    intlat.standard_symplectic(4))
+    return PeriodMatrix(4, params, coeffs, intlat.standard_symplectic(4))
 
 
 # -- the matched point ------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from cycloperiods import cli, intlat, periods, stcurve, suite
 from cycloperiods.report import dumps_json
 from cycloperiods.exactfield import (
-    HALF, INV_ROOT4_3, IUNIT, ONE, RHO, TowerElem, cyclo, zeta_power,
+    HALF, INV_ROOT4_3, IUNIT, ONE, RHO, ZERO, TowerElem, cyclo, zeta_power,
 )
 
 
@@ -582,8 +582,7 @@ def test_tools_riemann_check_refuses_a_degenerate_polarization(runner, tmp_path)
 
 # (1 | a) with a second, unused parameter b: the genus-1 matrix that the
 # truncating reads of 1.7, true, [3, 2], [true, 1] and "ab" reproduce
-_GENUS1 = periods.PeriodMatrix(1, ["a", "b"],
-                               [[1, periods.AffineForm.variable("a")]],
+_GENUS1 = periods.PeriodMatrix(1, ["a", "b"], [[[1, 0]], [[0, 1]], [[0, 0]]],
                                intlat.standard_symplectic(1)).to_json()
 
 
@@ -600,22 +599,41 @@ def _edited(path, value):
 _COORD = ("entries", 0, 0, "const", "c", 0)
 
 
-@pytest.mark.parametrize("blob", [
-    _edited(_COORD, [1, 0]),
-    _edited(_COORD, [True, 1]),
-    _edited(("polarization", "data", 0, 1), [3, 2]),
-    json.dumps(_GENUS1).replace('"g": 1,', '"g": 1.7,'),
-    json.dumps(_GENUS1).replace('"g": 1,', '"g": true,'),
-    json.dumps(_GENUS1).replace('"g": 1,', '"g": 1e999,'),
-    _edited(("params",), "ab"),
+_ONE = ONE.to_json()
+
+
+@pytest.mark.parametrize("blob, message", [
+    (_edited(_COORD, [1, 0]), "malformed tower element"),
+    (_edited(_COORD, [True, 1]), "malformed tower element"),
+    (_edited(("polarization", "data", 0, 1), [3, 2]), "polarization integral"),
+    (json.dumps(_GENUS1).replace('"g": 1,', '"g": 1.7,'), "g must be an int"),
+    (json.dumps(_GENUS1).replace('"g": 1,', '"g": true,'), "g must be an int"),
+    (json.dumps(_GENUS1).replace('"g": 1,', '"g": 1e999,'), "g must be an int"),
+    (_edited(("params",), "ab"), "params strings"),
+    (_edited(("entries", 0, 1), {"a": _ONE}), "needs a 'const' entry"),
+    (_edited(("entries", 0, 0, "c"), _ONE), "undeclared parameters ['c']"),
+    (_edited(("entries", 0, 0), 1), "malformed period matrix object"),
+    (_edited(("entries", 0, 0), "const"), "malformed period matrix object"),
+    (_edited(("entries", 0, 0), []), "needs a 'const' entry"),
 ], ids=["zero-denominator", "boolean-coordinate", "fractional-polarization",
-        "float-g", "boolean-g", "overflowing-g", "string-params"])
-def test_tools_riemann_check_rejects_malformed_json(runner, blob):
+        "float-g", "boolean-g", "overflowing-g", "string-params",
+        "entry-without-const", "undeclared-parameter", "int-entry",
+        "string-entry", "list-entry"])
+def test_tools_riemann_check_rejects_malformed_json(runner, blob, message):
     result = runner.invoke(cli.main, ["tools", "riemann-check", "--matrix", blob,
                                       "--at", "a=-i", "--at", "b=0"])
     assert result.exit_code == 2, _text(result)
     assert "malformed period matrix" in _text(result)
+    assert message in _text(result)
     assert "Traceback" not in _text(result)
+
+
+def test_tools_riemann_check_drops_an_undeclared_zero_coefficient(runner):
+    blob = _edited(("entries", 0, 0, "c"), ZERO.to_json())
+    args = ["tools", "riemann-check", "--at", "a=-i", "--at", "b=0", "--matrix"]
+    result = runner.invoke(cli.main, args + [blob])
+    assert result.exit_code == 0, _text(result)
+    assert result.output == runner.invoke(cli.main, args + [json.dumps(_GENUS1)]).output
 
 
 @pytest.mark.parametrize("g, p, code", [
@@ -623,11 +641,12 @@ def test_tools_riemann_check_rejects_malformed_json(runner, blob):
     (1, cli.MAX_RIEMANN_PARAMS, 0), (1, cli.MAX_RIEMANN_PARAMS + 1, 2)])
 def test_tools_riemann_check_bounds_genus_and_parameters(runner, tmp_path, g, p, code):
     # (I | tau I) plus unused parameters t1, t2, ...
-    tau = periods.AffineForm.variable("tau")
     names = ["tau"] + [f"t{k}" for k in range(1, p)]
-    entries = [[1 if j == i else tau if j == g + i else 0
-                for j in range(2 * g)] for i in range(g)]
-    pm = periods.PeriodMatrix(g, names, entries, intlat.standard_symplectic(g))
+    eye = [[int(j == i) for j in range(2 * g)] for i in range(g)]
+    tau = [[int(j == g + i) for j in range(2 * g)] for i in range(g)]
+    zero = [[0] * (2 * g) for _ in range(g)]
+    pm = periods.PeriodMatrix(g, names, [eye, tau] + [zero] * (p - 1),
+                              intlat.standard_symplectic(g))
     path = tmp_path / "pm.json"
     path.write_text(json.dumps(pm.to_json()))
     result = runner.invoke(cli.main, ["tools", "riemann-check", "--file", str(path),
@@ -653,10 +672,11 @@ _MATRIX_BITS, _POINT_BITS = cli.MAX_RIEMANN_MATRIX_BITS, cli.MAX_RIEMANN_POINT_B
     ([Fraction(1, 3 ** 13), Fraction(1, 2 ** 20)] + [0] * 6, "-i", 2)])
 def test_tools_riemann_check_bounds_heights(runner, tmp_path, consts, tau, code):
     # (I | diag(tau + c_1, ..., tau + c_g))
-    g, t = len(consts), periods.AffineForm.variable("tau")
-    entries = [[1 if j == i else t + consts[i] if j == g + i else 0
-                for j in range(2 * g)] for i in range(g)]
-    pm = periods.PeriodMatrix(g, ["tau"], entries, intlat.standard_symplectic(g))
+    g = len(consts)
+    const = [[1 if j == i else consts[i] if j == g + i else 0
+              for j in range(2 * g)] for i in range(g)]
+    slope = [[int(j == g + i) for j in range(2 * g)] for i in range(g)]
+    pm = periods.PeriodMatrix(g, ["tau"], [const, slope], intlat.standard_symplectic(g))
     path = tmp_path / "pm.json"
     path.write_text(json.dumps(pm.to_json()))
     result = runner.invoke(cli.main, ["tools", "riemann-check", "--file", str(path),

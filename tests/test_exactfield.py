@@ -292,7 +292,17 @@ def test_repr_smoke():
 
 # -- wide heights, normal form, and an independent sympy model ----------------
 
-_wide_rat = st.builds(Fraction, st.integers(-2 ** 64, 2 ** 64), st.integers(1, 10 ** 6))
+def _signed(size, top):
+    """An integer in [-top, top] from one draw of size bytes, read modulo
+    2 top + 1 (2**(8 size) is 64 or more times that, so about uniform,
+    where st.integers seldom passes 2**32).  Zero bytes give 0, and
+    residues past top the negatives."""
+    m = 2 * top + 1
+    return st.binary(min_size=size, max_size=size).map(
+        lambda b: (lambda v: v if v <= top else v - m)(int.from_bytes(b, "big") % m))
+
+
+_wide_rat = st.builds(Fraction, _signed(9, 2 ** 64), st.integers(1, 10 ** 6))
 _wide_coords = st.tuples(_wide_rat, _wide_rat, _wide_rat, _wide_rat)
 # full elements, elements of Q(zeta12), pure alpha parts and rationals, so
 # that every fast path of the integer representation is reached

@@ -76,11 +76,10 @@ def _prym_form():
 def _split_family(g):
     """The JSON of (I | tau I), g x 2g, with the standard polarization."""
     from cycloperiods import intlat
-    from cycloperiods.periods import AffineForm, PeriodMatrix
-    tau = AffineForm.variable("tau")
-    entries = [[1 if j == i else tau if j == g + i else 0
-                for j in range(2 * g)] for i in range(g)]
-    return PeriodMatrix(g, ["tau"], entries,
+    from cycloperiods.periods import PeriodMatrix
+    eye = [[int(j == i) for j in range(2 * g)] for i in range(g)]
+    tau = [[int(j == g + i) for j in range(2 * g)] for i in range(g)]
+    return PeriodMatrix(g, ["tau"], [eye, tau],
                         intlat.standard_symplectic(g)).to_json()
 
 
@@ -99,7 +98,7 @@ def _dense_family(g):
             Z[i][j] = Z[j][i] = rng.randint(-9, 9) - IUNIT * y
     entries = [[int(j == i) if j < g else Z[i][j - g] for j in range(2 * g)]
                for i in range(g)]
-    return PeriodMatrix(g, [], entries, intlat.standard_symplectic(g)).to_json()
+    return PeriodMatrix(g, [], [entries], intlat.standard_symplectic(g)).to_json()
 
 
 def _many_params(p):
@@ -107,12 +106,15 @@ def _many_params(p):
     t0, t1, ... and seeded dense C_k with entries in [-9, 9]."""
     from cycloperiods import intlat
     from cycloperiods.exactfield import IUNIT
-    from cycloperiods.periods import AffineForm, PeriodMatrix
+    from cycloperiods.periods import PeriodMatrix
     rng = random.Random(p)
-    entries = [[AffineForm(int(j == i) - IUNIT * (j == 4 + i),
-                           {f"t{k}": rng.randint(-9, 9) for k in range(p)})
-                for j in range(8)] for i in range(4)]
-    return PeriodMatrix(4, [f"t{k}" for k in range(p)], entries,
+    # drawn entry by entry, t0 .. t_{p-1} each, then split into matrices
+    draws = [[[rng.randint(-9, 9) for _ in range(p)] for _ in range(8)]
+             for _ in range(4)]
+    const = [[int(j == i) - IUNIT * (j == 4 + i) for j in range(8)]
+             for i in range(4)]
+    coeffs = [[[d[k] for d in row] for row in draws] for k in range(p)]
+    return PeriodMatrix(4, [f"t{k}" for k in range(p)], [const, *coeffs],
                         intlat.standard_symplectic(4)).to_json()
 
 
@@ -132,7 +134,7 @@ def _tall_family(g, bits):
             Z[i][j] = Z[j][i] = TowerElem(q[:4], q[4:])
     entries = [[int(j == i) if j < g else Z[i][j - g] for j in range(2 * g)]
                for i in range(g)]
-    return PeriodMatrix(g, [], entries, intlat.standard_symplectic(g)).to_json()
+    return PeriodMatrix(g, [], [entries], intlat.standard_symplectic(g)).to_json()
 
 
 # a file of 100,000 "[", nested past the JSON parser's recursion limit
@@ -229,6 +231,35 @@ def test_output_is_byte_identical(args, code, digest, tmp_path):
     proc = _run(_materialize(args, tmp_path))
     assert proc.returncode == code, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+# SHA-256 of json.dumps(..., sort_keys=True) of frozen period-matrix data in
+# the entry form of PeriodMatrix.to_json: the 3 x 6 entries of each
+# displayed family in (z1, z2), and the whole JSON of GENUS4.  The display
+# audit lists only the [i, j] of an entry that diverges, so a slip at an
+# entry that already diverges shows here and nowhere else.
+CONSTANT_DIGESTS = {
+    "SHIMURA_FAMILY_DISPLAY":
+        "279b5a9c7353ae0a78de12bf50ec9358c533419606a6e44d34f88a9522a5e016",
+    "PRYM_FAMILY_DISPLAY":
+        "4adc27ea7bdb955e305f7b426582c0856f0db26b7e4120f2ca50869de2071789",
+    "GENUS4":
+        "e52832308ccb94bdfd1e14d95952e11b716093994d07ffb7a31910cda9aa3a50",
+}
+
+
+@pytest.mark.parametrize("name", CONSTANT_DIGESTS)
+def test_frozen_constant_is_pinned_by_value(name):
+    from cycloperiods import intlat, stcurve
+    from cycloperiods.periods import PeriodMatrix
+    value = getattr(stcurve, name)
+    if name == "GENUS4":
+        obj = value.to_json()
+    else:
+        obj = PeriodMatrix(3, ("z1", "z2"), value,
+                           intlat.standard_symplectic(3)).to_json()["entries"]
+    digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+    assert digest == CONSTANT_DIGESTS[name]
 
 
 # hostile inputs: (arguments, exit code), each run within HOSTILE_BUDGET_S

@@ -463,8 +463,7 @@ def test_special_fiber_fails_when_the_family_misses_the_special_matrix(
         pm = exact(match, family, module)
         coeffs = [[list(row) for row in C] for C in pm.coeffs]
         coeffs[0][0][0] = coeffs[0][0][0] + ONE
-        return periods.PeriodMatrix.from_coeffs(pm.g, pm.params, coeffs,
-                                                pm.polarization)
+        return periods.PeriodMatrix(pm.g, pm.params, coeffs, pm.polarization)
 
     monkeypatch.setattr(pel, "prym_family", shifted)
     (check,) = suite.run_all(only="special-fiber").checks

@@ -19,34 +19,10 @@ from cycloperiods import intlat, periods, stcurve, suite
 from cycloperiods.exactfield import (
     HALF, IUNIT, ONE, ZERO, TowerElem, cyclo, embed, real_sign, zeta_power,
 )
-from cycloperiods.periods import AffineForm, PeriodMatrix
+from cycloperiods.periods import PeriodMatrix
 
 _I = cyclo(0, 0, 0, 1)
 _needs_sympy = pytest.mark.skipif(sympy is None, reason="sympy is not installed")
-
-
-def test_affine_form_arithmetic():
-    z = AffineForm.variable("z")
-    f = z * 2 + ONE
-    assert f == AffineForm(ONE, {"z": 2})
-    assert f - f == AffineForm()
-    assert f - ONE == 2 * z
-    assert 1 + z == z + 1
-    assert z - 1 == -(-z + 1)
-
-
-def test_affine_form_products_need_quadforms():
-    z = AffineForm.variable("z")
-    with pytest.raises(TypeError):
-        z * z
-
-
-def test_affine_form_json_roundtrip():
-    f = AffineForm.variable("z1") * IUNIT + AffineForm.variable("z2") - HALF
-    blob = json.dumps(f.to_json())
-    assert AffineForm.from_json(json.loads(blob)) == f
-    with pytest.raises(ValueError):
-        AffineForm.from_json({"z1": IUNIT.to_json()})
 
 
 def test_genus4_matrix_shape():
@@ -55,15 +31,16 @@ def test_genus4_matrix_shape():
     assert pm.polarization == tuple(map(tuple, intlat.standard_symplectic(4)))
     # the first row is affine in tau, the rest is constant
     assert all(not x for row in pm.coeffs[1][1:] for x in row)
-    assert pm.entries[0][0] == AffineForm.variable("tau")
+    assert (pm.coeffs[0][0][0], pm.coeffs[1][0][0]) == (ZERO, ONE)
 
 
 def test_period_matrix_validation():
-    tau = AffineForm.variable("tau")
-    with pytest.raises(ValueError):
-        PeriodMatrix(2, ("tau",), [[tau] * 4], intlat.standard_symplectic(2))
-    with pytest.raises(ValueError):
-        PeriodMatrix(1, (), [[tau, tau]], intlat.standard_symplectic(1))
+    row = [[ZERO, ONE]]
+    with pytest.raises(ValueError):     # one row, and g = 2 needs two
+        PeriodMatrix(2, ("tau",), [[[ZERO] * 4], [[ONE] * 4]],
+                     intlat.standard_symplectic(2))
+    with pytest.raises(ValueError):     # a coefficient matrix of no parameter
+        PeriodMatrix(1, (), [row, row], intlat.standard_symplectic(1))
 
 
 def test_period_matrix_json_roundtrip():
@@ -72,9 +49,24 @@ def test_period_matrix_json_roundtrip():
     back = PeriodMatrix.from_json(json.loads(blob))
     assert back.g == pm.g and back.params == pm.params
     assert back.polarization == pm.polarization
-    assert back.entries == pm.entries
+    assert back.coeffs == pm.coeffs
+    assert back.to_json() == pm.to_json()
     with pytest.raises(ValueError):
         PeriodMatrix.from_json({"g": 2})
+
+
+def test_period_matrix_json_entries():
+    # (1 - tau + i s | s): each entry lists "const", then its nonzero
+    # coefficients in sorted order, and reads back to the same matrix
+    pm = PeriodMatrix(1, ("tau", "s"), [[[ONE, ZERO]], [[-ONE, ZERO]], [[IUNIT, ONE]]],
+                      intlat.standard_symplectic(1))
+    obj = pm.to_json()
+    assert obj["entries"] == [[
+        {"const": ONE.to_json(), "s": IUNIT.to_json(), "tau": (-ONE).to_json()},
+        {"const": ZERO.to_json(), "s": ONE.to_json()}]]
+    assert list(obj["entries"][0][0]) == ["const", "s", "tau"]
+    back = PeriodMatrix.from_json(json.loads(json.dumps(obj)))
+    assert back.params == ("tau", "s") and back.coeffs == pm.coeffs
 
 
 def test_first_relation_holds_symbolically():
@@ -83,11 +75,7 @@ def test_first_relation_holds_symbolically():
 
 
 def test_first_relation_detects_perturbation():
-    pm = stcurve.GENUS4
-    entries = [list(row) for row in pm.entries]
-    entries[0][2] = entries[0][2] + ONE
-    broken = PeriodMatrix(4, pm.params, entries, pm.polarization)
-    assert not periods.first_relation_holds(broken)
+    assert not periods.first_relation_holds(_perturbed(stcurve.GENUS4, 0, 0, 2))
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +87,7 @@ def _perturbed(pm, k, i, j):
     """pm with 1 added to entry (i, j) of its k-th coefficient matrix."""
     coeffs = [[list(row) for row in C] for C in pm.coeffs]
     coeffs[k][i][j] = coeffs[k][i][j] + ONE
-    return PeriodMatrix.from_coeffs(pm.g, pm.params, coeffs, pm.polarization)
+    return PeriodMatrix(pm.g, pm.params, coeffs, pm.polarization)
 
 
 def _order3_deck_pair():
@@ -168,8 +156,7 @@ def test_first_relation_matches_the_dense_sums_on_the_suite_matrices():
     ctx = suite.SuiteContext(128)
     for pm in (stcurve.GENUS4, stcurve.PRYM_SPECIAL_MATRIX, ctx.family_u,
                ctx.prym_family, ctx.genus4_family):
-        fresh = PeriodMatrix.from_coeffs(pm.g, pm.params, pm.coeffs,
-                                         pm.polarization)
+        fresh = PeriodMatrix(pm.g, pm.params, pm.coeffs, pm.polarization)
         assert periods.riemann_first_relation(fresh) == _dense_first_relation(pm) == {}
 
 
@@ -185,8 +172,7 @@ def test_first_relation_matches_the_dense_sums_where_it_fails(name):
             k, i, j = (rng.randrange(len(coeffs)), rng.randrange(pm.g),
                        rng.randrange(2 * pm.g))
             coeffs[k][i][j] = coeffs[k][i][j] + _seeded_elem(rng)
-        broken = PeriodMatrix.from_coeffs(pm.g, pm.params, coeffs,
-                                          pm.polarization)
+        broken = PeriodMatrix(pm.g, pm.params, coeffs, pm.polarization)
         want = _dense_first_relation(broken)
         assert periods.riemann_first_relation(broken) == want
         failing += bool(want)
@@ -209,14 +195,15 @@ def test_positivity_after_substitution_matches_the_family(name):
 def test_period_matrix_coefficients_and_entries_agree():
     pm = stcurve.GENUS4
     P0, Pt = pm.coeffs
-    assert pm.entries[0][3] == AffineForm(-1, {"tau": -1})
     assert (P0[0][3], Pt[0][3]) == (-ONE, -ONE)
-    back = PeriodMatrix.from_coeffs(4, pm.params, pm.coeffs, pm.polarization)
-    assert back.entries == pm.entries
+    assert pm.to_json()["entries"][0][3] == {"const": (-ONE).to_json(),
+                                             "tau": (-ONE).to_json()}
+    back = PeriodMatrix(4, pm.params, pm.coeffs, pm.polarization)
+    assert back.coeffs == pm.coeffs and back.to_json() == pm.to_json()
     with pytest.raises(ValueError):
-        PeriodMatrix.from_coeffs(4, pm.params, pm.coeffs[:1], pm.polarization)
+        PeriodMatrix(4, pm.params, pm.coeffs[:1], pm.polarization)
     with pytest.raises(ValueError):
-        PeriodMatrix(4, ("tau", "tau"), pm.entries, pm.polarization)
+        PeriodMatrix(4, ("tau", "tau"), [*pm.coeffs, pm.coeffs[1]], pm.polarization)
 
 
 def test_positivity_certificates():
@@ -392,8 +379,7 @@ def test_positivity_gram_is_hermitian():
 def test_positivity_gram_refuses_exactly_what_evaluate_refuses():
     pm = stcurve.GENUS4
     zero = [[ZERO] * 8 for _ in range(4)]
-    padded = PeriodMatrix.from_coeffs(4, ("tau", "s"), [*pm.coeffs, zero],
-                                      pm.polarization)
+    padded = PeriodMatrix(4, ("tau", "s"), [*pm.coeffs, zero], pm.polarization)
     want = periods.positivity_gram(pm, {"tau": _I})
     # a missing parameter whose coefficient matrix is 0, and a name that
     # is no parameter, change nothing
@@ -465,8 +451,7 @@ def _counting(pm):
 
 def test_gram_products_are_built_once_per_matrix(genus4_family):
     fam = genus4_family
-    pm = _counting(PeriodMatrix.from_coeffs(fam.g, fam.params, fam.coeffs,
-                                            fam.polarization))
+    pm = _counting(PeriodMatrix(fam.g, fam.params, fam.coeffs, fam.polarization))
     calls = pm._products.keys_formed
     point = {"tau": _I, "z1": HALF, "z2": cyclo(0, 0, Fraction(1, 3))}
     want = periods.positivity_gram(pm, point)
@@ -484,7 +469,7 @@ def test_gram_products_are_built_once_per_matrix(genus4_family):
     assert periods.first_relation_holds(pm)
     assert calls == []
     # copies start with no products; zero parameters need none of theirs
-    for copy in (pm.subs({}), PeriodMatrix.from_coeffs(
+    for copy in (pm.subs({}), PeriodMatrix(
             pm.g, pm.params, pm.coeffs, pm.polarization)):
         assert not copy._products
         assert periods.positivity_gram(_counting(copy), point) == want
@@ -588,7 +573,7 @@ def test_subs_keeps_remaining_parameters():
     pm = stcurve.GENUS4
     fixed = pm.subs({"tau": _I})
     assert fixed.params == ()
-    assert fixed.entries[0][0] == AffineForm.coerce(_I)
+    assert len(fixed.coeffs) == 1 and fixed.coeffs[0][0][0] == _I
 
 
 def test_genus4_family_reassembles_the_tau_block():

@@ -68,11 +68,8 @@ ALLOWED = {
     "pel.ConventionError.__init__": "exception constructor",
     "pel.ModuleError.__init__": "exception constructor",
     "balls.ComplexBall.__repr__": "__repr__",
-    "periods.AffineForm.__repr__": "__repr__",
     "report.Check.__repr__": "__repr__",
-    "periods.AffineForm.__hash__": "__hash__",
     "exactfield.TowerElem.__setattr__": "__setattr__ (immutability guard)",
-    "periods.AffineForm.__setattr__": "__setattr__ (immutability guard)",
     "periods.PeriodMatrix.__setattr__": "__setattr__ (immutability guard)",
 }
 
