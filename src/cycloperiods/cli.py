@@ -25,7 +25,7 @@ class LiteralError(ValueError):
     pass
 
 
-_TOKEN = re.compile(r"\s*(\d+\.\d+|\.\d+|\d+|[A-Za-z_]+|\*\*|[()^+\-*/])")
+_TOKEN = re.compile(r"\s*(\d+\.\d+|\.\d+|\d+|[A-Za-z_][A-Za-z0-9_]*|\*\*|[()^+\-*/])")
 
 # largest |exponent| a literal may use: 3^1024 already has 1,624 bits, and
 # unbounded exponents would let one argument allocate without limit
@@ -262,10 +262,10 @@ def _require_upper_half(tau):
                                "(certified exactly)")
 
 
-def _read_source(matrix, path, what="matrix"):
+def _read_source(matrix, path):
     """Raw JSON text from --matrix (inline or @file) or --file."""
     if (matrix is None) == (path is None):
-        raise click.UsageError(f"give the {what} with --{what} or --file")
+        raise click.UsageError("give the matrix with --matrix or --file")
     if path is None and matrix.startswith("@"):
         path, matrix = matrix[1:], None
     if path is not None:

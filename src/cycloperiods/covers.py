@@ -116,11 +116,10 @@ class HomologyModel(namedtuple("HomologyModel", ("pairing", "shift"))):
         return intlat.permutation_matrix(self.shift)
 
 
-def six_loop_shift(pairs=6):
+def six_loop_shift():
     """The standard shift on two orbits of six loops each:
     first block 0..5 cycles, second block 6..11 cycles."""
-    return [(i + 1) % pairs if i < pairs else pairs + (i - pairs + 1) % pairs
-            for i in range(2 * pairs)]
+    return [6 * (i // 6) + (i + 1) % 6 for i in range(12)]
 
 
 # rank of the pairing on the twelve loops of the genus-4 cover, and the

@@ -11,8 +11,9 @@ the lattice coordinates it came from.
 
 The family is built under a reading of the construction's ambiguous
 choices, the dict {"embedding", "I2_in_Jz", "column_order"} that the
-report prints; resolve_conventions finds the one reading that matches,
-and row_multipliers is the one place its embedding is decided.
+report prints; resolve_conventions finds the one grouped reading that
+matches (an interleaved order leaves row 1 singular), and
+row_multipliers is the one place its embedding is decided.
 """
 
 from fractions import Fraction
@@ -283,12 +284,16 @@ def row_multipliers(reading):
     return rho, rho.conjugate(), rho.conjugate()
 
 
-def _family_coeffs(W, reading):
-    """The 3x6 coefficient matrices (constant, z1, z2) of the family, grouped.
+def family_periods(W, module, reading):
+    """Period matrix of the family in module-generator coordinates.
 
-    Columns are the images of u_k and rho u_k; row 1 is
-    z1 W_1 + z2 W_2 + W_3, rows 2 and 3 are d conj(W_1) + z1 conj(W_3)
-    and d conj(W_2) + z2 conj(W_3), with d = 1 or i by the I2 reading.
+    Columns are the images of (u1, u2, u3, rho u1, rho u2, rho u3), the
+    grouped order, so the polarization is the full trace-pairing Gram
+    matrix of the module.  Row 1 is z1 W_1 + z2 W_2 + W_3, rows 2 and 3
+    are d conj(W_1) + z1 conj(W_3) and d conj(W_2) + z2 conj(W_3), with
+    d = 1 or i by the I2 reading; in each of the coefficient matrices
+    (constant, z1, z2) a row's rho half is its u half times the row's
+    multiplier.
     """
     Wc = tower_conj(W)
     d = ONE if reading["I2_in_Jz"] == "identity" else IUNIT
@@ -297,24 +302,9 @@ def _family_coeffs(W, reading):
     z1 = [W[0], Wc[2], zero]
     z2 = [W[1], zero, Wc[2]]
     mults = row_multipliers(reading)
-    return [[list(row) + [x * m for x in row] for row, m in zip(C, mults)]
-            for C in (const, z1, z2)]
-
-
-def _interleaved(family):
-    """family with its columns in the order u1, rho u1, u2, rho u2, u3, rho u3."""
-    coeffs = [[[row[k] for k in (0, 3, 1, 4, 2, 5)] for row in C] for C in family.coeffs]
-    return PeriodMatrix(3, family.params, coeffs, family.polarization)
-
-
-def family_periods(W, module, reading):
-    """Period matrix of the family in module-generator coordinates.
-
-    Columns are indexed by (u1, u2, u3, rho u1, rho u2, rho u3), so the
-    polarization is the full trace-pairing Gram matrix of the module.
-    """
-    family = PeriodMatrix(3, ("z1", "z2"), _family_coeffs(W, reading), module.g0full)
-    return _interleaved(family) if reading["column_order"] == "interleaved" else family
+    coeffs = [[list(row) + [x * m for x in row] for row, m in zip(C, mults)]
+              for C in (const, z1, z2)]
+    return PeriodMatrix(3, ("z1", "z2"), coeffs, module.g0full)
 
 
 class MatchResult:
@@ -344,13 +334,13 @@ class MatchResult:
 
 
 def _row1_solve(Wx, t):
-    """(c11, z1, z2) from row 1's matrix Wx and target t, or the MatchError."""
+    """(c11, z1, z2) from row 1's matrix Wx and target t, or MatchError."""
     Winv = intlat.inverse(Wx)
     if Winv is None:
-        return MatchError("row-1 coefficient matrix singular")
+        raise MatchError("row-1 coefficient matrix singular")
     w = intlat.matmul(intlat.transpose(Winv), [[x] for x in t])
     if not w[2][0]:
-        return MatchError("row-1 system forces c11 = 0")
+        raise MatchError("row-1 system forces c11 = 0")
     return w[2][0], w[0][0] / w[2][0], w[1][0] / w[2][0]
 
 
@@ -365,7 +355,7 @@ def _pair_solve(eqs):
     return None
 
 
-def match_solver(family, target, row1=None, pairs=None):
+def match_solver(family, target, row1=None):
     """Solve C * family(z1, z2) = target exactly.
 
     family: PeriodMatrix affine in z1, z2; target: 3x6 tower matrix.  The
@@ -374,32 +364,26 @@ def match_solver(family, target, row1=None, pairs=None):
     overdetermined 2x2 linear system in the first three columns.  Every
     one of the 18 entries is then verified, each residual one dot; any
     nonzero residual raises MatchError carrying the offending entries.
-    Calls sharing the dicts solve each distinct system once: row1 maps
-    (row-1 matrix, target row) to (c11, z1, z2) or the MatchError, and
-    pairs maps a 2x2 system's (a, b, target) rows to its solution or
-    None.  Keyed on their inputs, target included, they may serve any
+    Calls sharing the dict row1 solve each distinct row-1 system once: it
+    maps (row-1 matrix, target row) to (c11, z1, z2), and holds solutions
+    only.  Keyed on its inputs, target included, it may serve any
     families and targets.
     """
     if family.params != ("z1", "z2"):
         raise ValueError(f"family parameters {family.params} are not (z1, z2)")
     row1 = {} if row1 is None else row1
-    pairs = {} if pairs is None else pairs
     P0, P1, P2 = family.coeffs
     key = ((P1[0][:3], P2[0][:3], P0[0][:3]), tuple(target[0][:3]))
     if key not in row1:
         row1[key] = _row1_solve(*key)
-    if isinstance(row1[key], MatchError):     # a fresh traceback per raise
-        raise row1[key].with_traceback(None)
     c11, z1, z2 = row1[key]
     F = family.evaluate({"z1": z1, "z2": z2})
     coeffs = {"c11": c11}
     for ri, names in ((1, ("c22", "c23")), (2, ("c32", "c33"))):
-        eqs = tuple((F[1][k], F[2][k], target[ri][k]) for k in range(3))
-        if eqs not in pairs:
-            pairs[eqs] = _pair_solve(eqs)
-        if pairs[eqs] is None:
+        sol = _pair_solve([(F[1][k], F[2][k], target[ri][k]) for k in range(3)])
+        if sol is None:
             raise MatchError(f"row {ri + 1} system is degenerate")
-        coeffs[names[0]], coeffs[names[1]] = pairs[eqs]
+        coeffs[names[0]], coeffs[names[1]] = sol
     result = MatchResult(z1, z2, coeffs)
     residuals = []
     for i, row in enumerate(result.block_matrix()):
@@ -417,28 +401,29 @@ def match_solver(family, target, row1=None, pairs=None):
 def resolve_conventions(W, module, target):
     """Search the finite ambiguity set for the family construction.
 
-    Tries every (embedding, I2 reading, column order) combination and
-    keeps those whose family admits an exact match against the target.
-    An order only permutes the columns of one of four coefficient sets,
-    and the candidates share match_solver's dicts: the four grouped
-    readings solve one row-1 system (one c11, one point), and readings
-    with one I2 reading the same 2x2 systems.  Exactly one must survive,
-    and (reading, match, family) of it is returned; anything else raises
+    Tries the four (embedding, I2 reading) combinations in the grouped
+    column order and keeps those whose family admits an exact match
+    against the target.  Row 1 reads neither choice in its u columns, so
+    the four share one row-1 solve (one c11, one point) through
+    match_solver's dict.  The interleaved order (u1, rho u1, u2, ...) is
+    not tried: its first three row-1 columns are u1, rho u1 and u2, and
+    in each coefficient matrix the rho u1 entry is the u1 entry times the
+    row's multiplier, so its row-1 system is singular for every W and
+    every target.  Exactly one reading must survive, and (reading,
+    match, family) of it is returned; anything else raises
     ConventionError with the readings that matched as its candidates.
     """
-    winners, row1, pairs = [], {}, {}
+    winners, row1 = [], {}
     for embedding in ("sigma", "sigmabar"):
         for i2 in ("identity", "i-identity"):
             reading = {"embedding": embedding, "I2_in_Jz": i2,
                        "column_order": "grouped"}
-            grouped = family_periods(W, module, reading)
-            for order, family in (("grouped", grouped),
-                                  ("interleaved", _interleaved(grouped))):
-                try:
-                    sol = match_solver(family, target, row1, pairs)
-                except MatchError:
-                    continue
-                winners.append((dict(reading, column_order=order), sol, family))
+            family = family_periods(W, module, reading)
+            try:
+                sol = match_solver(family, target, row1)
+            except MatchError:
+                continue
+            winners.append((reading, sol, family))
     if len(winners) != 1:
         raise ConventionError(
             f"{len(winners)} convention choices reproduce the target",

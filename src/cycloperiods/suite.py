@@ -394,7 +394,7 @@ def run_all(prec=128, only=None, strict=False):
     ctx = SuiteContext(prec)
     checks = []
     for cid, tag, fn in CHECKS:
-        if only and only not in (tag, cid):
+        if only is not None and only not in (tag, cid):
             continue
         try:
             out, evidence = fn(ctx, strict)

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from cycloperiods import cli, intlat, periods, stcurve, suite
 from cycloperiods.report import dumps_json
 from cycloperiods.exactfield import (
-    HALF, INV_ROOT4_3, IUNIT, ONE, RHO, ZERO, TowerElem, cyclo, zeta_power,
+    HALF, INV_ROOT4_3, IUNIT, ONE, RHO, SQRT3, ZERO, TowerElem, cyclo,
+    zeta_power,
 )
 
 
@@ -42,6 +43,18 @@ def test_parse_tower_literals():
     assert cli.parse_tower("0.25") == TowerElem.coerce(Fraction(1, 4))
     assert cli.parse_tower("1,2") == ONE + IUNIT * 2
     assert cli.parse_tower("0.5, -0.5") == HALF - HALF * IUNIT
+    # a name may end in digits: sqrt3 is one token, not sqrt times 3
+    assert cli.parse_tower("sqrt3") == SQRT3
+    assert cli.parse_tower("sqrt3^2") == TowerElem.coerce(3)
+
+
+def test_emit_reads_the_sqrt3_name(runner):
+    result = runner.invoke(cli.main, ["emit", "genus4", "--tau", "i+sqrt3"])
+    assert result.exit_code == 0, _text(result)
+    got = [[TowerElem.from_json(x) for x in row]
+           for row in json.loads(result.output)["entries"]]
+    exact = stcurve.GENUS4.evaluate({"tau": IUNIT + SQRT3})
+    assert got == [list(r) for r in exact]
 
 
 @pytest.mark.parametrize("bad", [
@@ -100,13 +113,13 @@ def test_emit_refuses_values_past_the_digit_limit(runner):
 
 
 _LITERAL_TEXT = st.text(alphabet="0123456789.()+-*/^, izetalphrsq$", max_size=40)
+_ATOMS = ("0", "1", "2", "3", "0.5", "i", "zeta", "alpha", "rho", "sqrt3")
 
 
 @st.composite
 def _literals(draw):
     """Well-formed-looking literals with deep nesting and large powers."""
-    atom = draw(st.sampled_from(["0", "1", "2", "3", "0.5", "i", "zeta",
-                                 "alpha", "rho", "sqrt3"]))
+    atom = draw(st.sampled_from(_ATOMS))
     node = atom
     for _ in range(draw(st.integers(0, 4))):
         op = draw(st.sampled_from(["+", "-", "*", "/", "^"]))
@@ -117,6 +130,13 @@ def _literals(draw):
         depth = draw(st.integers(0, 80))
         node = draw(st.sampled_from(["", "-", "--"])) + "(" * depth + node + ")" * depth
     return node
+
+
+@pytest.mark.parametrize("atom", _ATOMS)
+def test_every_fuzz_atom_parses_on_its_own(atom):
+    # the fuzz below swallows LiteralError, so an atom that never parses
+    # would go unseen there
+    assert isinstance(cli.parse_tower(atom), TowerElem)
 
 
 @settings(max_examples=300, deadline=None)
@@ -253,9 +273,10 @@ def test_prec_is_bounded_above(runner, tmp_path):
 def test_verify_usage_errors(runner):
     result = runner.invoke(cli.main, ["verify", "--prec", "8"])
     assert result.exit_code == 2
-    result = runner.invoke(cli.main, ["verify", "--only", "nonsense"])
-    assert result.exit_code == 2
-    assert "known:" in _text(result)
+    for tag in ("nonsense", ""):
+        result = runner.invoke(cli.main, ["verify", "--only", tag])
+        assert result.exit_code == 2
+        assert "known:" in _text(result)
     result = runner.invoke(cli.main, ["verify", "--all", "--only", "snf"])
     assert result.exit_code == 2
 

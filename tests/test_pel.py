@@ -346,6 +346,15 @@ def test_convention_resolution_is_unique():
                                                conv).coeffs
 
 
+def test_convention_search_tries_the_four_grouped_readings(monkeypatch):
+    solve, tried = pel.match_solver, []
+    monkeypatch.setattr(pel, "match_solver",
+                        lambda *args: tried.append(args) or solve(*args))
+    module = _module()
+    pel.resolve_conventions(stcurve.FAMILY_W, module, _target(module))
+    assert len(tried) == 4
+
+
 # rho on the module basis (u1, u2, u3, rho u1, rho u2, rho u3), acting on
 # the right: the R_rho of the module-endo check
 _R_RHO = [[0, 0, 0, -1, 0, 0], [0, 0, 0, 0, -1, 0], [0, 0, 0, 0, 0, -1],
@@ -367,6 +376,29 @@ def test_every_grouped_reading_carries_its_row_multipliers(embedding, i2):
             assert list(row[3:]) == [x * m for x in row[:3]]
     A = [[m if i == j else ZERO for j in range(3)] for i, m in enumerate(mults)]
     assert periods.intertwines(family, A, _R_RHO)
+
+
+def _random_tower(rng):
+    return (cyclo(*(rng.randint(-5, 5) for _ in range(4)))
+            + cyclo(*(rng.randint(-5, 5) for _ in range(4))) * ROOT4_3)
+
+
+@pytest.mark.parametrize("embedding", ["sigma", "sigmabar"])
+@pytest.mark.parametrize("i2", ["identity", "i-identity"])
+def test_the_interleaved_row1_system_is_always_singular(embedding, i2):
+    # why the search tries no interleaved reading: in the order (u1, rho u1,
+    # u2, ...) row 1's first three columns are u1, rho u1 and u2, and each
+    # coefficient matrix's rho u1 entry is its u1 entry times a multiplier
+    reading = {"embedding": embedding, "I2_in_Jz": i2,
+               "column_order": "grouped"}
+    module, rng = _module(), random.Random(24)
+    for _ in range(20):
+        W = [[_random_tower(rng) for _ in range(3)] for _ in range(3)]
+        P0, P1, P2 = pel.family_periods(W, module, reading).coeffs
+        grouped = [C[0][:3] for C in (P1, P2, P0)]
+        interleaved = [[C[0][k] for k in (0, 3, 1)] for C in (P1, P2, P0)]
+        assert intlat.inverse(grouped) is not None
+        assert intlat.inverse(interleaved) is None
 
 
 def test_convention_resolution_fails_on_garbage_target():
@@ -413,32 +445,34 @@ def test_match_solver_keys_its_shared_solves_on_the_target():
     swapped = [target[0], target[2], target[1]]             # C's rows 2, 3 swapped
     slipped = [row[:] for row in target]
     slipped[2][3] = slipped[2][3] + ONE
-    shared = {}, {}     # row1, pairs
-    first = pel.match_solver(family, target, *shared)
+    row1 = {}
+    first = pel.match_solver(family, target, row1)
     for other in (doubled, swapped):
-        got = pel.match_solver(family, other, *shared)
+        got = pel.match_solver(family, other, row1)
         want = pel.match_solver(family, other)
         assert got.point() == want.point() == first.point()
         assert got.coeffs == want.coeffs != first.coeffs
-    assert pel.match_solver(family, doubled, *shared).coeffs["c11"] == first.coeffs["c11"] * 2
-    assert pel.match_solver(family, swapped, *shared).coeffs["c22"] == first.coeffs["c32"]
+    assert pel.match_solver(family, doubled, row1).coeffs["c11"] == first.coeffs["c11"] * 2
+    assert pel.match_solver(family, swapped, row1).coeffs["c22"] == first.coeffs["c32"]
     with pytest.raises(pel.MatchError):
-        pel.match_solver(family, slipped, *shared)
-    assert pel.match_solver(family, target, *shared).coeffs == first.coeffs
+        pel.match_solver(family, slipped, row1)
+    assert pel.match_solver(family, target, row1).coeffs == first.coeffs
+    # one solve per distinct target row 1: swapped and slipped keep it
+    assert len(row1) == 2
 
 
 def test_match_solver_raises_a_shared_row1_error_afresh():
     module, conv, _ = _resolved()
     family = pel.family_periods(stcurve.FAMILY_W, module, conv)
     zeroed = [[ZERO] * 6] + _target(module)[1:]     # row 1 forces c11 = 0
-    shared = {}, {}
+    row1 = {}
     depths = []
     for _ in range(3):
         with pytest.raises(pel.MatchError, match="forces c11 = 0") as err:
-            pel.match_solver(family, zeroed, *shared)
+            pel.match_solver(family, zeroed, row1)
         depths.append(len(traceback.extract_tb(err.value.__traceback__)))
-    # solved once, and the cached error's traceback does not grow per raise
-    assert len(shared[0]) == 1 and depths[0] == depths[2]
+    # the dict holds solutions only, and each raise is a fresh error
+    assert row1 == {} and depths[0] == depths[2]
 
 
 def test_prym_family_passes_through_the_special_fiber():
