@@ -467,7 +467,12 @@ def riemann_check(matrix, path, assignments, prec):
         if "=" not in item:
             raise click.UsageError(f"--at needs NAME=LITERAL, got {item!r}")
         name, text = item.split("=", 1)
-        point[name.strip()] = _parse_or_usage(text, f"--at {name}")
+        key = name.strip()
+        if key in point or key not in pm.params:
+            why = "given twice" if key in point else "not a parameter"
+            raise click.UsageError(f"--at {key} is {why}; the matrix "
+                                   f"declares {list(pm.params)}")
+        point[key] = _parse_or_usage(text, f"--at {name}")
     missing = sorted(set(pm.params) - set(point))
     if missing:
         raise click.UsageError(f"missing --at values for {missing}")

@@ -153,24 +153,23 @@ def deck_action_matrix(model, X):
     """Matrix of the deck shift on the span of the columns of X.
 
     With E = X^T M X the (nondegenerate) Gram form of the columns, the
-    shift acts by R = E^{-1} X^T M P X.  Entries must come out integral,
+    shift acts by the R with E R = X^T M P X.  The system is solved in
+    integers through the Smith form U E V = D as R = V D^{-1} U X^T M P X
+    (H. Cohen, GTM 138, section 2.4).  Entries must come out integral,
     otherwise the columns do not span a shift-stable primitive sublattice
-    and a ValueError is raised.
+    and a ValueError names the first entry of R that is not.
     """
     M = model.pairing
     Xt = intlat.transpose(X)
     E = intlat.matmul(Xt, intlat.matmul(M, X))
-    Einv = intlat.inverse(E)
-    if Einv is None:
+    U, D, V = intlat.smith_normal_form(E)
+    divs = [D[i][i] for i in range(len(D))]
+    if 0 in divs:
         raise ValueError("combos have degenerate Gram form")
     P = model.shift_matrix()
-    Rq = intlat.matmul(Einv, intlat.matmul(Xt, intlat.matmul(M, intlat.matmul(P, X))))
-    R = []
-    for row in Rq:
-        out = []
-        for x in row:
-            if Fraction(x).denominator != 1:
-                raise ValueError(f"deck action is not integral on the combos: {x}")
-            out.append(int(x))
-        R.append(out)
-    return R
+    Y = intlat.matmul(U, intlat.matmul(Xt, intlat.matmul(M, intlat.matmul(P, X))))
+    if any(y % d for row, d in zip(Y, divs) for y in row):
+        R = intlat.matmul(V, [[Fraction(y, d) for y in row] for row, d in zip(Y, divs)])
+        x = next(x for row in R for x in row if Fraction(x).denominator != 1)
+        raise ValueError(f"deck action is not integral on the combos: {x}")
+    return intlat.matmul(V, [[y // d for y in row] for row, d in zip(Y, divs)])

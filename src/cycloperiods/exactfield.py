@@ -307,11 +307,8 @@ _set_d = TowerElem.d.__set__
 
 
 def zeta_power(k):
-    """zeta^k for any integer k."""
-    k %= 12
-    if k < 4:
-        return _raw(_Z4[:k] + (1,) + _Z4[k + 1:] + _Z4, 1)
-    return IUNIT * zeta_power(k - 3)
+    """zeta^k for any integer k, read from the table of k mod 12."""
+    return _ZETA_POWERS[k % 12]
 
 
 ZERO = TowerElem()
@@ -323,6 +320,10 @@ SQRT3 = TowerElem((0, 2, 0, -1))         # 2*zeta - zeta^3
 ROOT4_3 = TowerElem(_Z4, (1,))           # alpha
 INV_ROOT4_3 = TowerElem(_Z4, (Fraction(1, 3),)) * SQRT3   # alpha^3/3
 HALF = TowerElem((Fraction(1, 2),))
+# zeta^0..zeta^3, then zeta^4 = i zeta, zeta^5 = i zeta^2, zeta^(k+6) = -zeta^k
+_ZETA_POWERS = [_raw(_Z4[:k] + (1,) + _Z4[k + 1:] + _Z4, 1) for k in range(4)]
+_ZETA_POWERS += [IUNIT * z for z in _ZETA_POWERS[1:3]]
+_ZETA_POWERS += [-z for z in _ZETA_POWERS]
 
 
 def cyclo(c0=0, c1=0, c2=0, c3=0):

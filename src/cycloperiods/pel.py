@@ -12,7 +12,8 @@ the lattice coordinates it came from.
 The family is built under a reading of the construction's ambiguous
 choices, the dict {"embedding", "I2_in_Jz", "column_order"} that the
 report prints; resolve_conventions finds the one grouped reading that
-matches (an interleaved order leaves row 1 singular), and
+matches (an interleaved order leaves row 1 singular), sharing each
+embedding's multiplied rows between its two I2 readings, and
 row_multipliers is the one place its embedding is decided.
 """
 
@@ -284,7 +285,16 @@ def row_multipliers(reading):
     return rho, rho.conjugate(), rho.conjugate()
 
 
-def family_periods(W, module, reading):
+def _multiplied_rows(W, reading):
+    """The rows u | m u of W and of conj(W), m the multiplier of the family
+    rows they enter under the reading's embedding: row 1 for W, rows 2 and
+    3 (which share one) for conj(W)."""
+    m1, m2, _ = row_multipliers(reading)
+    return ([list(row) + [x * m1 for x in row] for row in W],
+            [list(row) + [x * m2 for x in row] for row in tower_conj(W)])
+
+
+def family_periods(W, module, reading, rows=None):
     """Period matrix of the family in module-generator coordinates.
 
     Columns are the images of (u1, u2, u3, rho u1, rho u2, rho u3), the
@@ -293,18 +303,16 @@ def family_periods(W, module, reading):
     are d conj(W_1) + z1 conj(W_3) and d conj(W_2) + z2 conj(W_3), with
     d = 1 or i by the I2 reading; in each of the coefficient matrices
     (constant, z1, z2) a row's rho half is its u half times the row's
-    multiplier.
+    multiplier.  rows, if given, is _multiplied_rows(W, reading), which
+    no I2 reading changes.
     """
-    Wc = tower_conj(W)
-    d = ONE if reading["I2_in_Jz"] == "identity" else IUNIT
-    zero = [ZERO] * 3
-    const = [W[2], [x * d for x in Wc[0]], [x * d for x in Wc[1]]]
-    z1 = [W[0], Wc[2], zero]
-    z2 = [W[1], zero, Wc[2]]
-    mults = row_multipliers(reading)
-    coeffs = [[list(row) + [x * m for x in row] for row, m in zip(C, mults)]
-              for C in (const, z1, z2)]
-    return PeriodMatrix(3, ("z1", "z2"), coeffs, module.g0full)
+    A, B = rows or _multiplied_rows(W, reading)
+    if reading["I2_in_Jz"] != "identity":
+        B = [[x * IUNIT for x in row] for row in B[:2]] + B[2:]
+    zero = [ZERO] * 6
+    return PeriodMatrix(3, ("z1", "z2"), [[A[2], B[0], B[1]],
+                                          [A[0], B[2], zero],
+                                          [A[1], zero, B[2]]], module.g0full)
 
 
 class MatchResult:
@@ -405,20 +413,23 @@ def resolve_conventions(W, module, target):
     column order and keeps those whose family admits an exact match
     against the target.  Row 1 reads neither choice in its u columns, so
     the four share one row-1 solve (one c11, one point) through
-    match_solver's dict.  The interleaved order (u1, rho u1, u2, ...) is
-    not tried: its first three row-1 columns are u1, rho u1 and u2, and
-    in each coefficient matrix the rho u1 entry is the u1 entry times the
-    row's multiplier, so its row-1 system is singular for every W and
-    every target.  Exactly one reading must survive, and (reading,
-    match, family) of it is returned; anything else raises
-    ConventionError with the readings that matched as its candidates.
+    match_solver's dict, and the two readings of an embedding share its
+    _multiplied_rows, each product formed once (and none by d = 1).  The
+    interleaved order (u1, rho u1, u2, ...) is not tried: its first three
+    row-1 columns are u1, rho u1 and u2, and in each coefficient matrix
+    the rho u1 entry is the u1 entry times the row's multiplier, so its
+    row-1 system is singular for every W and every target.  Exactly one
+    reading must survive, and (reading, match, family) of it is returned;
+    anything else raises ConventionError with the readings that matched
+    as its candidates.
     """
     winners, row1 = [], {}
     for embedding in ("sigma", "sigmabar"):
+        rows = _multiplied_rows(W, {"embedding": embedding})
         for i2 in ("identity", "i-identity"):
             reading = {"embedding": embedding, "I2_in_Jz": i2,
                        "column_order": "grouped"}
-            family = family_periods(W, module, reading)
+            family = family_periods(W, module, reading, rows)
             try:
                 sol = match_solver(family, target, row1)
             except MatchError:

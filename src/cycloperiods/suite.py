@@ -224,21 +224,25 @@ CERTIFICATION_FLOOR = 64
 @_register("riemann-positive", "positivity",
            "i P E^-1 conj(P)^T definite (sign +1)")
 def _check_positivity(ctx, strict):
-    g4 = stcurve.GENUS4
+    g4, family, tau = stcurve.GENUS4, ctx.prym_family, {"tau": IUNIT * 2}
+    # decided from cached products X_a = P_a E^-1 (GENUS4's kept across
+    # calls); only an assembly at z* that is not GENUS4 is substituted
+    assembled = ctx.genus4_at_star
+    if ((assembled.params, assembled.coeffs, assembled.polarization)
+            == (g4.params, g4.coeffs, g4.polarization)):
+        assembled = g4
+    else:
+        assembled, tau = assembled.subs(tau), {}
     points = [("genus4 tau=i", g4, {"tau": IUNIT}),
               ("genus4 tau=2i", g4, {"tau": IUNIT * 2}),
               ("genus4 tau=1+i", g4, {"tau": IUNIT + 1}),
-              ("family z=0", ctx.prym_family, {"z1": ZERO, "z2": ZERO}),
+              ("family z=0", family, {"z1": ZERO, "z2": ZERO}),
               ("family z=z*", ctx.prym_at_star, {}),
-              ("family z=(1/2,0)", ctx.prym_family,
-               {"z1": HALF, "z2": ZERO}),
-              ("genus4-family tau=2i, z=z*", ctx.genus4_at_star,
-               {"tau": IUNIT * 2})]
+              ("family z=(1/2,0)", family, {"z1": HALF, "z2": ZERO}),
+              ("genus4-family tau=2i, z=z*", assembled, tau)]
     evidence = {}
     verdicts = []
     for name, pm, pt in points:
-        if pt and pm is not g4:     # built per run, read at 1-3 points: one product each
-            pm, pt = pm.subs(pt), {}
         verdict, minors = periods.riemann_positivity(
             pm, pt, prec=ctx.prec, sign=stcurve.POSITIVITY_SIGN)
         verdicts.append(verdict)

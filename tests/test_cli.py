@@ -558,6 +558,18 @@ def test_tools_riemann_check(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_tools_riemann_check_refuses_a_repeated_or_undeclared_name(runner, tmp_path):
+    path = tmp_path / "pm.json"
+    path.write_text(json.dumps(stcurve.GENUS4.to_json()))
+    for extra, why in ((["--at", "tau=-i"], "--at tau is given twice"),
+                       (["--at", "bogus=1"], "--at bogus is not a parameter")):
+        result = runner.invoke(cli.main, ["tools", "riemann-check", "--file", str(path),
+                                          "--at", "tau=i", *extra])
+        assert result.exit_code == 2, _text(result)
+        assert f"{why}; the matrix declares ['tau']" in _text(result)
+        assert "Traceback" not in _text(result)
+
+
 def test_tools_riemann_check_is_exact_near_the_real_axis(runner, tmp_path):
     path = tmp_path / "pm.json"
     path.write_text(json.dumps(stcurve.GENUS4.to_json()))

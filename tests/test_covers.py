@@ -1,6 +1,7 @@
 """Cyclic cover character tables and the rank-12 loop homology model."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -129,11 +130,52 @@ def test_deck_action_matrix():
 def test_deck_action_rejects_bad_spans():
     model = stcurve.HOMOLOGY_MODEL
     X = stcurve.CYCLE_COMBOS
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^combos have degenerate Gram form$"):
         covers.deck_action_matrix(model, [row[:1] for row in X])
     scaled = [[2 * row[0]] + row[1:] for row in X]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="^deck action is not integral on the combos: 1/2$"):
         covers.deck_action_matrix(model, scaled)
+
+
+def _deck_action_oracle(model, X):
+    """E^-1 X^T M P X in Fractions through intlat.inverse, E = X^T M X;
+    None if E is singular."""
+    M, Xt = model.pairing, intlat.transpose(X)
+    Einv = intlat.inverse(intlat.matmul(Xt, intlat.matmul(M, X)))
+    if Einv is None:
+        return None
+    PX = intlat.matmul(model.shift_matrix(), X)
+    return intlat.matmul(Einv, intlat.matmul(Xt, intlat.matmul(M, PX)))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_deck_action_matrix_matches_the_fraction_oracle(seed):
+    # odd seeds: the combos in a random unimodular basis of their span,
+    # so R stays integral; even seeds: random integer combinations, of
+    # odd width (degenerate) or mostly with a fractional R
+    rng = random.Random(seed)
+    model = stcurve.HOMOLOGY_MODEL
+    if seed % 2:
+        U = intlat.identity(8)
+        for _ in range(24):
+            (i, j), c = rng.sample(range(8), 2), rng.choice((-2, -1, 1, 2))
+            U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+        X = intlat.matmul(stcurve.CYCLE_COMBOS, U)
+    else:
+        width = rng.randint(1, 8)
+        X = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(12)]
+    want = _deck_action_oracle(model, X)
+    if want is None:
+        with pytest.raises(ValueError, match="^combos have degenerate Gram form$"):
+            covers.deck_action_matrix(model, X)
+    elif all(x.denominator == 1 for row in want for x in map(Fraction, row)):
+        assert covers.deck_action_matrix(model, X) == want
+    else:
+        bad = next(x for row in want for x in row if Fraction(x).denominator != 1)
+        with pytest.raises(ValueError) as info:
+            covers.deck_action_matrix(model, X)
+        assert str(info.value) == f"deck action is not integral on the combos: {bad}"
 
 
 def _fraction_dims(n, exponents):

@@ -128,6 +128,11 @@ def test_zeta_power_wraps_mod_twelve():
     assert zeta_power(-1) * ZETA == ONE
 
 
+def test_zeta_power_table_matches_powers_of_zeta():
+    for k in range(-24, 25):
+        assert zeta_power(k) == ZETA ** k, k
+
+
 def test_conjugation_fixes_alpha_and_reals():
     assert ZETA.conjugate() == zeta_power(11)
     assert IUNIT.conjugate() == -IUNIT

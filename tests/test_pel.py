@@ -355,6 +355,42 @@ def test_convention_search_tries_the_four_grouped_readings(monkeypatch):
     assert len(tried) == 4
 
 
+def _family_coeffs_by_rows(W, reading):
+    """The (constant, z1, z2) matrices of family_periods written row by row
+    from its docstring, each entry formed on its own."""
+    mults = pel.row_multipliers(reading)
+    d = ONE if reading["I2_in_Jz"] == "identity" else IUNIT
+    Wc = [[x.conjugate() for x in row] for row in W]
+    zero = [ZERO] * 3
+    mats = ([W[2], [d * x for x in Wc[0]], [d * x for x in Wc[1]]],
+            [W[0], Wc[2], zero], [W[1], zero, Wc[2]])
+    return tuple(tuple(tuple(row) + tuple(x * m for x in row)
+                       for row, m in zip(C, mults)) for C in mats)
+
+
+def test_each_searched_family_is_the_one_built_alone(monkeypatch):
+    # the search shares each embedding's multiplied rows between its two
+    # I2 readings; every family it tries is still the one family_periods
+    # builds for that reading alone
+    build, built = pel.family_periods, []
+
+    def recording(W, module, reading, *rows):
+        built.append((dict(reading), build(W, module, reading, *rows)))
+        return built[-1][1]
+
+    monkeypatch.setattr(pel, "family_periods", recording)
+    module = _module()
+    pel.resolve_conventions(stcurve.FAMILY_W, module, _target(module))
+    monkeypatch.undo()
+    assert [(r["embedding"], r["I2_in_Jz"]) for r, _ in built] == [
+        (e, i2) for e in ("sigma", "sigmabar") for i2 in ("identity", "i-identity")]
+    for reading, family in built:
+        alone = pel.family_periods(stcurve.FAMILY_W, module, reading)
+        assert (family.params, family.coeffs, family.polarization) == (
+            alone.params, alone.coeffs, alone.polarization)
+        assert family.coeffs == _family_coeffs_by_rows(stcurve.FAMILY_W, reading)
+
+
 # rho on the module basis (u1, u2, u3, rho u1, rho u2, rho u3), acting on
 # the right: the R_rho of the module-endo check
 _R_RHO = [[0, 0, 0, -1, 0, 0], [0, 0, 0, 0, -1, 0], [0, 0, 0, 0, 0, -1],

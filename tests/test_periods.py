@@ -273,6 +273,61 @@ def test_printed_minor_ranges_enclose_their_minors(monkeypatch, prec):
             assert real_sign(Fraction(hi) - d) >= 0, (k, hi, point)
 
 
+def _record_positivity(monkeypatch):
+    """The (pm, point) of each riemann_positivity call, and the contexts
+    run_all builds."""
+    calls, contexts, real = [], [], periods.riemann_positivity
+
+    class Context(suite.SuiteContext):
+        def __init__(self, prec=128):
+            super().__init__(prec)
+            contexts.append(self)
+
+    def recording(pm, point, prec=128, sign=1):
+        calls.append((pm, point))
+        return real(pm, point, prec=prec, sign=sign)
+
+    monkeypatch.setattr(suite, "SuiteContext", Context)
+    monkeypatch.setattr(periods, "riemann_positivity", recording)
+    return calls, contexts
+
+
+def test_positivity_reads_the_families_it_already_holds(monkeypatch):
+    calls, contexts = _record_positivity(monkeypatch)
+    (check,) = suite.run_all(prec=128, only="positivity").checks
+    assert check.verdict == "pass"
+    (ctx,) = contexts
+    names = list(check.evidence)
+    assert len(calls) == len(names) == 7
+    routes = dict(zip(names, calls))
+    for name in ("family z=0", "family z=(1/2,0)"):
+        assert routes[name][0] is ctx.prym_family
+    assert routes["family z=0"][1] == {"z1": ZERO, "z2": ZERO}
+    assert routes["family z=(1/2,0)"][1] == {"z1": HALF, "z2": ZERO}
+    assert routes["family z=z*"] == (ctx.prym_at_star, {})
+    # the assembly at z* is GENUS4, whose products persist across calls
+    pm, point = routes["genus4-family tau=2i, z=z*"]
+    assert pm is stcurve.GENUS4 and point == {"tau": IUNIT * 2}
+
+
+@pytest.mark.parametrize("differs", ["coefficients", "polarization"])
+def test_positivity_substitutes_an_assembly_that_is_not_genus4(monkeypatch, differs):
+    g4 = stcurve.GENUS4
+    coeffs = [[[x * 2 for x in row] for row in C] for C in g4.coeffs]
+    pol = [[2 * x for x in row] for row in g4.polarization]
+    other = (PeriodMatrix(4, g4.params, coeffs, g4.polarization)
+             if differs == "coefficients"
+             else PeriodMatrix(4, g4.params, g4.coeffs, pol))
+    monkeypatch.setitem(suite.STAGES, "genus4_at_star", lambda ctx: other)
+    calls, _ = _record_positivity(monkeypatch)
+    (check,) = suite.run_all(prec=128, only="positivity").checks
+    pm, point = calls[-1]
+    assert pm is not g4 and pm.params == () and point == {}
+    assert pm.coeffs == other.subs({"tau": IUNIT * 2}).coeffs
+    assert pm.polarization == other.polarization
+    assert check.evidence["genus4-family tau=2i, z=z*"]["verdict"] == "positive"
+
+
 def _fraction_double(q, up):
     """The outward rounding of a Fraction q to a double, through Fractions."""
     try:
