@@ -64,6 +64,8 @@ MAX_RIEMANN_POINT_BITS = 1280
 # 64-bit entries, smith_normal_form took at most 0.58 s on 15 seeded
 # matrices and symplectic_basis 0.45 s on 300 seeded forms (same VM)
 MAX_MATRIX_HEIGHT_BITS = 2048
+# most characters of --matrix or --file JSON, refused before it is parsed
+MAX_JSON_TEXT = 4 << 20
 
 _NAMES = {"i": IUNIT, "zeta": ZETA, "alpha": ROOT4_3,
           "rho": RHO, "sqrt3": SQRT3}
@@ -271,9 +273,11 @@ def _read_source(matrix, path):
     if path is not None:
         try:
             with open(path) as fh:
-                return fh.read()
+                matrix = fh.read(MAX_JSON_TEXT + 1)
         except OSError as exc:
             raise click.UsageError(f"cannot read {path}: {exc}")
+    if len(matrix) > MAX_JSON_TEXT:
+        raise click.UsageError(f"matrix JSON is longer than {MAX_JSON_TEXT} characters")
     return matrix
 
 

@@ -12,12 +12,13 @@ the lattice coordinates it came from.
 The family is built under a reading of the construction's ambiguous
 choices, the dict {"embedding", "I2_in_Jz", "column_order"} that the
 report prints; resolve_conventions finds the one grouped reading that
-matches (an interleaved order leaves row 1 singular), sharing each
-embedding's multiplied rows between its two I2 readings, and
-row_multipliers is the one place its embedding is decided.
+matches (an interleaved order leaves row 1 singular), sharing its work
+through caches keyed on their inputs, and row_multipliers is the one
+place its embedding is decided.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 import itertools
 from math import isqrt
 
@@ -285,16 +286,17 @@ def row_multipliers(reading):
     return rho, rho.conjugate(), rho.conjugate()
 
 
-def _multiplied_rows(W, reading):
-    """The rows u | m u of W and of conj(W), m the multiplier of the family
-    rows they enter under the reading's embedding: row 1 for W, rows 2 and
-    3 (which share one) for conj(W)."""
-    m1, m2, _ = row_multipliers(reading)
-    return ([list(row) + [x * m1 for x in row] for row in W],
-            [list(row) + [x * m2 for x in row] for row in tower_conj(W)])
+@lru_cache(maxsize=16)
+def _multiplied_rows(W, embedding):
+    """The rows u | m u of W and of conj(W) as tuples, m the multiplier of
+    the family rows they enter under the embedding: row 1 for W, rows 2
+    and 3 (which share one) for conj(W)."""
+    m1, m2, _ = row_multipliers({"embedding": embedding})
+    return tuple(tuple(row + tuple(x * m for x in row) for row in map(tuple, M))
+                 for M, m in ((W, m1), (tower_conj(W), m2)))
 
 
-def family_periods(W, module, reading, rows=None):
+def family_periods(W, module, reading):
     """Period matrix of the family in module-generator coordinates.
 
     Columns are the images of (u1, u2, u3, rho u1, rho u2, rho u3), the
@@ -303,12 +305,12 @@ def family_periods(W, module, reading, rows=None):
     are d conj(W_1) + z1 conj(W_3) and d conj(W_2) + z2 conj(W_3), with
     d = 1 or i by the I2 reading; in each of the coefficient matrices
     (constant, z1, z2) a row's rho half is its u half times the row's
-    multiplier.  rows, if given, is _multiplied_rows(W, reading), which
-    no I2 reading changes.
+    multiplier.  Those rows come from _multiplied_rows, which no I2
+    reading changes.
     """
-    A, B = rows or _multiplied_rows(W, reading)
+    A, B = _multiplied_rows(tuple(map(tuple, W)), reading["embedding"])
     if reading["I2_in_Jz"] != "identity":
-        B = [[x * IUNIT for x in row] for row in B[:2]] + B[2:]
+        B = tuple(tuple(x * IUNIT for x in row) for row in B[:2]) + B[2:]
     zero = [ZERO] * 6
     return PeriodMatrix(3, ("z1", "z2"), [[A[2], B[0], B[1]],
                                           [A[0], B[2], zero],
@@ -341,8 +343,9 @@ class MatchResult:
         return real_sign(1 - self.ball_norm()) > 0
 
 
+@lru_cache(maxsize=16)
 def _row1_solve(Wx, t):
-    """(c11, z1, z2) from row 1's matrix Wx and target t, or MatchError."""
+    """(c11, z1, z2) from row 1's matrix Wx and target row t, or MatchError."""
     Winv = intlat.inverse(Wx)
     if Winv is None:
         raise MatchError("row-1 coefficient matrix singular")
@@ -363,28 +366,22 @@ def _pair_solve(eqs):
     return None
 
 
-def match_solver(family, target, row1=None):
+def match_solver(family, target):
     """Solve C * family(z1, z2) = target exactly.
 
     family: PeriodMatrix affine in z1, z2; target: 3x6 tower matrix.  The
     first row is inverted through its coefficient matrix, which pins
-    (c11 z1, c11 z2, c11) at once; the remaining two rows each give an
-    overdetermined 2x2 linear system in the first three columns.  Every
-    one of the 18 entries is then verified, each residual one dot; any
-    nonzero residual raises MatchError carrying the offending entries.
-    Calls sharing the dict row1 solve each distinct row-1 system once: it
-    maps (row-1 matrix, target row) to (c11, z1, z2), and holds solutions
-    only.  Keyed on its inputs, target included, it may serve any
-    families and targets.
+    (c11 z1, c11 z2, c11) at once (_row1_solve, cached on that matrix and
+    the target row); the remaining two rows each give an overdetermined
+    2x2 linear system in the first three columns.  Every one of the 18
+    entries is then verified, each residual one dot; any nonzero residual
+    raises MatchError carrying the offending entries.
     """
     if family.params != ("z1", "z2"):
         raise ValueError(f"family parameters {family.params} are not (z1, z2)")
-    row1 = {} if row1 is None else row1
     P0, P1, P2 = family.coeffs
-    key = ((P1[0][:3], P2[0][:3], P0[0][:3]), tuple(target[0][:3]))
-    if key not in row1:
-        row1[key] = _row1_solve(*key)
-    c11, z1, z2 = row1[key]
+    c11, z1, z2 = _row1_solve((P1[0][:3], P2[0][:3], P0[0][:3]),
+                              tuple(target[0][:3]))
     F = family.evaluate({"z1": z1, "z2": z2})
     coeffs = {"c11": c11}
     for ri, names in ((1, ("c22", "c23")), (2, ("c32", "c33"))):
@@ -412,9 +409,9 @@ def resolve_conventions(W, module, target):
     Tries the four (embedding, I2 reading) combinations in the grouped
     column order and keeps those whose family admits an exact match
     against the target.  Row 1 reads neither choice in its u columns, so
-    the four share one row-1 solve (one c11, one point) through
-    match_solver's dict, and the two readings of an embedding share its
-    _multiplied_rows, each product formed once (and none by d = 1).  The
+    the four share one row-1 solve (one c11, one point), and the two
+    readings of an embedding share its multiplied rows, each formed once
+    through the caches of _row1_solve and _multiplied_rows.  The
     interleaved order (u1, rho u1, u2, ...) is not tried: its first three
     row-1 columns are u1, rho u1 and u2, and in each coefficient matrix
     the rho u1 entry is the u1 entry times the row's multiplier, so its
@@ -423,18 +420,17 @@ def resolve_conventions(W, module, target):
     anything else raises ConventionError with the readings that matched
     as its candidates.
     """
-    winners, row1 = [], {}
-    for embedding in ("sigma", "sigmabar"):
-        rows = _multiplied_rows(W, {"embedding": embedding})
-        for i2 in ("identity", "i-identity"):
-            reading = {"embedding": embedding, "I2_in_Jz": i2,
-                       "column_order": "grouped"}
-            family = family_periods(W, module, reading, rows)
-            try:
-                sol = match_solver(family, target, row1)
-            except MatchError:
-                continue
-            winners.append((reading, sol, family))
+    winners = []
+    for embedding, i2 in itertools.product(("sigma", "sigmabar"),
+                                           ("identity", "i-identity")):
+        reading = {"embedding": embedding, "I2_in_Jz": i2,
+                   "column_order": "grouped"}
+        family = family_periods(W, module, reading)
+        try:
+            sol = match_solver(family, target)
+        except MatchError:
+            continue
+        winners.append((reading, sol, family))
     if len(winners) != 1:
         raise ConventionError(
             f"{len(winners)} convention choices reproduce the target",

@@ -2,13 +2,15 @@
 
 Each check is declared once, by @_register(id, tag, anchor): a stable
 id, a tag for --only filtering, and an anchor string naming the quantity
-it pins down.  It returns (ok, evidence), or (verdict, evidence) for a
-third outcome, and run_all makes the report.Check; the suite never
-raises on a failing check, only on programming errors.
+it pins down.  Called as fn(ctx) on the run's SuiteContext (precision,
+strict setting, stages), it returns (ok, evidence), or (verdict,
+evidence) for a third outcome, and run_all makes the report.Check; the
+suite never raises on a failing check, only on programming errors.
 
 Checks that need the resolved family conventions go inconclusive when
 the convention search does not land on a unique winner, since nothing
-downstream of the family is then well defined.
+downstream of the family is then well defined.  The assembly at z* is
+GENUS4 itself when equal to it, so its readers test identity.
 """
 
 import os
@@ -26,6 +28,14 @@ RUN_CONVENTIONS = {
     "prym_weight_exponents": list(stcurve.PRYM_WEIGHT_EXPONENTS),
     "character_multiplier": "zeta^-k",
 }
+
+
+def _genus4_at_star(ctx):
+    """The genus-4 family at z*, as stcurve.GENUS4 itself if it equals it."""
+    at, g4 = ctx.genus4_family.subs(ctx.match.point()), stcurve.GENUS4
+    same = (at.params, at.coeffs, at.polarization) == (
+        g4.params, g4.coeffs, g4.polarization)
+    return g4 if same else at
 
 
 # stage name -> builder of its value from the context; the stages are the
@@ -49,7 +59,7 @@ STAGES = {
         ctx.match, ctx.family_u, ctx.module),
     "genus4_family": lambda ctx: stcurve.genus4_family(ctx.prym_family),
     "prym_at_star": lambda ctx: ctx.prym_family.subs(ctx.match.point()),
-    "genus4_at_star": lambda ctx: ctx.genus4_family.subs(ctx.match.point()),
+    "genus4_at_star": _genus4_at_star,
     "deck_hits": lambda ctx: periods.intertwiner_search(
         ctx.prym_family, stcurve.PRYM_WEIGHT_EXPONENTS, stcurve.PRYM_SHIFT,
         signs=(1,)),
@@ -57,14 +67,16 @@ STAGES = {
 
 
 class SuiteContext:
-    """Lazy shared pipeline for the checks, built at a working precision.
+    """Lazy shared pipeline for the checks at a working precision; strict
+    makes the display audit fail on any divergence.
 
     Each name of STAGES reads as an attribute; its builder runs on first
     use, and the value or the exception it raised is kept for later reads.
     """
 
-    def __init__(self, prec=128):
+    def __init__(self, prec=128, strict=False):
         self.prec = prec
+        self.strict = strict
         self._cache = {}
 
     def _get(self, key, builder):
@@ -122,7 +134,7 @@ def _diff_coeffs(pm, display):
 
 
 @_register("lattice-type", "snf", "snf(B^T J B | prym) = (1,1,1,1,3,3)")
-def _check_snf(ctx, strict):
+def _check_snf(ctx):
     J = intlat.standard_symplectic(4)
     B = stcurve.SPLITTING_BASIS
     G = intlat.matmul(intlat.transpose(B), intlat.matmul(J, B))
@@ -145,7 +157,7 @@ def _check_snf(ctx, strict):
 
 @_register("cycle-basis", "homology",
            "Gram(e) = J_std; shift acts symplectically, order 6")
-def _check_homology(ctx, strict):
+def _check_homology(ctx):
     model = stcurve.HOMOLOGY_MODEL
     results = covers.verify_homology_model(model, stcurve.CYCLE_COMBOS)
     ok = all(passed for _, passed in results)
@@ -168,7 +180,7 @@ def _check_homology(ctx, strict):
 
 @_register("cover-table", "covers",
            "n=6, a=(1,1,1,3): dims (0,0,1,1,2), genus 4")
-def _check_covers(ctx, strict):
+def _check_covers(ctx):
     cover = stcurve.CURVE_COVER
     table = cover.table()
     want = [(1, 2, 0), (2, 1, 0), (3, 2, 1), (4, 1, 1), (5, 2, 2)]
@@ -183,7 +195,7 @@ def _check_covers(ctx, strict):
 
 @_register("split-product", "split",
            "Z B = blockdiag((3 tau, 3 tau + 3), special)")
-def _check_split(ctx, strict):
+def _check_split(ctx):
     pm = stcurve.GENUS4
     # Z B = Z0 + tau Zt against the blocks its columns must carry
     Z0, Zt = (intlat.matmul(P, stcurve.SPLITTING_BASIS) for P in pm.coeffs)
@@ -203,7 +215,7 @@ def _check_split(ctx, strict):
 
 
 @_register("riemann-symbolic", "riemann", "P E^-1 P^T = 0 identically")
-def _check_riemann(ctx, strict):
+def _check_riemann(ctx):
     mats = [("genus4", stcurve.GENUS4),
             ("prym-special", stcurve.PRYM_SPECIAL_MATRIX),
             ("family-module-coords", ctx.family_u),
@@ -223,23 +235,16 @@ CERTIFICATION_FLOOR = 64
 
 @_register("riemann-positive", "positivity",
            "i P E^-1 conj(P)^T definite (sign +1)")
-def _check_positivity(ctx, strict):
-    g4, family, tau = stcurve.GENUS4, ctx.prym_family, {"tau": IUNIT * 2}
-    # decided from cached products X_a = P_a E^-1 (GENUS4's kept across
-    # calls); only an assembly at z* that is not GENUS4 is substituted
-    assembled = ctx.genus4_at_star
-    if ((assembled.params, assembled.coeffs, assembled.polarization)
-            == (g4.params, g4.coeffs, g4.polarization)):
-        assembled = g4
-    else:
-        assembled, tau = assembled.subs(tau), {}
+def _check_positivity(ctx):
+    # decided from cached products X_a = P_a E^-1, GENUS4's kept across calls
+    g4, family = stcurve.GENUS4, ctx.prym_family
     points = [("genus4 tau=i", g4, {"tau": IUNIT}),
               ("genus4 tau=2i", g4, {"tau": IUNIT * 2}),
               ("genus4 tau=1+i", g4, {"tau": IUNIT + 1}),
               ("family z=0", family, {"z1": ZERO, "z2": ZERO}),
               ("family z=z*", ctx.prym_at_star, {}),
               ("family z=(1/2,0)", family, {"z1": HALF, "z2": ZERO}),
-              ("genus4-family tau=2i, z=z*", assembled, tau)]
+              ("genus4-family tau=2i, z=z*", ctx.genus4_at_star, {"tau": IUNIT * 2})]
     evidence = {}
     verdicts = []
     for name, pm, pt in points:
@@ -263,7 +268,7 @@ def _check_positivity(ctx, strict):
 @_register("deck-twist", "intertwine",
            "diag(zeta^4, zeta^8, zeta^8) intertwines exactly one"
            " variant, which preserves the pairing")
-def _check_intertwine(ctx, strict):
+def _check_intertwine(ctx):
     hits = ctx.deck_hits
     J3 = stcurve.PRYM_POLARIZATION
     M = stcurve.PRYM_SHIFT
@@ -276,7 +281,7 @@ def _check_intertwine(ctx, strict):
 
 @_register("module-form", "pel-t",
            "T skew-Hermitian, signature (2,1), 36 integral traces")
-def _check_module_form(ctx, strict):
+def _check_module_form(ctx):
     module = ctx.module
     grams_ok = (module.g0 == stcurve.REF_PAIRING_GRAM
                 and module.g1 == stcurve.REF_SHIFT_GRAM)
@@ -294,7 +299,7 @@ def _check_module_form(ctx, strict):
 
 @_register("form-diagonal", "defw",
            "W^* D W reproduces T (residual 0 or < 2^-100)")
-def _check_diagonal(ctx, strict):
+def _check_diagonal(ctx):
     res = pel.defw_residual(ctx.diagonalizer, ctx.skew_form)
     ok = all(x.is_zero() for row in res for x in row)
     return ok, {"exact": True,
@@ -302,7 +307,7 @@ def _check_diagonal(ctx, strict):
 
 
 @_register("ball-point", "match", "z* exact, |z*|^2 < 1 certified")
-def _check_match(ctx, strict):
+def _check_match(ctx):
     m = ctx.match
     point_ok = m.point() == stcurve.MATCH_POINT
     coeff_ok = m.coeffs == stcurve.MATCH_COEFFS
@@ -316,21 +321,17 @@ def _check_match(ctx, strict):
 
 @_register("special-fiber", "family",
            "family(z*) = special; genus-4 assembly = Z(tau)")
-def _check_special_fiber(ctx, strict):
+def _check_special_fiber(ctx):
     fiber_ok = not _diff_entries(ctx.prym_at_star.coeffs[0],
                                  stcurve.PRYM_SPECIAL)
-    assembled = ctx.genus4_at_star
-    base = stcurve.GENUS4
-    genus4_ok = (assembled.params == base.params
-                 and assembled.coeffs == base.coeffs)
-    ok = fiber_ok and genus4_ok
-    return ok, {"prym_fiber_exact": fiber_ok,
+    genus4_ok = ctx.genus4_at_star is stcurve.GENUS4
+    return fiber_ok and genus4_ok, {"prym_fiber_exact": fiber_ok,
                 "genus4_assembly_exact": genus4_ok}
 
 
 @_register("module-endo", "endo",
            "rho acts on columns; deck twist holds family-wide")
-def _check_endo(ctx, strict):
+def _check_endo(ctx):
     A_rho = _diag(pel.row_multipliers(ctx.conventions))
     R_rho = [[0] * 6 for _ in range(6)]
     for k in range(3):
@@ -343,13 +344,12 @@ def _check_endo(ctx, strict):
     prym_ok = (1, "plain") in ctx.deck_hits
 
     # the full order-6 deck map only lives on the Jacobian locus, so it is
-    # tested on the tau-family and on the assembly at z* if that differs
+    # tested on the tau-family and on the assembly at z* if that is not it
     A4 = _diag([zeta_power(e) for e in stcurve.FORM_WEIGHT_EXPONENTS])
     R6 = stcurve.DECK_SYMPLECTIC_ACTION
-    genus4_ok = periods.intertwines(stcurve.GENUS4, A4, R6)
-    pinned = ctx.genus4_at_star
-    pinned_ok = (genus4_ok if pinned.coeffs == stcurve.GENUS4.coeffs
-                 else periods.intertwines(pinned, A4, R6))
+    g4, pinned = stcurve.GENUS4, ctx.genus4_at_star
+    genus4_ok = periods.intertwines(g4, A4, R6)
+    pinned_ok = genus4_ok if pinned is g4 else periods.intertwines(pinned, A4, R6)
     ok = rho_ok and prym_ok and genus4_ok and pinned_ok
     return ok, {"rho_endomorphism": rho_ok,
                 "prym_family_deck": prym_ok,
@@ -359,7 +359,7 @@ def _check_endo(ctx, strict):
 
 @_register("display-audit", "errata",
            "first family row and c11 exact; slips enumerated")
-def _check_display_audit(ctx, strict):
+def _check_display_audit(ctx):
     diverg = {}
 
     fam_diffs = _diff_coeffs(ctx.family_u, stcurve.SHIMURA_FAMILY_DISPLAY)
@@ -385,9 +385,9 @@ def _check_display_audit(ctx, strict):
     diverg["family_lattice_coords"] = _diff_coeffs(ctx.prym_family,
                                                    stcurve.PRYM_FAMILY_DISPLAY)
 
-    ok = first_row_ok and c11_ok and not (strict and any(diverg.values()))
+    ok = first_row_ok and c11_ok and not (ctx.strict and any(diverg.values()))
     return ok, {"first_row_exact": first_row_ok, "c11_exact": c11_ok,
-                "strict": strict, "divergences": diverg}
+                "strict": ctx.strict, "divergences": diverg}
 
 
 # innermost frames kept in the evidence of an "unexpected error" verdict
@@ -395,13 +395,13 @@ TRACEBACK_FRAMES = 5
 
 
 def run_all(prec=128, only=None, strict=False):
-    ctx = SuiteContext(prec)
+    ctx = SuiteContext(prec, strict)
     checks = []
     for cid, tag, fn in CHECKS:
         if only is not None and only not in (tag, cid):
             continue
         try:
-            out, evidence = fn(ctx, strict)
+            out, evidence = fn(ctx)
             verdict = out if isinstance(out, str) else "pass" if out else "fail"
             checks.append(report.Check(cid, fn.anchor, verdict, evidence))
         except pel.ConventionError as exc:

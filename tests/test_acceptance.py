@@ -13,11 +13,11 @@ _FNS = {cid: fn for cid, _, fn in suite.CHECKS}
 _DONE = {}
 
 
-def _run(n, cid, strict=False):
+def _run(n, cid):
     """The evidence of check cid, which must pass: its function returns
     (ok, evidence), or (verdict, evidence) for a third outcome."""
     if cid not in _DONE:
-        _DONE[cid] = _FNS[cid](_CTX, strict)
+        _DONE[cid] = _FNS[cid](_CTX)
     out, evidence = _DONE[cid]
     verdict = {True: "pass", False: "fail"}.get(out, out)
     print(f"criterion {n:02d} {cid}: {verdict.upper()}")

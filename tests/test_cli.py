@@ -1,9 +1,14 @@
 """Command line behaviour: exit codes, payload shapes, reproducibility."""
 
 import json
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import inf, nan
 from operator import mul
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -461,6 +466,73 @@ def test_tools_snf_usage_errors(runner):
     result = runner.invoke(cli.main,
                            ["tools", "snf", "--file", "/no/such/file"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("source", ["--matrix", "--file"])
+def test_tools_refuse_json_text_past_the_cap_before_parsing(runner, tmp_path,
+                                                            monkeypatch, source):
+    def given(text):
+        if source == "--matrix":
+            return ["--matrix", text]
+        path = tmp_path / "mat.json"
+        path.write_text(text)
+        return ["--file", str(path)]
+
+    at_cap = "[[1]]" + " " * (cli.MAX_JSON_TEXT - 5)
+    result = runner.invoke(cli.main, ["tools", "snf", *given(at_cap)])
+    assert result.exit_code == 0 and json.loads(result.output)["divisors"] == [1]
+    parsed, real = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda text: parsed.append(text) or real(text))
+    result = runner.invoke(cli.main, ["tools", "snf", *given(at_cap + " ")])
+    assert result.exit_code == 2
+    assert "longer than" in _text(result) and parsed == []
+
+
+def _child_exit_and_maxrss_kb(args):
+    """Exit code and peak RSS (KB) of the CLI on args in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "cycloperiods.cli", *args],
+                            env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, usage.ru_maxrss
+
+
+def test_a_huge_json_file_is_refused_in_little_memory(tmp_path):
+    # 10^7 zeros in one list, 20 MB: parsed, it peaked at about 150 MB
+    path = tmp_path / "zeros.json"
+    path.write_text("[" + ",".join("0" * 10 ** 7) + "]")
+    code, trivial = _child_exit_and_maxrss_kb(["tools", "snf", "--matrix", "[[1]]"])
+    assert code == 0
+    code, huge = _child_exit_and_maxrss_kb(["tools", "snf", "--file", str(path)])
+    assert code == 2
+    assert huge - trivial <= 12 * 1024
+
+
+def test_riemann_check_accepts_the_largest_input_its_bounds_allow(runner, tmp_path):
+    # a dense g = 4 matrix with 8 parameters, every entry over one 512-bit
+    # denominator: the longest JSON inside the genus, parameter and height bounds
+    rng = random.Random(4)
+    d = (1 << 511) | 1
+
+    def entry():
+        q = [Fraction(rng.getrandbits(511), d) for _ in range(8)]
+        return TowerElem(q[:4], q[4:])
+    names = [f"t{k}" for k in range(cli.MAX_RIEMANN_PARAMS)]
+    pm = periods.PeriodMatrix(4, names, [[[entry() for _ in range(8)] for _ in range(4)]
+                                         for _ in range(1 + len(names))],
+                              intlat.standard_symplectic(4))
+    path = tmp_path / "largest.json"
+    path.write_text(dumps_json(pm.to_json()))
+    assert 800_000 < len(path.read_text()) < cli.MAX_JSON_TEXT
+    result = runner.invoke(cli.main, ["tools", "riemann-check", "--file", str(path),
+                                      *[a for p in names for a in ("--at", f"{p}=1")]])
+    # read and bounded like any other input; a random matrix fails the relation
+    assert result.exit_code == 1, _text(result)
+    assert json.loads(result.output)["first_relation"] is False
 
 
 _HUGE = "9" * 5001

@@ -139,11 +139,14 @@ def _tall_family(g, bits):
 
 # a file of 100,000 "[", nested past the JSON parser's recursion limit
 DEEP = "<100,000 [>"
+# a file of one flat list of 10^7 zeros, 20 MB, past cli.MAX_JSON_TEXT
+ZEROS = "<10^7 zeros>"
 
 # each placeholder stands for a file holding the JSON its function builds,
 # or the text it returns
 FILES = {
     DEEP: lambda: "[" * 100_000,
+    ZEROS: lambda: "[" + ",".join("0" * 10 ** 7) + "]",
     FAMILY: _family,
     "<fixed 8 x 8 matrix>": lambda: SNF_8,
     "<6 x 6 Prym form>": _prym_form,
@@ -296,6 +299,8 @@ HOSTILE = [
     (["tools", "snf", "--file", DEEP], 2),
     (["tools", "symplectic-basis", "--file", DEEP], 2),
     (["tools", "riemann-check", "--file", DEEP], 2),
+    # parsed, it took 0.99 s and peaked at 148.5 MB; refused unread past the cap
+    (["tools", "snf", "--file", ZEROS], 2),
 ]
 HOSTILE_BUDGET_S = 2.0
 

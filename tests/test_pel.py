@@ -481,34 +481,41 @@ def test_match_solver_keys_its_shared_solves_on_the_target():
     swapped = [target[0], target[2], target[1]]             # C's rows 2, 3 swapped
     slipped = [row[:] for row in target]
     slipped[2][3] = slipped[2][3] + ONE
-    row1 = {}
-    first = pel.match_solver(family, target, row1)
-    for other in (doubled, swapped):
-        got = pel.match_solver(family, other, row1)
-        want = pel.match_solver(family, other)
-        assert got.point() == want.point() == first.point()
-        assert got.coeffs == want.coeffs != first.coeffs
-    assert pel.match_solver(family, doubled, row1).coeffs["c11"] == first.coeffs["c11"] * 2
-    assert pel.match_solver(family, swapped, row1).coeffs["c22"] == first.coeffs["c32"]
+    fresh = {}
+    for name, other in (("doubled", doubled), ("swapped", swapped)):
+        pel._row1_solve.cache_clear()
+        fresh[name] = pel.match_solver(family, other)
+    pel._row1_solve.cache_clear()
+    first = pel.match_solver(family, target)
+    for name, other in (("doubled", doubled), ("swapped", swapped)):
+        got = pel.match_solver(family, other)
+        assert got.point() == fresh[name].point() == first.point()
+        assert got.coeffs == fresh[name].coeffs != first.coeffs
+    assert pel.match_solver(family, doubled).coeffs["c11"] == first.coeffs["c11"] * 2
+    assert pel.match_solver(family, swapped).coeffs["c22"] == first.coeffs["c32"]
     with pytest.raises(pel.MatchError):
-        pel.match_solver(family, slipped, row1)
-    assert pel.match_solver(family, target, row1).coeffs == first.coeffs
-    # one solve per distinct target row 1: swapped and slipped keep it
-    assert len(row1) == 2
+        pel.match_solver(family, slipped)
+    assert pel.match_solver(family, target).coeffs == first.coeffs
+    # one solve per distinct target row 1: swapped and slipped share the
+    # target's, and the doubled one is solved once for its two calls
+    info = pel._row1_solve.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 5, 2)
 
 
 def test_match_solver_raises_a_shared_row1_error_afresh():
     module, conv, _ = _resolved()
     family = pel.family_periods(stcurve.FAMILY_W, module, conv)
     zeroed = [[ZERO] * 6] + _target(module)[1:]     # row 1 forces c11 = 0
-    row1 = {}
+    pel._row1_solve.cache_clear()
     depths = []
     for _ in range(3):
         with pytest.raises(pel.MatchError, match="forces c11 = 0") as err:
-            pel.match_solver(family, zeroed, row1)
+            pel.match_solver(family, zeroed)
         depths.append(len(traceback.extract_tb(err.value.__traceback__)))
-    # the dict holds solutions only, and each raise is a fresh error
-    assert row1 == {} and depths[0] == depths[2]
+    # the cache holds solutions only: each failing solve runs and raises afresh
+    info = pel._row1_solve.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 0, 0)
+    assert depths[0] == depths[2]
 
 
 def test_prym_family_passes_through_the_special_fiber():

@@ -279,8 +279,8 @@ def _record_positivity(monkeypatch):
     calls, contexts, real = [], [], periods.riemann_positivity
 
     class Context(suite.SuiteContext):
-        def __init__(self, prec=128):
-            super().__init__(prec)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             contexts.append(self)
 
     def recording(pm, point, prec=128, sign=1):
@@ -311,21 +311,34 @@ def test_positivity_reads_the_families_it_already_holds(monkeypatch):
 
 
 @pytest.mark.parametrize("differs", ["coefficients", "polarization"])
-def test_positivity_substitutes_an_assembly_that_is_not_genus4(monkeypatch, differs):
-    g4 = stcurve.GENUS4
-    coeffs = [[[x * 2 for x in row] for row in C] for C in g4.coeffs]
-    pol = [[2 * x for x in row] for row in g4.polarization]
-    other = (PeriodMatrix(4, g4.params, coeffs, g4.polarization)
-             if differs == "coefficients"
-             else PeriodMatrix(4, g4.params, g4.coeffs, pol))
-    monkeypatch.setitem(suite.STAGES, "genus4_at_star", lambda ctx: other)
-    calls, _ = _record_positivity(monkeypatch)
+def test_positivity_decides_an_assembly_that_is_not_genus4_as_itself(
+        monkeypatch, differs):
+    g4, real = stcurve.GENUS4, stcurve.genus4_family
+    # the real assembly at z* equals GENUS4, and the stage returns GENUS4
+    assert suite.SuiteContext(128).genus4_at_star is g4
+
+    def differing(prym):
+        pm = real(prym)
+        if differs == "coefficients":
+            return PeriodMatrix(4, pm.params, [[[x * 2 for x in row] for row in C]
+                                               for C in pm.coeffs], pm.polarization)
+        return PeriodMatrix(4, pm.params, pm.coeffs,
+                            [[2 * x for x in row] for row in pm.polarization])
+
+    monkeypatch.setattr(stcurve, "genus4_family", differing)
+    calls, contexts = _record_positivity(monkeypatch)
     (check,) = suite.run_all(prec=128, only="positivity").checks
+    (ctx,) = contexts
     pm, point = calls[-1]
-    assert pm is not g4 and pm.params == () and point == {}
-    assert pm.coeffs == other.subs({"tau": IUNIT * 2}).coeffs
-    assert pm.polarization == other.polarization
-    assert check.evidence["genus4-family tau=2i, z=z*"]["verdict"] == "positive"
+    assert pm is ctx.genus4_at_star and pm is not g4
+    assert pm.params == g4.params and point == {"tau": IUNIT * 2}
+    # it decides as the assembly with the point substituted first
+    got = check.evidence["genus4-family tau=2i, z=z*"]
+    verdict, minors = periods.riemann_positivity(pm.subs(point), {}, prec=128,
+                                                 sign=stcurve.POSITIVITY_SIGN)
+    assert (got["verdict"], got["minor_ranges"]) == (
+        verdict, [list(m) for m in minors])
+    assert verdict == "positive"
 
 
 def _fraction_double(q, up):
