@@ -13,13 +13,16 @@ are the module constants below).
 As in FLINT/ANTIC's nf_elem (W. Hart, "ANTIC", 2015) an element is 8
 integers n = (c0..c3, a0..a3) over one denominator d > 0, gcd(d, *n) = 1.
 Products are integer convolutions reduced by z^4 = z^2 - 1 and alpha^2 =
-2z - z^3; a rational operand only scales the numerators.  Every sum of
-products is one `dot` with delayed reduction (as in ANTIC and
+2z - z^3 (_convolve); a rational operand only scales the numerators, and
+two real ones, (s + t sqrt3) + (p + q sqrt3) alpha with n2 = n6 = 0,
+n1 = -2 n3 and n5 = -2 n7, take the formula restricted to Q(alpha): 16
+integer products, not 64, written back in the same 8 coordinates.  Every
+sum of products is one `dot` with delayed reduction (as in ANTIC and
 FFLAS-FFPACK): the products are added in integer coordinates over one
-running denominator and reduced by one final gcd.  The operators +, -
-and * are each one `dot` too (x + y is the sum of x*1 and y*1), so there
-is no second path for sums or rational scaling.  An integral result
-(d = 1) takes no gcd.
+running denominator (a merge over lcm(d, e) forms its two cofactors
+once) and reduced by one final gcd.  The operators +, - and * are each
+one `dot` too (x + y is the sum of x*1 and y*1), so there is no second
+path for sums or rational scaling.  An integral result (d = 1) takes no gcd.
 Inverses are closed form: 1/(b + a alpha) = (b - a alpha)/(b^2 - a^2 sqrt3),
 1/x = conj(x)/(x conj(x)) in Q(zeta12), and 1/(s + t sqrt3) =
 (s - t sqrt3)/(s^2 - 3t^2).  The embedding zeta -> exp(i*pi/6), alpha ->
@@ -85,55 +88,69 @@ def _make(n, d):
     return _raw(n, d) if g == 1 else _raw(tuple([v // g for v in n]), d // g)
 
 
+def _convolve(xn, yn):
+    """Coordinates of xn * yn for numerators xn, yn: a scaling if one is
+    rational, else the Phi12 convolutions, restricted to Q(alpha) if both are real."""
+    x0, x1, x2, x3, x4, x5, x6, x7 = xn
+    y0, y1, y2, y3, y4, y5, y6, y7 = yn
+    if not (x1 or x2 or x3 or x4 or x5 or x6 or x7):
+        return yn if x0 == 1 else [x0 * v for v in yn]
+    if not (y1 or y2 or y3 or y4 or y5 or y6 or y7):
+        return xn if y0 == 1 else [y0 * v for v in xn]
+    if (not (x2 or x6 or y2 or y6) and x1 == -2 * x3 and x5 == -2 * x7
+            and y1 == -2 * y3 and y5 == -2 * y7):
+        # (s + t sqrt3) + (p + q sqrt3) alpha is (s, 2t, 0, -t, p, 2q, 0, -q)
+        c3 = x0 * y3 + x3 * y0 - x4 * y4 - 3 * x7 * y7
+        a3 = x0 * y7 + x7 * y0 + x3 * y4 + x4 * y3
+        return (x0 * y0 + 3 * (x3 * y3 - x4 * y7 - x7 * y4), -2 * c3, 0, c3,
+                x0 * y4 + x4 * y0 + 3 * (x3 * y7 + x7 * y3), -2 * a3, 0, a3)
+    r4 = x1 * y3 + x2 * y2 + x3 * y1
+    r5 = x2 * y3 + x3 * y2
+    c0 = x0 * y0 - r4 - x3 * y3
+    c1 = x0 * y1 + x1 * y0 - r5
+    c2 = x0 * y2 + x1 * y1 + x2 * y0 + r4
+    c3 = x0 * y3 + x1 * y2 + x2 * y1 + x3 * y0 + r5
+    if not (x4 or x5 or x6 or x7 or y4 or y5 or y6 or y7):
+        return (c0, c1, c2, c3, 0, 0, 0, 0)
+    r4 = x5 * y7 + x6 * y6 + x7 * y5
+    r5 = x6 * y7 + x7 * y6
+    w0 = x4 * y4 - r4 - x7 * y7     # w = a1 a2, times sqrt3
+    w1 = x4 * y5 + x5 * y4 - r5
+    w2 = x4 * y6 + x5 * y5 + x6 * y4 + r4
+    w3 = x4 * y7 + x5 * y6 + x6 * y5 + x7 * y4 + r5
+    r4 = x1 * y7 + x2 * y6 + x3 * y5 + x5 * y3 + x6 * y2 + x7 * y1
+    r5 = x2 * y7 + x3 * y6 + x6 * y3 + x7 * y2
+    return (c0 + w1 - w3, c1 + 2 * w0 + w2, c2 + w1 + 2 * w3, c3 + w2 - w0,
+            x0 * y4 + x4 * y0 - r4 - x3 * y7 - x7 * y3,
+            x0 * y5 + x1 * y4 + x4 * y1 + x5 * y0 - r5,
+            x0 * y6 + x1 * y5 + x2 * y4 + x4 * y2 + x5 * y1 + x6 * y0 + r4,
+            x0 * y7 + x1 * y6 + x2 * y5 + x3 * y4 + x4 * y3 + x5 * y2
+            + x6 * y1 + x7 * y0 + r5)
+
+
 def dot(pairs):
     """sum x*y over (x, y) pairs of tower, int or Fraction operands.  Each
     product is formed on the integer numerators (the tower's one product
     formula), added over a running denominator and reduced once."""
     s = None
     for x, y in pairs:
-        # a tower element first, a rational or rational-valued one second
-        if type(x) is not TowerElem or type(y) is TowerElem and x.n[1:] == _Z7:
+        if type(x) is not TowerElem:            # a tower element first
             x, y = y, x
-        if type(x) is not TowerElem:            # two rationals
+        if type(y) is TowerElem:
+            t, e = _convolve(x.n, y.n), x.d * y.d
+        elif type(x) is TowerElem:              # a rational scaling
+            p = y.numerator
+            t, e = (x.n if p == 1 else [v * p for v in x.n]), x.d * y.denominator
+        else:                                   # two rationals
             p = x * y
             t, e = (p.numerator,) + _Z7, p.denominator
-        elif type(y) is not TowerElem or y.n[1:] == _Z7:    # only a scaling
-            p, q = (y.n[0], y.d) if type(y) is TowerElem else (y.numerator, y.denominator)
-            t, e = (x.n if p == 1 else [v * p for v in x.n]), x.d * q
-        else:   # Phi12 convolutions with z^4 = z^2 - 1, alpha^2 = 2z - z^3
-            x0, x1, x2, x3, x4, x5, x6, x7 = x.n
-            y0, y1, y2, y3, y4, y5, y6, y7 = y.n
-            e = x.d * y.d
-            r4 = x1 * y3 + x2 * y2 + x3 * y1
-            r5 = x2 * y3 + x3 * y2
-            c0 = x0 * y0 - r4 - x3 * y3
-            c1 = x0 * y1 + x1 * y0 - r5
-            c2 = x0 * y2 + x1 * y1 + x2 * y0 + r4
-            c3 = x0 * y3 + x1 * y2 + x2 * y1 + x3 * y0 + r5
-            if x4 or x5 or x6 or x7 or y4 or y5 or y6 or y7:
-                r4 = x5 * y7 + x6 * y6 + x7 * y5
-                r5 = x6 * y7 + x7 * y6
-                w0 = x4 * y4 - r4 - x7 * y7     # w = a1 a2, times sqrt3
-                w1 = x4 * y5 + x5 * y4 - r5
-                w2 = x4 * y6 + x5 * y5 + x6 * y4 + r4
-                w3 = x4 * y7 + x5 * y6 + x6 * y5 + x7 * y4 + r5
-                r4 = x1 * y7 + x2 * y6 + x3 * y5 + x5 * y3 + x6 * y2 + x7 * y1
-                r5 = x2 * y7 + x3 * y6 + x6 * y3 + x7 * y2
-                t = (c0 + w1 - w3, c1 + 2 * w0 + w2, c2 + w1 + 2 * w3, c3 + w2 - w0,
-                     x0 * y4 + x4 * y0 - r4 - x3 * y7 - x7 * y3,
-                     x0 * y5 + x1 * y4 + x4 * y1 + x5 * y0 - r5,
-                     x0 * y6 + x1 * y5 + x2 * y4 + x4 * y2 + x5 * y1 + x6 * y0 + r4,
-                     x0 * y7 + x1 * y6 + x2 * y5 + x3 * y4 + x4 * y3 + x5 * y2
-                     + x6 * y1 + x7 * y0 + r5)
-            else:
-                t = (c0, c1, c2, c3, 0, 0, 0, 0)
         if s is None:
             s, d = t, e
         elif e == d:
             s = list(map(add, s, t))
         else:           # bring the sum and the term over lcm(d, e)
-            g = gcd(d, e)
-            s, d = [u * (e // g) + v * (d // g) for u, v in zip(s, t)], d // g * e
+            u, v = e // (g := gcd(d, e)), d // g
+            s, d = [a * u + b * v for a, b in zip(s, t)], v * e
     return ZERO if s is None else _make(tuple(s), d)
 
 
@@ -181,7 +198,7 @@ class TowerElem:
 
     def to_json(self):
         d = self.d
-        out = [[v // g, d // g] for v in self.n for g in (gcd(v, d),)]
+        out = [[v, d] if (g := gcd(v, d)) == 1 else [v // g, d // g] for v in self.n]
         return {"c": out[:4], "a": out[4:]}
 
     # -- ring structure ----------------------------------------------
@@ -289,8 +306,9 @@ class TowerElem:
                 return NotImplemented
         return self.n == other.n and self.d == other.d
 
-    def __hash__(self):
-        return hash((self.n, self.d))
+    def __hash__(self):     # a rational element hashes as the value it equals
+        n, d = self.n, self.d
+        return hash((n, d) if n[1:] != _Z7 else n[0] if d == 1 else Fraction(n[0], d))
 
     def __repr__(self):
         parts = []

@@ -18,11 +18,12 @@ one dot.  With M_ab = X_a P_b^T, P E^-1 P^T = 0 holds identically when
 each coefficient C_ab of t_a t_b (M_aa, or M_ab + M_ba if a < b) is 0;
 C_ab is antisymmetric as E^-1 is, and only its entries i < j are formed.
 The Hermitian form of the second relation at a point is, up to sign,
-i sum_ab t_a conj(t_b) K_ab, K_ab = X_a conj(P_b)^T (of K_aa only i <= j);
-real_sign settles the exact signs of its leading minors (one zero-skipping
-expansion that factors out each closed leading block, such as the Z/6
-character blocks), and a precision only sizes the ranges printed next to
-the verdict.  An intertwining A P = P R holds when A P_k = P_k R for all k.
+i sum_ab t_a conj(t_b) K_ab, K_ab = X_a conj(P_b)^T (of K_aa only i <= j,
+and a vanishing K_ab is skipped); real_sign settles the exact signs of
+its leading minors (one zero-skipping expansion that factors out each
+closed leading block, such as the Z/6 character blocks), and a precision
+only sizes the ranges printed next to the verdict.  An intertwining
+A P = P R holds when A P_k = P_k R for all k.
 """
 
 import math
@@ -63,8 +64,8 @@ def leading_minors(H):
                     terms.setdefault(cols[:j] + (c,) + cols[j:], []).append(
                         (x if (r - start - j) % 2 == 0 else -x, m))
         level = {cols: v for cols, pairs in terms.items() if (v := dot(pairs))}
-        minor = dot([(f, level.get(tuple(range(start, r + 1)), ZERO))])
-        yield minor
+        m = level.get(tuple(range(start, r + 1)), ZERO)
+        yield (minor := m if f is ONE else dot([(f, m)]))
         if len(level) == 1 and minor:
             f, start, level = minor, r + 1, {(): ONE}
 
@@ -111,7 +112,7 @@ class PeriodMatrix:
         named = list(zip(self.params, self.coeffs[1:]))
         used = [(C, TowerElem.coerce(assignment[p])) for p, C in named if p in assignment]
         kept = [(p, C) for p, C in named if p not in assignment]
-        out = [[dot([(x, 1)] + [(C[i][j], t) for C, t in used if C[i][j]])
+        out = [[dot(([(x, 1)] if x else []) + [(C[i][j], t) for C, t in used if C[i][j]])
                 for j, x in enumerate(row)] for i, row in enumerate(self.coeffs[0])]
         return out, kept
 
@@ -245,10 +246,10 @@ def positivity_gram(pm, point, sign=1):
 
     H = sum_ab w_ab K_ab with w_ab = sign * i * t_a conj(t_b) and
     K_ab = P_a E^{-1} conj(P_b)^T (t_0 = 1).  w_ba K_ba is the conjugate
-    transpose of w_ab K_ab, so only entries i <= j of the K_ab with a <= b
-    and t_a, t_b != 0 are used, and each H_ij is one exactfield.dot.  Like
-    evaluate, it ignores extra names and refuses a missing parameter whose
-    coefficient matrix is nonzero.
+    transpose of w_ab K_ab, so only entries i <= j of the nonzero K_ab with
+    a <= b and t_a, t_b != 0 are used (no weight is formed for the others),
+    and each H_ij is one exactfield.dot.  Like evaluate, it ignores extra
+    names and refuses a missing parameter whose coefficient matrix is nonzero.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -260,9 +261,8 @@ def positivity_gram(pm, point, sign=1):
     terms = [[[] for _ in range(g)] for _ in range(g)]     # entries i <= j
     for a, ta in enumerate(t):
         for b in range(a, len(t)):
-            if not (ta and t[b]):
-                continue
-            K = _product(pm, a, b, True)
+            if not (ta and t[b] and any(map(any, K := _product(pm, a, b, True)))):
+                continue                # a zero weight or a vanishing K_ab
             w = dot([(dot([(unit, ta)]), t[b].conjugate())])
             wc = w.conjugate()                  # conj(w K) = conj(w) conj(K)
             for i in range(g):

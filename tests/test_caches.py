@@ -8,9 +8,12 @@ depend on what they hold, and a warm run must form fewer products than a
 cold one by a pinned count.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from cycloperiods import exactfield, intlat, pel, periods, stcurve, suite
+from cycloperiods.exactfield import IUNIT, ZETA, TowerElem
 
 
 def _clear_cross_call_caches():
@@ -30,13 +33,38 @@ def test_a_cold_report_equals_a_warm_one(prec, strict):
     assert cold == warm
 
 
+def test_the_tower_keyed_caches_hit_on_equal_keys():
+    _clear_cross_call_caches()
+    cached = (pel._row1_solve, pel._multiplied_rows)
+    suite.run_all(prec=128)
+    cold = [c.cache_info() for c in cached]
+    suite.run_all(prec=128)
+    warm = [c.cache_info() for c in cached]
+    for c, w in zip(cold, warm):
+        assert w.misses == c.misses and w.hits > c.hits
+    # a target row of ints finds the solve stored under equal tower elements
+    eye = tuple(tuple(TowerElem.coerce(int(i == j)) for j in range(3)) for i in range(3))
+    first = pel._row1_solve(eye, tuple(map(TowerElem.coerce, (2, 3, 5))))
+    hits = pel._row1_solve.cache_info().hits
+    assert pel._row1_solve(eye, (2, 3, 5)) is first
+    assert pel._row1_solve.cache_info().hits == hits + 1
+
+
 # exactfield.dot calls of one run_all, at any precision: a cold run forms
 # every product, a warm one reuses GENUS4's products, the convention
 # search's row-1 solve and its multiplied rows
-COLD_DOTS, WARM_DOTS = 1461, 1282
+COLD_DOTS, WARM_DOTS = 1444, 1265
+# exactfield.dot calls of one riemann_positivity on the genus-4 family at
+# tau = i, z1 = 1/3, z2 = zeta/5 once its K_ab are cached: 2 for the weight
+# of each of the 5 pairs a <= b with K_ab != 0, 10 Gram entries, 5 expansion
+# sums and 3 products with the first minor, which closes a block
+POSITIVITY_DOTS = 28
 
 
-def test_a_warm_run_forms_the_pinned_number_of_dots(monkeypatch):
+@pytest.fixture
+def dot_calls(monkeypatch):
+    """A one-item list counting exactfield.dot calls from the modules that
+    make them."""
     calls, real = [0], exactfield.dot
 
     def counting(pairs):
@@ -45,10 +73,26 @@ def test_a_warm_run_forms_the_pinned_number_of_dots(monkeypatch):
 
     for module in (exactfield, intlat, periods, pel):
         monkeypatch.setattr(module, "dot", counting)
+    return calls
+
+
+def test_a_warm_run_forms_the_pinned_number_of_dots(dot_calls):
     _clear_cross_call_caches()
     counts = []
     for _ in range(2):
-        calls[0] = 0
+        dot_calls[0] = 0
         suite.run_all(prec=128)
-        counts.append(calls[0])
+        counts.append(dot_calls[0])
     assert counts == [COLD_DOTS, WARM_DOTS]
+
+
+def test_positivity_at_a_family_point_forms_the_pinned_number_of_dots(dot_calls):
+    family = suite.SuiteContext(128).genus4_family
+    point = {"tau": IUNIT, "z1": Fraction(1, 3), "z2": ZETA * Fraction(1, 5)}
+    periods.riemann_positivity(family, point)       # fills the K_ab cache
+    counts = []
+    for _ in range(2):
+        dot_calls[0] = 0
+        verdict, _ = periods.riemann_positivity(family, point)
+        counts.append(dot_calls[0])
+    assert verdict == "positive" and counts == [POSITIVITY_DOTS] * 2

@@ -760,6 +760,25 @@ def test_tools_riemann_check_bounds_genus_and_parameters(runner, tmp_path, g, p,
     assert ("at most genus" in _text(result)) == (code == 2)
 
 
+@pytest.mark.parametrize("extra, code", [(0, 1), (1, 2)])
+def test_tools_riemann_check_bounds_the_polarization_height(runner, extra, code):
+    # (I | -i I) at g = 8 with a seeded 16 x 16 polarization whose largest
+    # entry has MAX_MATRIX_HEIGHT_BITS / 16 bits, then one bit more
+    rng, bits = random.Random(8), cli.MAX_MATRIX_HEIGHT_BITS // 16 + extra
+    E = [[0] * 16 for _ in range(16)]
+    for i in range(16):
+        for j in range(i + 1, 16):
+            E[i][j] = 2 ** (bits - 1) if j == i + 1 else rng.randint(-2 ** 20, 2 ** 20)
+            E[j][i] = -E[i][j]
+    pm = periods.PeriodMatrix(8, [], [[[int(j == i) - IUNIT * (j == 8 + i)
+                                        for j in range(16)] for i in range(8)]], E)
+    result = runner.invoke(cli.main, ["tools", "riemann-check", "--matrix",
+                                      json.dumps(pm.to_json())])
+    # a random polarization fails the first relation (exit 1) once accepted
+    assert result.exit_code == code, _text(result)
+    assert ("passes 2048" in _text(result)) == (code == 2)
+
+
 _MATRIX_BITS, _POINT_BITS = cli.MAX_RIEMANN_MATRIX_BITS, cli.MAX_RIEMANN_POINT_BITS
 
 

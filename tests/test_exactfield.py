@@ -1,5 +1,6 @@
 """Exact arithmetic in Q(zeta12)(alpha) and the certified embedding."""
 
+import hashlib
 import json
 import random
 import sys
@@ -523,11 +524,11 @@ def test_leading_minors_of_block_triangular_matrices(drawn):
         assert _pair_counts(diagonal) == (got, counts)
 
 
-def _tall_family_point(rng):
-    """tau, z1, z2 with 512-bit coordinates, Im tau in [1/2, 3] and the
-    real and imaginary parts of z1 and z2 in [-0.44, 0.44]."""
+def _tall_family_point(rng, bits=512):
+    """tau, z1, z2 with coordinates of `bits` bits, Im tau in [1/2, 3] and
+    the real and imaginary parts of z1 and z2 in [-0.44, 0.44]."""
     def coord(lo, hi):
-        den = rng.randint(2 ** 511, 2 ** 512)
+        den = rng.randint(2 ** (bits - 1), 2 ** bits)
         return Fraction(rng.randint(floor(lo * den), floor(hi * den)), den)
 
     box = Fraction(44, 100)
@@ -545,6 +546,27 @@ def test_closed_blocks_match_the_plain_expansion_at_tall_family_points():
         # the Z/6 characters split H into blocks of size 1 + 1 + 2
         assert not any(H[0][1:] + H[1][2:])
         assert list(periods.leading_minors(H)) == list(_plain_leading_minors(H))
+
+
+# SHA-256 of the (verdict, evidence) of riemann_positivity at the points of
+# test_positivity_evidence_at_seeded_family_points_is_frozen, as JSON,
+# recorded with every product on the general convolution
+POSITIVITY_DIGEST = "d5e5ddc23d5d4bf69bcfbca58a66f07b9a9355af5281d7d50dbff4854bbb72ee"
+
+
+def test_positivity_evidence_at_seeded_family_points_is_frozen():
+    pm = suite.SuiteContext(128).genus4_family
+    rng = random.Random(27)
+    out = []
+    for bits, prec in [(4, 16), (64, 128), (512, 512), (512, 2048)] * 3:
+        point = _tall_family_point(rng, bits)
+        if rng.randrange(3) == 0:   # |z1|^2 + |z2|^2 > 1: not positive
+            point["z1"] += Fraction(3, 4)
+            point["z2"] += Fraction(3, 4) * IUNIT
+        out.append(periods.riemann_positivity(pm, point, prec, stcurve.POSITIVITY_SIGN))
+    assert {verdict for verdict, _ in out} == {"positive", "not-positive"}
+    text = json.dumps(out).encode()
+    assert hashlib.sha256(text).hexdigest() == POSITIVITY_DIGEST
 
 
 @_needs_sympy
@@ -602,6 +624,13 @@ def test_wide_results_are_normalised(x, y, q):
         _assert_normal(r)
     assert x - x == ZERO and (x - x).d == 1
     assert TowerElem(x.c, x.a) == x and hash(TowerElem(x.c, x.a)) == hash(x)
+
+
+def test_a_rational_element_hashes_as_the_value_it_equals():
+    assert TowerElem.coerce(2) == 2 and {TowerElem.coerce(2): 1}[2] == 1
+    assert {Fraction(-3, 4): 1}[TowerElem.coerce(Fraction(-3, 4))] == 1
+    for q in (0, 1, -7, 2 ** 70, Fraction(1, 2), Fraction(-10 ** 30, 7)):
+        assert hash(TowerElem.coerce(q)) == hash(q)
 
 
 def test_equal_values_share_one_normal_form():
@@ -1004,3 +1033,81 @@ def test_dot_edge_cases():
     assert dot([(x, y)]) == x * y == y * x
     assert dot([(x, y), (-x, y)]) == ZERO
     assert dot([(2, 3)]) == 6 and dot([(ZERO, x)]) == ZERO
+
+
+# -- the product restricted to Q(alpha), drawn from a seeded random.Random --
+
+_BITS = (1, 2, 3, 8, 31, 64, 129, 512, 1000, 2048, 4000)
+
+
+def _rat(rng, bits):
+    """A seeded fraction with numerator and denominator of up to `bits` bits,
+    0 one time in five."""
+    if rng.randrange(5) == 0:
+        return Fraction(0)
+    return Fraction(rng.randint(-2 ** bits, 2 ** bits), rng.randint(1, 2 ** bits))
+
+
+def _real_elem(rng, bits):
+    """(s + t sqrt3) + (p + q sqrt3) alpha, each of s, t, p, q over its own
+    denominator, so the element's one denominator is their lcm."""
+    s, t, p, q = (_rat(rng, bits) for _ in range(4))
+    return TowerElem((s, 2 * t, 0, -t), (p, 2 * q, 0, -q))
+
+
+def _near_real_elem(rng, bits):
+    """A real element with one coordinate moved off the real pattern
+    n2 = n6 = 0, n1 = -2 n3, n5 = -2 n7: with n2 = 0 but n1 != -2 n3, say."""
+    x = _real_elem(rng, bits)
+    k = rng.choice([1, 2, 3, 5, 6, 7])
+    shift = [0] * 8
+    shift[k] = _rat(rng, bits) or Fraction(1, 3)
+    y = x + TowerElem(shift[:4], shift[4:])
+    assert not y.is_real()
+    return y
+
+
+def _assert_product(x, y):
+    """x y by dot against the Fraction convolution, the sympy model and dot's
+    general path: (x i)(-i y) has the same value and no real operand unless
+    one is 0.  The real branch reads only n0, n3, n4 and n7, so a non-real
+    operand routed to it would give another product."""
+    got = dot([(x, y)])
+    _assert_normal(got)
+    assert got == dot([(x * IUNIT, -IUNIT * y)]) == y * x
+    assert got.c + got.a == _fraction_product(x, y)
+    if sympy is not None:
+        assert got.c + got.a == _model_coords(_model(x) * _model(y))
+
+
+def test_real_products_match_the_general_convolution_and_sympy():
+    rng = random.Random(27)
+    for _ in range(120):
+        x, y = (_real_elem(rng, rng.choice(_BITS)) for _ in range(2))
+        _assert_product(x, y)
+        assert (x * y).is_real()
+
+
+def test_near_real_and_mixed_operands_take_the_general_path():
+    rng = random.Random(72)
+    full = lambda bits: TowerElem([_rat(rng, bits) for _ in range(4)],
+                                  [_rat(rng, bits) for _ in range(4)])
+    for _ in range(50):
+        bits = rng.choice(_BITS)
+        near, real = _near_real_elem(rng, bits), _real_elem(rng, bits)
+        for x, y in ((near, real), (near, _near_real_elem(rng, bits)),
+                     (real, full(bits)), (real, real * IUNIT)):
+            _assert_product(x, y)
+
+
+def test_dot_of_real_pairs_over_mixed_denominators():
+    rng = random.Random(15)
+    for _ in range(40):
+        pairs = [(_real_elem(rng, rng.choice(_BITS)), _real_elem(rng, rng.choice(_BITS)))
+                 for _ in range(rng.randint(1, 6))]
+        got = dot(pairs)
+        _assert_normal(got)
+        want = [Fraction(0)] * 8
+        for x, y in pairs:
+            want = [u + v for u, v in zip(want, _fraction_product(x, y))]
+        assert got.c + got.a == tuple(want)

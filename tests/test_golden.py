@@ -118,6 +118,16 @@ def _many_params(p):
                         intlat.standard_symplectic(4)).to_json()
 
 
+def _tall_polarization(g, bits):
+    """The JSON of (I | -i I) at genus g with the seeded alternating 2g x 2g
+    polarization of entries up to `bits` bits."""
+    from cycloperiods.exactfield import IUNIT
+    from cycloperiods.periods import PeriodMatrix
+    entries = [[int(j == i) - IUNIT * (j == g + i) for j in range(2 * g)]
+               for i in range(g)]
+    return PeriodMatrix(g, [], [entries], seeded_form(2 * g, 2 ** bits - 1)).to_json()
+
+
 def _tall_family(g, bits):
     """The JSON of (I | Z), Z symmetric, every tower coordinate of Z a
     seeded fraction with numerator and denominator of up to `bits` bits."""
@@ -157,6 +167,10 @@ FILES = {
     "<g = 4 matrix with 150 parameters>": lambda: _many_params(150),
     "<(I | Z) at g = 6 with 1,000-bit entries>": lambda: _tall_family(6, 1000),
     "<(I | Z) at g = 4 with 4,000-bit entries>": lambda: _tall_family(4, 4000),
+    "<g = 16, 32 x 32 polarization with 1,024-bit entries>":
+        lambda: _tall_polarization(16, 1024),
+    "<g = 8, 16 x 16 polarization with 4,000-bit entries>":
+        lambda: _tall_polarization(8, 4000),
     "<32 x 32 matrix with 30-digit entries>": lambda: seeded_matrix(32, 30),
     "<4 x 4 matrix with 300-digit entries>": lambda: seeded_matrix(4, 300),
     "<32 x 32 form with 64-bit entries>": lambda: seeded_form(32, 2 ** 64 - 1),
@@ -283,6 +297,12 @@ HOSTILE = [
     # and entries past cli.MAX_RIEMANN_MATRIX_BITS: 8 and 8.5 s unbounded
     (["tools", "riemann-check", "--file", "<(I | Z) at g = 6 with 1,000-bit entries>"], 2),
     (["tools", "riemann-check", "--file", "<(I | Z) at g = 4 with 4,000-bit entries>"], 2),
+    # polarizations refused by genus and by cli.MAX_MATRIX_HEIGHT_BITS before
+    # from_json inverts them: unbounded 30.9 s and 10.7 s
+    (["tools", "riemann-check", "--file",
+      "<g = 16, 32 x 32 polarization with 1,024-bit entries>"], 2),
+    (["tools", "riemann-check", "--file",
+      "<g = 8, 16 x 16 polarization with 4,000-bit entries>"], 2),
     # every embed at cli.MAX_PREC
     (["verify", "--only", "positivity", "--prec", "65536"], 0),
     # a form at cli.MAX_MATRIX_HEIGHT_BITS: over 8 seeds 0.39 s median and
