@@ -305,14 +305,14 @@ def _load_matrix(matrix, path):
         raise click.UsageError(f"malformed matrix: {exc}")
     if any(x.denominator != 1 for row in A for x in row):
         raise click.UsageError("malformed matrix: entries must be integers")
+    A = [[int(x) for x in row] for row in A]
     _bound_height(A)
-    return [[int(x) for x in row] for row in A]
+    return A
 
 
 def _bound_height(A):
     """Refuse A past MAX_MATRIX_HEIGHT_BITS, rows x bits of its largest entry."""
-    height = len(A) * max((abs(x) for row in A for x in row),
-                          default=0).numerator.bit_length()
+    height = len(A) * max((abs(x) for row in A for x in row), default=0).bit_length()
     if height > MAX_MATRIX_HEIGHT_BITS:
         raise click.UsageError(f"matrix height {height} bits (rows x bits of the "
                                f"largest entry) passes {MAX_MATRIX_HEIGHT_BITS}")
@@ -461,17 +461,15 @@ def riemann_check(matrix, path, assignments, prec):
     """First bilinear relation, and positivity at a chosen point."""
     _check_range("--prec", prec, 16, MAX_PREC)
     obj = _load_json(matrix, path)
-    # bounds first, on the raw object: from_json inverts the polarization
-    raw = obj if isinstance(obj, dict) else {}
-    g, params = raw.get("g"), raw.get("params")
-    if type(g) is int and type(params) is list and (
-            g > MAX_RIEMANN_GENUS or len(params) > MAX_RIEMANN_PARAMS):
-        raise click.UsageError(f"genus {g} with {len(params)} parameters: at most genus "
-                               f"{MAX_RIEMANN_GENUS} and {MAX_RIEMANN_PARAMS} parameters")
+    def bound(pm):          # before from_json inverts the polarization
+        if pm.g > MAX_RIEMANN_GENUS or len(pm.params) > MAX_RIEMANN_PARAMS:
+            raise click.UsageError(
+                f"genus {pm.g} with {len(pm.params)} parameters: at most genus "
+                f"{MAX_RIEMANN_GENUS} and {MAX_RIEMANN_PARAMS} parameters")
+        _bound_height(pm.polarization)
     try:
-        _bound_height(intlat.mat_from_json(raw["polarization"]))
-        pm = periods.PeriodMatrix.from_json(obj)
-    except (KeyError, ValueError, TypeError) as exc:
+        pm = periods.PeriodMatrix.from_json(obj, bound)
+    except (ValueError, TypeError) as exc:
         raise click.UsageError(f"malformed period matrix: {exc}")
     point = {}
     for item in assignments:

@@ -150,7 +150,7 @@ class PeriodMatrix:
                 "polarization": intlat.mat_to_json(self.polarization)}
 
     @classmethod
-    def from_json(cls, obj):
+    def from_json(cls, obj, bound=None):
         try:
             g, params = obj["g"], obj["params"]
             entries = [[_entry_from_json(e) for e in row] for row in obj["entries"]]
@@ -169,6 +169,8 @@ class PeriodMatrix:
                              f"{sorted(used - set(params))}")
         pm = cls(g, params, [[[e.get(p, ZERO) for e in row] for row in entries]
                              for p in [None, *params]], pol)
+        if bound:       # a caller's limits, before the one step that outgrows the input
+            bound(pm)
         _polarization_inverse(pm)       # a degenerate polarization is refused here
         return pm
 

@@ -55,6 +55,22 @@ def test_period_matrix_json_roundtrip():
         PeriodMatrix.from_json({"g": 2})
 
 
+def test_from_json_bounds_the_matrix_before_inverting_the_polarization():
+    obj = stcurve.GENUS4.to_json()
+    seen = []
+    assert PeriodMatrix.from_json(obj, seen.append).to_json() == obj
+    assert [pm.g for pm in seen] == [4]
+
+    def refuse(pm):
+        raise LookupError(pm.polarization[0])
+    obj["polarization"]["data"] = [[0] * 8 for _ in range(8)]
+    with pytest.raises(ValueError, match="degenerate"):
+        PeriodMatrix.from_json(obj)
+    # the bound sees the degenerate polarization before the inverse does
+    with pytest.raises(LookupError):
+        PeriodMatrix.from_json(obj, refuse)
+
+
 def test_period_matrix_json_entries():
     # (1 - tau + i s | s): each entry lists "const", then its nonzero
     # coefficients in sorted order, and reads back to the same matrix
