@@ -245,9 +245,8 @@ def _echo_json(build, *args):
 
 
 def _require_in_ball(z1, z2, prec, digits):
-    norm = z1 * z1.conjugate() + z2 * z2.conjugate()
-    gap = 1 - norm
-    if real_sign(gap) <= 0:
+    norm, inside = pel.ball_norm(z1, z2)
+    if not inside:
         try:
             shown = embed(norm, prec).decimal(digits)[0]
         except ValueError:      # past Python's 4,300-digit limit
@@ -487,13 +486,13 @@ def riemann_check(matrix, path, assignments, prec):
         raise click.UsageError(f"missing --at values for {missing}")
     coords = [x for M in pm.coeffs for row in M for x in row]
     values = [point[p] for p in pm.params]
-    for what, xs, bound in (("matrix", coords, MAX_RIEMANN_MATRIX_BITS),
+    for what, xs, limit in (("matrix", coords, MAX_RIEMANN_MATRIX_BITS),
                             ("point", values, MAX_RIEMANN_POINT_BITS)):
-        bound >>= max(0, pm.g - 4)
+        limit >>= max(0, pm.g - 4)
         # each element on its own first: no lcm of a tall input
-        if any(_height_bits(x) > bound for x in xs) or _height_bits(*xs) > bound:
+        if any(_height_bits(x) > limit for x in xs) or _height_bits(*xs) > limit:
             raise click.UsageError(f"{what} height over one common "
-                                   f"denominator passes {bound} bits")
+                                   f"denominator passes {limit} bits")
     relation = periods.first_relation_holds(pm)
     verdict, minors = periods.riemann_positivity(
         pm, point, prec=prec, sign=stcurve.POSITIVITY_SIGN)

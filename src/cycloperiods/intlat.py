@@ -1,7 +1,8 @@
 """Exact matrix algorithms over Z, Q and the tower.
 
 Matrices are plain lists of lists (rows).  The two generic routines,
-matmul and inverse, take int, Fraction or TowerElem entries in any mix;
+matmul and inverse (the one exact inverse, kept across calls by
+cached_inverse), take int, Fraction or TowerElem entries in any mix;
 everything else works on integer or rational matrices.  Sizes stay small
 (16x16 for the package's own data, at most MAX_JSON_DIM on a side from
 JSON input), so elementary-operation algorithms are used throughout with
@@ -20,6 +21,7 @@ Hermitian congruence reduction makes the same moves on [A | S] rows.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 
 from .exactfield import TowerElem, dot
@@ -271,14 +273,12 @@ def inverse(A):
     return [row[n:] for row in M]
 
 
-def unimodular_inverse(A):
-    """The integer inverse V U of A, det A = +-1, from its Smith form U A V = I."""
-    if any(len(row) != len(A) for row in A):
-        raise ValueError("matrix is not square")
-    U, D, V = smith_normal_form(A)
-    if any(D[i][i] != 1 for i in range(len(A))):
-        raise ValueError("matrix is not unimodular")
-    return matmul(V, U)
+@lru_cache(maxsize=16)
+def cached_inverse(M):
+    """inverse(M) for a tuple of tuples M, as a tuple of tuples or None, kept
+    across calls for the frozen matrices that every run inverts; 16 entries."""
+    inv = inverse(M)
+    return None if inv is None else tuple(map(tuple, inv))
 
 
 # -- symplectic basis ----------------------------------------------------

@@ -92,7 +92,7 @@ def build_module(action, gens, pairing):
         raise ModuleError("action does not preserve the pairing")
     cols = list(gens) + [[sum(action[i][j] * g[j] for j in range(n))
                           for i in range(n)] for g in gens]
-    basis = [[cols[j][i] for j in range(n)] for i in range(n)]
+    basis = tuple(zip(*cols))        # a tuple of tuples, cached_inverse's key
     divs = intlat.snf_divisors(basis)
     if any(d != 1 for d in divs):
         raise ModuleError(
@@ -334,13 +334,12 @@ class MatchResult:
                 [ZERO, c["c22"], c["c23"]],
                 [ZERO, c["c32"], c["c33"]]]
 
-    def ball_norm(self):
-        """|z1|^2 + |z2|^2 as an exact real tower element."""
-        return (self.z1 * self.z1.conjugate()
-                + self.z2 * self.z2.conjugate())
 
-    def in_unit_ball(self):
-        return real_sign(1 - self.ball_norm()) > 0
+def ball_norm(z1, z2):
+    """(|z1|^2 + |z2|^2, whether it is < 1): the norm an exact real tower
+    element, and the unit-ball test decided exactly by real_sign."""
+    norm = z1 * z1.conjugate() + z2 * z2.conjugate()
+    return norm, real_sign(1 - norm) > 0
 
 
 @lru_cache(maxsize=16)
@@ -440,7 +439,7 @@ def resolve_conventions(W, module, target):
 
 def prym_family(match, family, module):
     """C * family rebased to lattice coordinates, with pairing polarization."""
-    C, Binv = match.block_matrix(), intlat.unimodular_inverse(module.basis)
+    C, Binv = match.block_matrix(), intlat.cached_inverse(module.basis)
     return PeriodMatrix(
         3, family.params,
         [intlat.matmul(intlat.matmul(C, P), Binv) for P in family.coeffs],

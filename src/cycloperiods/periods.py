@@ -13,10 +13,11 @@ coefficients listed.
 
 Both Riemann relations are quadratic in the parameters (t_0 = 1 for the
 constant), so they are decided from constant products of X_a = P_a E^-1
-and P_b, built when first needed and kept on the PeriodMatrix, each entry
-one dot.  With M_ab = X_a P_b^T, P E^-1 P^T = 0 holds identically when
-each coefficient C_ab of t_a t_b (M_aa, or M_ab + M_ba if a < b) is 0;
-C_ab is antisymmetric as E^-1 is, and only its entries i < j are formed.
+(E^-1 from intlat.cached_inverse) and P_b, built when first needed and
+kept on the PeriodMatrix, each entry one dot.  With M_ab = X_a P_b^T,
+P E^-1 P^T = 0 holds identically when each coefficient C_ab of t_a t_b
+(M_aa, or M_ab + M_ba if a < b) is 0; C_ab is antisymmetric as E^-1 is,
+and only its entries i < j are formed.
 The Hermitian form of the second relation at a point is, up to sign,
 i sum_ab t_a conj(t_b) K_ab, K_ab = X_a conj(P_b)^T (of K_aa only i <= j,
 and a vanishing K_ab is skipped); real_sign settles the exact signs of
@@ -29,7 +30,6 @@ A P = P R holds when A P_k = P_k R for all k.
 import math
 import sys
 from bisect import bisect
-from functools import lru_cache
 
 from . import intlat
 from .exactfield import TowerElem, ZERO, ONE, IUNIT, dot, embed, real_sign, zeta_power
@@ -185,17 +185,10 @@ def _entry_from_json(obj):
 
 def _polarization_inverse(pm):
     """E^{-1} as a tuple of tuples, shared by every matrix with polarization E."""
-    Einv = _rational_inverse(pm.polarization)
+    Einv = intlat.cached_inverse(pm.polarization)
     if Einv is None:
         raise ValueError("polarization is degenerate")
     return Einv
-
-
-@lru_cache(maxsize=16)
-def _rational_inverse(M):
-    """Inverse of a rational matrix given as a tuple of tuples; None if singular."""
-    inv = intlat.inverse(M)
-    return None if inv is None else tuple(map(tuple, inv))
 
 
 def _product(pm, a, b, conj):
@@ -262,10 +255,13 @@ def positivity_gram(pm, point, sign=1):
     g = pm.g
     terms = [[[] for _ in range(g)] for _ in range(g)]     # entries i <= j
     for a, ta in enumerate(t):
+        ita = None                      # sign * i * t_a, formed once per a
         for b in range(a, len(t)):
             if not (ta and t[b] and any(map(any, K := _product(pm, a, b, True)))):
                 continue                # a zero weight or a vanishing K_ab
-            w = dot([(dot([(unit, ta)]), t[b].conjugate())])
+            if ita is None:
+                ita = dot([(unit, ta)])
+            w = dot([(ita, t[b].conjugate())])
             wc = w.conjugate()                  # conj(w K) = conj(w) conj(K)
             for i in range(g):
                 for j in range(i, g):
@@ -338,12 +334,15 @@ def intertwiner_search(pm, exponents, R, signs=(1, -1)):
 
     exponents fixes the diagonal A = diag(zeta^(s*e)) up to the overall
     sign s.  Variants of the lattice action are the matrix itself, its
-    inverse, and their transposes.  Returns the list of (sign, variant)
-    pairs that intertwine; conventions are chosen by the caller from it.
+    inverse (intlat.cached_inverse; ValueError unless it is integral),
+    and their transposes.  Returns the list of (sign, variant) pairs
+    that intertwine; conventions are chosen by the caller from it.
     """
     if len(exponents) != pm.g:
         raise ValueError("need one weight exponent per row")
-    Rinv = intlat.unimodular_inverse(R)
+    Rinv = intlat.cached_inverse(tuple(map(tuple, R)))
+    if Rinv is None or any(x.denominator != 1 for row in Rinv for x in row):
+        raise ValueError("matrix is not unimodular")
     variants = [("plain", R),
                 ("inverse", Rinv),
                 ("transpose", intlat.transpose(R)),

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import covers, intlat
 from .exactfield import ONE, ZERO, HALF, RHO, INV_ROOT4_3, ROOT4_3, cyclo
-from .periods import PeriodMatrix, _rational_inverse
+from .periods import PeriodMatrix
 
 _A3 = ROOT4_3 ** 3
 
@@ -299,7 +299,7 @@ def genus4_family(prym):
     three = cyclo(3)
     top = {None: (ZERO, three), "tau": (three, three)}
     sub = dict(zip((None,) + prym.params, prym.coeffs))
-    Binv = _rational_inverse(tuple(map(tuple, SPLITTING_BASIS)))
+    Binv = intlat.cached_inverse(tuple(map(tuple, SPLITTING_BASIS)))
     coeffs = []
     for name in (None,) + params:
         big = [[ZERO] * 8 for _ in range(4)]

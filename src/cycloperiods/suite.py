@@ -311,12 +311,11 @@ def _check_match(ctx):
     m = ctx.match
     point_ok = m.point() == stcurve.MATCH_POINT
     coeff_ok = m.coeffs == stcurve.MATCH_COEFFS
-    inside = m.in_unit_ball()
-    norm = embed(m.ball_norm(), prec=96)
+    norm, inside = pel.ball_norm(m.z1, m.z2)
     ok = point_ok and coeff_ok and inside
     return ok, {"point_match": point_ok, "coeff_match": coeff_ok,
                 "in_unit_ball": inside,
-                "norm_decimal": norm.decimal(16)}
+                "norm_decimal": embed(norm, prec=96).decimal(16)}
 
 
 @_register("special-fiber", "family",

@@ -2,10 +2,10 @@
 
 Work shared across runs is kept on its inputs: the products of the two
 frozen period matrices (GENUS4, PRYM_SPECIAL_MATRIX) on the matrices
-themselves, the polarization inverses and embedding bases in lru_caches,
-and pel's row-1 solve and multiplied rows in theirs.  A report must not
-depend on what they hold, and a warm run must form fewer products than a
-cold one by a pinned count.
+themselves, the inverses of the frozen integer matrices and the embedding
+bases in lru_caches, and pel's row-1 solve and multiplied rows in theirs.
+A report must not depend on what they hold, and a warm run must form
+fewer products than a cold one by a pinned count.
 """
 
 from fractions import Fraction
@@ -19,7 +19,7 @@ from cycloperiods.exactfield import IUNIT, ZETA, TowerElem
 def _clear_cross_call_caches():
     for pm in (stcurve.GENUS4, stcurve.PRYM_SPECIAL_MATRIX):
         pm._products.clear()
-    for cached in (periods._rational_inverse, exactfield._basis,
+    for cached in (intlat.cached_inverse, exactfield._basis,
                    pel._row1_solve, pel._multiplied_rows):
         cached.cache_clear()
 
@@ -53,12 +53,13 @@ def test_the_tower_keyed_caches_hit_on_equal_keys():
 # exactfield.dot calls of one run_all, at any precision: a cold run forms
 # every product, a warm one reuses GENUS4's products, the convention
 # search's row-1 solve and its multiplied rows
-COLD_DOTS, WARM_DOTS = 1444, 1265
+COLD_DOTS, WARM_DOTS = 1437, 1258
 # exactfield.dot calls of one riemann_positivity on the genus-4 family at
-# tau = i, z1 = 1/3, z2 = zeta/5 once its K_ab are cached: 2 for the weight
-# of each of the 5 pairs a <= b with K_ab != 0, 10 Gram entries, 5 expansion
-# sums and 3 products with the first minor, which closes a block
-POSITIVITY_DOTS = 28
+# tau = i, z1 = 1/3, z2 = zeta/5 once its K_ab are cached: one weight for
+# each of the 5 pairs a <= b with K_ab != 0 and one i t_a for each of their
+# 3 distinct a, 10 Gram entries, 5 expansion sums and 3 products with the
+# first minor, which closes a block
+POSITIVITY_DOTS = 26
 
 
 @pytest.fixture
@@ -96,3 +97,19 @@ def test_positivity_at_a_family_point_forms_the_pinned_number_of_dots(dot_calls)
         verdict, _ = periods.riemann_positivity(family, point)
         counts.append(dot_calls[0])
     assert verdict == "positive" and counts == [POSITIVITY_DOTS] * 2
+
+
+def test_a_warm_run_inverts_only_the_diagonalizer(monkeypatch):
+    """The frozen integer matrices are inverted through intlat.cached_inverse,
+    so a warm run calls intlat.inverse once, on diagonalize_W's 3 x 3 S, and
+    takes one Smith form with transforms, covers' deck action solve."""
+    suite.run_all(prec=128)
+    calls = {"inverse": [], "smith_normal_form": []}
+    for name, seen in calls.items():
+        def counting(A, real=getattr(intlat, name), seen=seen):
+            seen.append(A)
+            return real(A)
+        monkeypatch.setattr(intlat, name, counting)
+    suite.run_all(prec=128)
+    assert [len(A) for A in calls["inverse"]] == [3]
+    assert len(calls["smith_normal_form"]) == 1

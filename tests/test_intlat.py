@@ -224,10 +224,12 @@ def test_inverse_rejects_nonsquare():
 
 
 def test_unimodular_inverse():
-    assert intlat.unimodular_inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
-    for A in ([[2, 0], [0, 1]], [[1, 2], [2, 4]]):
-        with pytest.raises(ValueError):
-            intlat.unimodular_inverse(A)
+    """The one inverse, through its cache: integral exactly when det = +-1."""
+    A = ((2, 1), (1, 1))
+    assert intlat.cached_inverse(A) == ((1, -1), (-1, 2))
+    assert intlat.cached_inverse(A) is intlat.cached_inverse(A)
+    assert intlat.cached_inverse(((2, 0), (0, 1))) == ((Fraction(1, 2), 0), (0, 1))
+    assert intlat.cached_inverse(((1, 2), (2, 4))) is None
 
 
 def _seeded_unimodular(rng, n):
@@ -244,23 +246,26 @@ def _seeded_unimodular(rng, n):
     return A
 
 
+def _integral(M):
+    return all(x.denominator == 1 for row in M for x in row)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_unimodular_inverse_inverts_seeded_unimodular_matrices(n):
     rng = random.Random(n)
     for _ in range(5):
         A = _seeded_unimodular(rng, n)
-        inv = intlat.unimodular_inverse(A)
-        assert all(type(x) is int for row in inv for x in row)
+        inv = intlat.cached_inverse(tuple(map(tuple, A)))
+        assert _integral(inv)
         assert intlat.matmul(A, inv) == intlat.matmul(inv, A) == intlat.identity(n)
-        # a row doubled (det +-2) or copied onto another (det 0) is refused
+        # a row doubled (det +-2) has an inverse that is not integral, and a
+        # row copied onto another (det 0) none
         bad = [[2 * x for x in A[0]]] + A[1:]
-        with pytest.raises(ValueError, match="not unimodular"):
-            intlat.unimodular_inverse(bad)
+        assert not _integral(intlat.cached_inverse(tuple(map(tuple, bad))))
         if n > 1:
-            with pytest.raises(ValueError, match="not unimodular"):
-                intlat.unimodular_inverse([A[1]] + A[1:])
+            assert intlat.cached_inverse(tuple(map(tuple, [A[1]] + A[1:]))) is None
         with pytest.raises(ValueError, match="not square"):
-            intlat.unimodular_inverse(A[1:] if n > 1 else [[1, 0]])
+            intlat.cached_inverse(tuple(map(tuple, A[1:] if n > 1 else [[1, 0]])))
 
 
 def test_matmul_skips_zero_factors_and_mixes_entry_types():

@@ -437,7 +437,7 @@ def test_polarization_inverse_is_computed_once(monkeypatch):
         return real(A)
 
     monkeypatch.setattr(intlat, "inverse", counting)
-    periods._rational_inverse.cache_clear()
+    intlat.cached_inverse.cache_clear()
     pm = stcurve.GENUS4
     for tau in (_I, _I * 2):
         periods.positivity_gram(pm, {"tau": tau}, sign=stcurve.POSITIVITY_SIGN)
@@ -647,10 +647,16 @@ def test_intertwines_rejects_wrong_weights():
 
 
 def test_intertwiner_search_needs_unimodular_action():
-    R = [[2 if i == j else 0 for j in range(8)] for i in range(8)]
-    with pytest.raises(ValueError):
+    R = [list(row) for row in stcurve.DECK_SYMPLECTIC_ACTION]
+    doubled = [[2 * x for x in R[0]]] + R[1:]          # det +-2
+    copied = [R[1]] + R[1:]                             # det 0
+    for bad in (doubled, copied):
+        with pytest.raises(ValueError, match="not unimodular"):
+            periods.intertwiner_search(stcurve.GENUS4,
+                                       stcurve.FORM_WEIGHT_EXPONENTS, bad)
+    with pytest.raises(ValueError, match="not square"):
         periods.intertwiner_search(stcurve.GENUS4,
-                                   stcurve.FORM_WEIGHT_EXPONENTS, R)
+                                   stcurve.FORM_WEIGHT_EXPONENTS, R[1:])
 
 
 def test_subs_keeps_remaining_parameters():

@@ -12,6 +12,10 @@ A second test reads the source with ast: a module-level import that its
 module never reads fails it, so a deletion leaves no dead import behind.
 __init__.py, which imports to re-export, is exempt.
 
+A third installs the benchmark's tracer (bench/tracing.py) on src/ and
+runs the suite once, so a deletion that leaves the tracer a name it wraps
+by name to miss fails here, not only in the traced benchmark run.
+
 Run as a script, this file prints the reach as JSON.
 """
 
@@ -51,7 +55,7 @@ COMMANDS = [
 ]
 
 _TRACED = ("wrapped by name in bench/tracing.py, whose --trace 1 run fails "
-           "without it")
+           "without it (test_the_benchmark_tracer_installs_on_src)")
 _VIEW = ("Fraction view of the ball's integer data, read by the tests and "
          "(rad) the benchmark; the CLI reads the integers re_n, rad_n, den")
 
@@ -153,6 +157,32 @@ def test_every_function_is_reached_by_a_cli_path():
     assert not missing, f"reached by no CLI path: {missing}"
     stale = sorted(set(ALLOWED) - unreached)
     assert not stale, f"reached now, drop from ALLOWED: {stale}"
+
+
+# bench/tracing.py installed on src/, then one traced run_all; a name the
+# tracer wraps by name that src/ no longer has fails the install
+_TRACER_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import tracing
+tracer = tracing.Tracer(1)
+tracer.install()
+from cycloperiods import suite
+tracer.phase("round", hooks=True)
+print(suite.run_all(128).exit_code(), len(tracer.spans) // tracing.FIELDS)
+"""
+
+
+def test_the_benchmark_tracer_installs_on_src():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _TRACER_RUN, str(root / "bench")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, spans = map(int, proc.stdout.split())
+    assert code == 0 and spans > 0
 
 
 def _unread_imports(path):
