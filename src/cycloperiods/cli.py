@@ -85,9 +85,12 @@ def _tokenize(text):
 
 
 def _height_bits(*xs):
-    """Height of the tower elements xs over one common denominator, in bits."""
-    d = lcm(*[x.d for x in xs])
-    return max([d] + [max(map(abs, x.n)) * (d // x.d) for x in xs]).bit_length()
+    """Height of the tower elements xs over one common denominator, in bits,
+    read from their coordinates as reduced fractions: it measures the value,
+    whatever common factor the numerators and denominator may share."""
+    qs = [q for x in xs for q in x.c + x.a]
+    d = lcm(*[q.denominator for q in qs])
+    return max([d] + [abs(q.numerator) * (d // q.denominator) for q in qs]).bit_length()
 
 
 class _Parser:

@@ -11,18 +11,23 @@ with rational coordinates (landmarks such as i = zeta^3 and rho = zeta^4
 are the module constants below).
 
 As in FLINT/ANTIC's nf_elem (W. Hart, "ANTIC", 2015) an element is 8
-integers n = (c0..c3, a0..a3) over one denominator d > 0, gcd(d, *n) = 1.
-Products are integer convolutions reduced by z^4 = z^2 - 1 and alpha^2 =
-2z - z^3 (_convolve); a rational operand only scales the numerators, and
-two real ones, (s + t sqrt3) + (p + q sqrt3) alpha with n2 = n6 = 0,
-n1 = -2 n3 and n5 = -2 n7, take the formula restricted to Q(alpha): 16
-integer products, not 64, written back in the same 8 coordinates.  Every
+integers n = (c0..c3, a0..a3) over one denominator d > 0.  Kept values are
+reduced, gcd(d, *n) = 1; a sum that is read once and dropped may skip the
+gcd (dot(pairs, reduce=False)), so equality compares values (numerators
+over equal denominators, else cross products) and hash is the reduced
+form's.  Products are integer convolutions reduced by z^4 = z^2 - 1 and
+alpha^2 = 2z - z^3 (_convolve); a rational operand only scales the
+numerators, and two real ones, (s + t sqrt3) + (p + q sqrt3) alpha with
+n2 = n6 = 0, n1 = -2 n3 and n5 = -2 n7, take the formula restricted to
+Q(alpha): 16 integer products, not 64, written back in the same 8
+coordinates.  Every
 sum of products is one `dot` with delayed reduction (as in ANTIC and
 FFLAS-FFPACK): the products are added in integer coordinates over one
 running denominator (a merge over lcm(d, e) forms its two cofactors
-once) and reduced by one final gcd.  The operators +, - and * are each
-one `dot` too (x + y is the sum of x*1 and y*1), so there is no second
-path for sums or rational scaling.  An integral result (d = 1) takes no gcd.
+once) and, unless the caller reads it once and drops it, reduced by one
+final gcd.  The operators +, - and * are each one `dot` too (x + y is the
+sum of x*1 and y*1), so there is no second path for sums or rational
+scaling.  An integral result (d = 1) takes no gcd.
 Inverses are closed form: 1/(b + a alpha) = (b - a alpha)/(b^2 - a^2 sqrt3),
 1/x = conj(x)/(x conj(x)) in Q(zeta12), and 1/(s + t sqrt3) =
 (s - t sqrt3)/(s^2 - 3t^2).  The embedding zeta -> exp(i*pi/6), alpha ->
@@ -75,7 +80,7 @@ def _zsub(p, q):
 
 
 def _raw(n, d):
-    """Element n / d; the caller guarantees d > 0 and gcd(d, *n) = 1."""
+    """Element n / d; the caller guarantees d > 0."""
     x = object.__new__(TowerElem)
     _set_n(x, n)
     _set_d(x, d)
@@ -128,10 +133,11 @@ def _convolve(xn, yn):
             + x6 * y1 + x7 * y0 + r5)
 
 
-def dot(pairs):
+def dot(pairs, reduce=True):
     """sum x*y over (x, y) pairs of tower, int or Fraction operands.  Each
     product is formed on the integer numerators (the tower's one product
-    formula), added over a running denominator and reduced once."""
+    formula) and added over a running denominator; the sum is reduced
+    once, as a last step that reduce=False skips."""
     s = None
     for x, y in pairs:
         if type(x) is not TowerElem:            # a tower element first
@@ -151,7 +157,7 @@ def dot(pairs):
         else:           # bring the sum and the term over lcm(d, e)
             u, v = e // (g := gcd(d, e)), d // g
             s, d = [a * u + b * v for a, b in zip(s, t)], v * e
-    return ZERO if s is None else _make(tuple(s), d)
+    return ZERO if s is None else (_make if reduce else _raw)(tuple(s), d)
 
 
 class TowerElem:
@@ -304,10 +310,14 @@ class TowerElem:
                 other = TowerElem.coerce(other)
             if not isinstance(other, TowerElem):
                 return NotImplemented
-        return self.n == other.n and self.d == other.d
+        # map, not a comprehension, whose closure cells would slow every call
+        return (self.n == other.n and self.d == other.d or self.d != other.d and
+                [*map(other.d.__mul__, self.n)] == [*map(self.d.__mul__, other.n)])
 
-    def __hash__(self):     # a rational element hashes as the value it equals
+    def __hash__(self):     # the reduced form's; a rational hashes as its value
         n, d = self.n, self.d
+        if d != 1 and (g := gcd(d, *n)) != 1:
+            n, d = tuple([v // g for v in n]), d // g
         return hash((n, d) if n[1:] != _Z7 else n[0] if d == 1 else Fraction(n[0], d))
 
     def __repr__(self):

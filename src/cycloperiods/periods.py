@@ -7,9 +7,13 @@ int, Fraction or TowerElem entries and skips zero factors, so a sparse
 rational polarization inverse, lattice action or base change costs only
 its nonzero entries.  Each tower entry of a product, an evaluation, the
 Gram matrix or a minor is one exactfield.dot: its products are summed in
-integer coordinates and reduced once (delayed reduction).  In JSON each
-entry is {"const": c, name: coefficient, ...}, with only the nonzero
-coefficients listed.
+integer coordinates and reduced once (delayed reduction), except three
+sums read once and dropped, which skip that gcd (reduce=False): evaluate's
+entries, positivity_gram's weights and entries, and leading_minors'
+expansion sums and block products.  Their readers (to_json, embed,
+real_sign, ==, zero tests) see the value only.  In JSON each entry is
+{"const": c, name: coefficient, ...}, with only the nonzero coefficients
+listed.
 
 Both Riemann relations are quadratic in the parameters (t_0 = 1 for the
 constant), so they are decided from constant products of X_a = P_a E^-1
@@ -63,9 +67,10 @@ def leading_minors(H):
                     j = bisect(cols, c)
                     terms.setdefault(cols[:j] + (c,) + cols[j:], []).append(
                         (x if (r - start - j) % 2 == 0 else -x, m))
-        level = {cols: v for cols, pairs in terms.items() if (v := dot(pairs))}
+        level = {cols: v for cols, pairs in terms.items()
+                 if (v := dot(pairs, reduce=False))}
         m = level.get(tuple(range(start, r + 1)), ZERO)
-        yield (minor := m if f is ONE else dot([(f, m)]))
+        yield (minor := m if f is ONE else dot([(f, m)], reduce=False))
         if len(level) == 1 and minor:
             f, start, level = minor, r + 1, {(): ONE}
 
@@ -106,14 +111,15 @@ class PeriodMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("PeriodMatrix is immutable")
 
-    def _substitute(self, assignment):
+    def _substitute(self, assignment, reduce=True):
         """P_0 + sum t_k P_k over the assigned t_k, one dot per entry, and
         the unassigned (name, P_k)."""
         named = list(zip(self.params, self.coeffs[1:]))
         used = [(C, TowerElem.coerce(assignment[p])) for p, C in named if p in assignment]
         kept = [(p, C) for p, C in named if p not in assignment]
-        out = [[dot(([(x, 1)] if x else []) + [(C[i][j], t) for C, t in used if C[i][j]])
-                for j, x in enumerate(row)] for i, row in enumerate(self.coeffs[0])]
+        out = [[dot(([(x, 1)] if x else []) + [(C[i][j], t) for C, t in used if C[i][j]],
+                    reduce) for j, x in enumerate(row)]
+               for i, row in enumerate(self.coeffs[0])]
         return out, kept
 
     def subs(self, assignment):
@@ -122,8 +128,8 @@ class PeriodMatrix:
                             self.polarization)
 
     def evaluate(self, assignment):
-        """Exact tower matrix at a full parameter assignment."""
-        P0, _ = self._substitute(assignment)
+        """Exact tower matrix at a full parameter assignment, entries unreduced."""
+        P0, _ = self._substitute(assignment, reduce=False)
         self._refuse_missing(assignment)
         return P0
 
@@ -260,8 +266,8 @@ def positivity_gram(pm, point, sign=1):
             if not (ta and t[b] and any(map(any, K := _product(pm, a, b, True)))):
                 continue                # a zero weight or a vanishing K_ab
             if ita is None:
-                ita = dot([(unit, ta)])
-            w = dot([(ita, t[b].conjugate())])
+                ita = dot([(unit, ta)], reduce=False)
+            w = dot([(ita, t[b].conjugate())], reduce=False)
             wc = w.conjugate()                  # conj(w K) = conj(w) conj(K)
             for i in range(g):
                 for j in range(i, g):
@@ -269,7 +275,8 @@ def positivity_gram(pm, point, sign=1):
                         terms[i][j].append((w, K[i][j]))
                     if a != b and K[j][i]:
                         terms[i][j].append((wc, K[j][i].conjugate()))
-    H = [[dot(terms[i][j]) if i <= j else None for j in range(g)] for i in range(g)]
+    H = [[dot(terms[i][j], reduce=False) if i <= j else None for j in range(g)]
+         for i in range(g)]
     for i in range(g):
         for j in range(i):
             H[i][j] = H[j][i].conjugate()

@@ -65,12 +65,12 @@ POSITIVITY_DOTS = 26
 @pytest.fixture
 def dot_calls(monkeypatch):
     """A one-item list counting exactfield.dot calls from the modules that
-    make them."""
+    make them, the unreduced sums (reduce=False) included."""
     calls, real = [0], exactfield.dot
 
-    def counting(pairs):
+    def counting(pairs, reduce=True):
         calls[0] += 1
-        return real(pairs)
+        return real(pairs, reduce)
 
     for module in (exactfield, intlat, periods, pel):
         monkeypatch.setattr(module, "dot", counting)

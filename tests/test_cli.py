@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from cycloperiods import cli, intlat, periods, stcurve, suite
 from cycloperiods.report import dumps_json
 from cycloperiods.exactfield import (
-    HALF, INV_ROOT4_3, IUNIT, ONE, RHO, SQRT3, ZERO, TowerElem, cyclo,
+    HALF, INV_ROOT4_3, IUNIT, ONE, RHO, SQRT3, ZERO, TowerElem, _raw, cyclo,
     zeta_power,
 )
 
@@ -807,6 +807,20 @@ def test_tools_riemann_check_bounds_heights(runner, tmp_path, consts, tau, code)
                                       "--at", f"tau={tau}"])
     assert result.exit_code == code, _text(result)
     assert ("height over one common denominator" in _text(result)) == (code == 2)
+
+
+def test_height_bits_measures_the_reduced_value():
+    """A common factor of the numerators and the denominator adds no height,
+    so a height bound refuses a value, never the form it is written in:
+    (k n) / (k d) measures as n / d, alone and over a common denominator."""
+    rng = random.Random(29)
+    for bits in (1, 64, _POINT_BITS - 1, _POINT_BITS):
+        x = TowerElem([Fraction(rng.getrandbits(bits), rng.getrandbits(bits) | 1)
+                       for _ in range(4)], [rng.getrandbits(bits)])
+        twin = _raw(tuple([3 ** 40 * v for v in x.n]), 3 ** 40 * x.d)
+        assert cli._height_bits(twin) == cli._height_bits(x)
+        assert cli._height_bits(twin, HALF, IUNIT) == cli._height_bits(x, HALF, IUNIT)
+        assert twin == x
 
 
 def test_tools_covers(runner):

@@ -6,6 +6,7 @@ import random
 import sys
 from bisect import bisect
 from fractions import Fraction
+from functools import lru_cache
 from math import floor, gcd, isqrt, lcm
 from unittest import mock
 
@@ -36,6 +37,7 @@ from cycloperiods.exactfield import (
     ZETA,
     TowerElem,
     _basis,
+    _raw,
     cyclo,
     dot,
     embed,
@@ -322,8 +324,14 @@ _needs_sympy = pytest.mark.skipif(sympy is None, reason="sympy is not installed"
 
 
 def _assert_normal(x):
-    assert len(x.n) == 8 and all(isinstance(v, int) for v in x.n)
-    assert x.d > 0 and gcd(x.d, *x.n) == 1
+    _assert_sound(x)
+    assert gcd(x.d, *x.n) == 1
+
+
+def _assert_sound(x):
+    """The form of every element, kept or not: 8 ints over a d > 0, which
+    an unreduced sum (dot(pairs, reduce=False)) may share a factor with."""
+    assert len(x.n) == 8 and all(isinstance(v, int) for v in x.n) and x.d > 0
 
 
 if sympy is not None:
@@ -470,7 +478,7 @@ def test_leading_minors_match_sympy_determinants(A):
     got = list(periods.leading_minors(A))
     assert len(got) == len(A)
     for k, minor in enumerate(got, 1):
-        _assert_normal(minor)
+        _assert_sound(minor)        # a minor is read once, so it may be unreduced
         want = _sympy_det([row[:k] for row in A[:k]])
         assert minor.c + minor.a == want
 
@@ -495,9 +503,9 @@ def _pair_counts(A):
     """The leading minors of A, and the number of pairs of each dot they take."""
     counts = []
 
-    def counting_dot(pairs):
+    def counting_dot(pairs, reduce=True):      # reduced or not
         counts.append(len(pairs))
-        return dot(pairs)
+        return dot(pairs, reduce)
 
     with mock.patch.object(periods, "dot", counting_dot):
         return list(periods.leading_minors(A)), counts
@@ -513,7 +521,7 @@ def test_leading_minors_of_block_triangular_matrices(drawn):
         assert A != [[x.conjugate() for x in col] for col in zip(*A)]
     got, counts = _pair_counts(A)
     for k, minor in enumerate(got, 1):
-        _assert_normal(minor)
+        _assert_sound(minor)        # a minor is read once, so it may be unreduced
         assert minor.c + minor.a == _sympy_det([row[:k] for row in A[:k]])
     # with det A != 0 every block closes by its last row, so the entries
     # below the blocks cost nothing: the block diagonal part takes the
@@ -1111,3 +1119,46 @@ def test_dot_of_real_pairs_over_mixed_denominators():
         for x, y in pairs:
             want = [u + v for u, v in zip(want, _fraction_product(x, y))]
         assert got.c + got.a == tuple(want)
+
+
+# -- unreduced twins: a sum read once and dropped keeps its common factor --
+
+def _twin(x, k):
+    """x written as (k n) / (k d), as dot(pairs, reduce=False) may leave it."""
+    return _raw(tuple([k * v for v in x.n]), k * x.d)
+
+
+def test_an_unreduced_twin_reads_as_the_value_it_equals():
+    """Everything that reads an element sees its value, not its form: an
+    element and its twin agree on ==, hash, a dict or lru_cache key, the
+    JSON, coordinates and str, the balls of embed, their decimals and the
+    doubles of their ends, real_sign, is_rational and bool."""
+    rng = random.Random(29)
+    full = lambda bits: TowerElem([_rat(rng, bits) for _ in range(4)],
+                                  [_rat(rng, bits) for _ in range(4)])
+    kinds = (lambda bits: ZERO, lambda bits: TowerElem.coerce(_rat(rng, bits)),
+             lambda bits: _real_elem(rng, bits), full)
+    keyed = lru_cache(maxsize=None)(lambda key: object())
+    last = ONE
+    for _ in range(80):
+        x = rng.choice(kinds)(rng.choice(_BITS + (rng.randint(1, 4000),)))
+        k, k2 = (rng.randint(2, 2 ** rng.choice((1, 8, 64, 256))) for _ in range(2))
+        twin = _twin(x, k)
+        assert twin == x and x == twin and not twin != x and twin == _twin(x, k2)
+        assert (twin == last) == (x == last) == (last == twin)
+        assert hash(twin) == hash(x) and {x: 1}[twin] == 1
+        assert keyed((twin, ONE)) is keyed((x, ONE))
+        assert twin.to_json() == x.to_json() and str(twin) == str(x)
+        assert (twin.c, twin.a) == (x.c, x.a)
+        assert (twin.is_rational(), bool(twin)) == (x.is_rational(), bool(x))
+        if x.is_real():
+            assert twin.is_real() and real_sign(twin) == real_sign(x)
+        for prec in (16, 128, 2048):
+            b, e = embed(x, prec), embed(twin, prec)
+            assert (e.re, e.im, e.rad) == (b.re, b.im, b.rad)
+            for digits in (0, 30, 608):
+                assert e.decimal(digits) == b.decimal(digits)
+            for up, s in ((False, -1), (True, 1)):
+                assert (periods._double(e.re_n + s * e.rad_n, e.den, up)
+                        == periods._double(b.re_n + s * b.rad_n, b.den, up))
+        last = x

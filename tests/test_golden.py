@@ -32,6 +32,9 @@ LARGE = ["--at", "tau=(1234567890123456789012345678901234567891/"
          "100000000000000000000000000000000000000)+(1/3)*zeta^2",
          "--at", "z2=(14142135623730950488016887242096980785697/"
          "100000000000000000000000000000000000000000)*i"]
+# the same point as emit's --tau, --z1 and --z2 literals
+TALL_POINT = [word for at in LARGE[1::2]
+              for word in ("--" + at.split("=", 1)[0], at.split("=", 1)[1])]
 
 # a fixed 8 x 8 integer matrix of rank 7 with divisors 1,1,1,1,1,2,2,0
 SNF_8 = [[-4, 14, -3, 2, 6, -6, -6, 3],
@@ -187,6 +190,9 @@ GOLDEN = [
      "8da40b78342e26658f43a4ac81b43cee4f73219c319fb94a63fc071177403811"),
     (["emit", "genus4", *POINT, "--format", "decimal", "--prec", "2048"], 0,
      "c8034923950a0c0e58acb2c28e2ae3e3609fdcf5ba533a015401d5ead0eab2ea"),
+    # evaluate's exact entries at a point with literals of about 130 bits
+    (["emit", "genus4", *TALL_POINT, "--format", "exact-json"], 0,
+     "0e6167b7bb2e56859a815b1bdbf9d20085a31a03d1ce40e449a59204fe73c0ea"),
     (["emit", "prym", "--special", "--format", "decimal", "--prec", "300"], 0,
      "d2884929566d4e8b89b8affd41bb2ef70d13d990d1011c2c1f44da2a7ba35135"),
     (["verify", "--strict", "--json"], 1,
