@@ -6,8 +6,8 @@ distance rad_n/den of (re_n + im_n*i)/den.  This is the integer-mantissa
 midpoint-radius layout of Arb (F. Johansson, IEEE Trans. Comput. 66(8),
 2017) with an exact shared denominator, so soundness never depends on a
 rounding mode, and neither the arithmetic nor the decimal output takes a
-gcd.  `exactfield.embed` builds balls as integer dot products against a
-per-precision basis.
+gcd.  `exactfield.embed` builds balls from a per-precision basis, each
+part a shift plus three integer products.
 
 Balls only feed printed output (decimals and the ranges of positivity
 minors); no verdict rests on them.  The Fractions re, im and rad are
@@ -15,6 +15,7 @@ views for tests and the benchmark.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 
@@ -76,12 +77,19 @@ class ComplexBall:
                 _dec(self.im_n, self.den, digits))
 
 
+@lru_cache(maxsize=16)
+def _powers(digits):
+    """(5^digits, 10^digits), shared by every part printed at `digits`."""
+    return 5 ** digits, 10 ** digits
+
+
 def _dec(n, den, digits):
     """n/den truncated toward zero to `digits` fractional digits; with
     none, the whole part without a point.  For den = odd 2^k that is the
     floor of |n| 5^digits 2^(digits - k) / odd: a division by odd only."""
-    k, n5 = (den & -den).bit_length() - 1, abs(n) * 5 ** digits
+    p5, p10 = _powers(digits)
+    k, n5 = (den & -den).bit_length() - 1, abs(n) * p5
     q = (n5 << digits - k if digits >= k else n5 >> k - digits) // (den >> k)
-    whole, frac = divmod(q, 10 ** digits)
+    whole, frac = divmod(q, p10)
     point = f".{str(frac).zfill(digits)}" if digits else ""
     return f"{'-' if n < 0 else ''}{whole}{point}"

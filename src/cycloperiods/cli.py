@@ -36,7 +36,7 @@ MAX_POWER_BITS = 1 << 16
 # deepest parenthesis nesting; the parser recurses on it
 MAX_NESTING = 64
 # largest --prec, which sizes every embed: verify --only positivity takes
-# 0.35 s here, 0.9 s in-process at 262,144 bits (Python 3.11, 2-core Xeon VM)
+# 0.2-0.26 s here, 0.73 s in-process at 262,144 bits (Python 3.11, 2-core Xeon VM)
 MAX_PREC = 1 << 16
 # largest --digits: Python turns no integer of more digits into a string
 MAX_DIGITS = 4300

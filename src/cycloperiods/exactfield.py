@@ -35,13 +35,14 @@ Inverses are closed form: 1/(b + a alpha) = (b - a alpha)/(b^2 - a^2 sqrt3),
 equality testing never falls back on numerics.  Per precision, the balls
 of zeta^k and alpha*zeta^k (k = 0..3) are built once from isqrt and shifts
 as integers over 2^E, E = prec + 8, rounding into the radius as Arb does
-(see _basis): `embed` is three integer dot products, no gcd, no Fraction.
+(see _basis): `embed` forms each part as a shift plus three integer
+products, no gcd, no Fraction.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
-from operator import add, mul
+from operator import add
 
 from .balls import ComplexBall
 
@@ -400,7 +401,8 @@ def _basis(prec):
     alpha*zeta^k, k = 0..3, and E.  cos(pi/6) is c = (2n + 1) 2^6 within 2^6;
     a/2^prec < 2 is within 2^-prec of alpha, so alpha*zeta^k is within 2^8 + 2r
     units of a m/2^prec for the ball (m, r) of zeta^k.  Only a c/2^prec is
-    rounded (1 more unit); the rest are multiples of h or a: real x has im 0."""
+    rounded (1 more unit); the rest are multiples of h or a: real x has im 0.
+    embed reads c, a c, a 2^7 and r here; 0, h, 2h, 2^6 and 2^8 become shifts."""
     c, h = (2 * isqrt(3 << (2 * prec)) + 1) << 6, 1 << (prec + 7)
     a = isqrt(isqrt(3 << (4 * prec))) + 1       # a - 1 <= alpha 2^prec < a + 1
     ac, low = divmod(a * c + (1 << (prec - 1)), 1 << prec)
@@ -415,7 +417,10 @@ def embed(x, prec=128):
     if prec < 16:
         raise ValueError("embedding precision must be at least 16 bits")
     x = TowerElem.coerce(x)
-    (re, im, rad), e = _basis(prec)
-    n = x.n
-    return ComplexBall(sum(map(mul, n, re)), sum(map(mul, n, im)),
-                       sum(map(mul, map(abs, n), rad)), x.d << e)
+    (re, _, rad), e = _basis(prec)
+    c, ac, a7, r, s = re[1], re[5], re[6], rad[5], e - 1
+    n0, n1, n2, n3, n4, n5, n6, n7 = x.n
+    return ComplexBall(((2 * n0 + n2) << s) + c * n1 + a7 * ((n4 << 1) + n6) + ac * n5,
+                       ((n1 + 2 * n3) << s) + c * n2 + a7 * (n5 + (n7 << 1)) + ac * n6,
+                       ((abs(n1) + abs(n2)) << 6) + ((abs(n4) + abs(n7)) << 8)
+                       + r * (abs(n5) + abs(n6)), x.d << e)

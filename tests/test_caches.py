@@ -2,8 +2,9 @@
 
 Work shared across runs is kept on its inputs: the products of the two
 frozen period matrices (GENUS4, PRYM_SPECIAL_MATRIX) on the matrices
-themselves, the inverses of the frozen integer matrices and the embedding
-bases in lru_caches, and pel's row-1 solve and multiplied rows in theirs.
+themselves, the inverses of the frozen integer matrices, the embedding
+bases and the decimals' powers of 5 and 10 in lru_caches, and pel's row-1
+solve and multiplied rows in theirs.
 A report must not depend on what they hold, and a warm run must form
 fewer products than a cold one by a pinned count.
 """
@@ -12,14 +13,14 @@ from fractions import Fraction
 
 import pytest
 
-from cycloperiods import exactfield, intlat, pel, periods, stcurve, suite
+from cycloperiods import balls, exactfield, intlat, pel, periods, stcurve, suite
 from cycloperiods.exactfield import IUNIT, ZETA, TowerElem
 
 
 def _clear_cross_call_caches():
     for pm in (stcurve.GENUS4, stcurve.PRYM_SPECIAL_MATRIX):
         pm._products.clear()
-    for cached in (intlat.cached_inverse, exactfield._basis,
+    for cached in (intlat.cached_inverse, exactfield._basis, balls._powers,
                    pel._row1_solve, pel._multiplied_rows):
         cached.cache_clear()
 

@@ -8,6 +8,7 @@ from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
 from math import floor, gcd, isqrt, lcm
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -891,6 +892,61 @@ def test_real_and_imaginary_elements_embed_with_an_exact_zero_part(x, prec):
     # a real element prints "0.000...", never "-0.000...", as its imaginary part
     assert embed(x + x.conjugate(), prec).im_n == 0
     assert embed(x - x.conjugate(), prec).re_n == 0
+
+
+# -- embed's shifts and three products against the dot products, seeded --
+
+def _dot_embed(x, prec):
+    """(re_n, im_n, rad_n, den) of embed(x, prec) as three 8-term dot
+    products against the rows of _basis(prec)."""
+    (re, im, rad), e = _basis(prec)
+    n = x.n
+    return (sum(map(mul, n, re)), sum(map(mul, n, im)),
+            sum(map(mul, map(abs, n), rad)), x.d << e)
+
+
+def _embed_elem(rng, kind, bits, den_bits):
+    """A seeded element of one kind with numerators of up to `bits` bits
+    over one denominator of up to `den_bits` bits: real is
+    (s + t sqrt3) + (p + q sqrt3) alpha, and imaginary is i times that,
+    i (s + t sqrt3) = -t + 2t z^2 + s z^3."""
+    num = lambda: rng.choice((-1, 1)) * rng.getrandbits(bits)
+    s, t, p, q = (num() for _ in range(4))
+    n = {"zero": (0,) * 8,
+         "rational": (num(), 0, 0, 0, 0, 0, 0, 0),
+         "real": (s, 2 * t, 0, -t, p, 2 * q, 0, -q),
+         "imaginary": (-t, 0, 2 * t, s, -q, 0, 2 * q, p),
+         "general": tuple(num() for _ in range(8))}[kind]
+    d = rng.getrandbits(den_bits) | 1 << (den_bits - 1)
+    return TowerElem([Fraction(v, d) for v in n[:4]], [Fraction(v, d) for v in n[4:]])
+
+
+@pytest.mark.parametrize("prec", [16, 17, 64, 128, 333, 2048, 65536])
+@pytest.mark.parametrize("kind", ["zero", "rational", "real", "imaginary", "general"])
+def test_embed_equals_the_dot_products_against_the_basis(kind, prec):
+    rng = random.Random(f"embed {kind} {prec}")
+    sizes = [(1, 1), (4000, 1500)] + [(rng.randint(1, 4000), rng.randint(1, 1500))
+                                      for _ in range(10)]
+    for bits, den_bits in sizes:
+        x = _embed_elem(rng, kind, bits, den_bits)
+        b = embed(x, prec)
+        assert (b.re_n, b.im_n, b.rad_n, b.den) == _dot_embed(x, prec)
+        if kind in ("zero", "rational", "real"):
+            assert b.im_n == 0
+        if kind in ("zero", "imaginary"):
+            assert b.re_n == 0
+
+
+def test_decimal_from_the_cached_powers_matches_the_direct_truncation():
+    rng = random.Random(30)
+    balls._powers.cache_clear()
+    for digits in (0, 1, 30, 608, 4300, 30):
+        for k in (0, rng.randint(0, digits), digits, digits + rng.randint(1, 2000)):
+            n = rng.randint(-2 ** 4000, 2 ** 4000)
+            den = (2 * rng.getrandbits(2000) + 1) << k
+            assert balls._dec(n, den, digits) == _direct_dec(n, den, digits)
+    # 30 is read back from the cache
+    assert balls._powers.cache_info()[:2] == (19, 5)
 
 
 def test_embed_takes_no_gcd_and_builds_no_fraction():

@@ -193,6 +193,11 @@ GOLDEN = [
     # evaluate's exact entries at a point with literals of about 130 bits
     (["emit", "genus4", *TALL_POINT, "--format", "exact-json"], 0,
      "0e6167b7bb2e56859a815b1bdbf9d20085a31a03d1ce40e449a59204fe73c0ea"),
+    # their decimals at 2,048 bits: each embed multiplies 2,056-bit basis
+    # constants by numerators of up to 265 bits
+    (["emit", "genus4", *TALL_POINT, "--format", "decimal", "--prec", "2048",
+      "--digits", "608"], 0,
+     "508f0b0e3744aea27fcc41442555a0e57766944f7cc3c7145e297070b1e01376"),
     (["emit", "prym", "--special", "--format", "decimal", "--prec", "300"], 0,
      "d2884929566d4e8b89b8affd41bb2ef70d13d990d1011c2c1f44da2a7ba35135"),
     (["verify", "--strict", "--json"], 1,
