@@ -16,7 +16,7 @@ import click
 from . import covers, intlat, pel, periods, stcurve, suite
 from .exactfield import (IUNIT, RHO, ROOT4_3, SQRT3, ZETA, TowerElem, embed,
                          real_sign)
-from .report import dumps_json
+from .report import dumps_json, excerpt
 
 
 # -- tower literals --------------------------------------------------------
@@ -77,7 +77,7 @@ def _tokenize(text):
         m = _TOKEN.match(text, pos)
         if not m:
             if text[pos:].strip():
-                raise LiteralError(f"cannot read {text[pos:]!r}")
+                raise LiteralError(f"cannot read {excerpt(text[pos:])!r}")
             break
         out.append(m.group(1))
         pos = m.end()
@@ -105,7 +105,7 @@ class _Parser:
     def take(self, want=None):
         tok = self.peek()
         if tok is None or (want is not None and tok != want):
-            raise LiteralError(f"expected {want or 'a token'}, got {tok!r}")
+            raise LiteralError(f"expected {want or 'a token'}, got {tok and excerpt(tok)!r}")
         self.pos += 1
         return tok
 
@@ -148,7 +148,7 @@ class _Parser:
                 sign = -1
             tok = self.take()
             if not tok.isdigit():
-                raise LiteralError(f"exponent must be an integer, got {tok!r}")
+                raise LiteralError(f"exponent must be an integer, got {excerpt(tok)!r}")
             n = int(tok) if len(tok) <= 100 else MAX_EXPONENT + 1
             if n > MAX_EXPONENT:
                 raise LiteralError(f"exponent {'-' if sign < 0 else ''}"
@@ -183,12 +183,12 @@ class _Parser:
                 return TowerElem.coerce(Fraction(tok))
             except ValueError as exc:   # past Python's digit limit
                 raise LiteralError(f"number too long: {exc}") from exc
-        raise LiteralError(f"unexpected token {tok!r}")
+        raise LiteralError(f"unexpected token {excerpt(tok)!r}")
 
     def parse(self):
         node = self.expr()
         if self.peek() is not None:
-            raise LiteralError(f"trailing input at {self.peek()!r}")
+            raise LiteralError(f"trailing input at {excerpt(self.peek())!r}")
         return node
 
 
@@ -215,7 +215,7 @@ def _parse_or_usage(text, what):
     try:
         return parse_tower(text)
     except (LiteralError, ZeroDivisionError, ValueError) as exc:
-        raise click.UsageError(f"bad {what} literal {text!r}: {exc}")
+        raise click.UsageError(f"bad {what} literal {excerpt(text)!r}: {exc}")
 
 
 # -- output helpers --------------------------------------------------------
@@ -277,7 +277,7 @@ def _read_source(matrix, path):
             with open(path) as fh:
                 matrix = fh.read(MAX_JSON_TEXT + 1)
         except OSError as exc:
-            raise click.UsageError(f"cannot read {path}: {exc}")
+            raise click.UsageError(f"cannot read {excerpt(path)}: {exc.strerror or exc}")
     if len(matrix) > MAX_JSON_TEXT:
         raise click.UsageError(f"matrix JSON is longer than {MAX_JSON_TEXT} characters")
     return matrix
@@ -362,7 +362,7 @@ def verify(prec, everything, only, strict, as_json):
     if only is not None and not rep.checks:
         known = sorted({t for _, t in suite.check_tags()}
                        | {c for c, _ in suite.check_tags()})
-        raise click.UsageError(f"nothing matches --only {only!r}; "
+        raise click.UsageError(f"nothing matches --only {excerpt(only)!r}; "
                                f"known: {', '.join(known)}")
     click.echo(rep.dumps() if as_json else rep.render())
     sys.exit(rep.exit_code())
@@ -476,17 +476,17 @@ def riemann_check(matrix, path, assignments, prec):
     point = {}
     for item in assignments:
         if "=" not in item:
-            raise click.UsageError(f"--at needs NAME=LITERAL, got {item!r}")
+            raise click.UsageError(f"--at needs NAME=LITERAL, got {excerpt(item)!r}")
         name, text = item.split("=", 1)
         key = name.strip()
         if key in point or key not in pm.params:
             why = "given twice" if key in point else "not a parameter"
-            raise click.UsageError(f"--at {key} is {why}; the matrix "
-                                   f"declares {list(pm.params)}")
-        point[key] = _parse_or_usage(text, f"--at {name}")
+            raise click.UsageError(f"--at {excerpt(key)} is {why}; the matrix "
+                                   f"declares {excerpt(str(list(pm.params)))}")
+        point[key] = _parse_or_usage(text, f"--at {excerpt(name)}")
     missing = sorted(set(pm.params) - set(point))
     if missing:
-        raise click.UsageError(f"missing --at values for {missing}")
+        raise click.UsageError(f"missing --at values for {excerpt(str(missing))}")
     coords = [x for M in pm.coeffs for row in M for x in row]
     values = [point[p] for p in pm.params]
     for what, xs, limit in (("matrix", coords, MAX_RIEMANN_MATRIX_BITS),

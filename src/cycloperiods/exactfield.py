@@ -20,8 +20,10 @@ alpha^2 = 2z - z^3 (_convolve); a rational operand only scales the
 numerators, and two real ones, (s + t sqrt3) + (p + q sqrt3) alpha with
 n2 = n6 = 0, n1 = -2 n3 and n5 = -2 n7, take the formula restricted to
 Q(alpha): 16 integer products, not 64, written back in the same 8
-coordinates.  Every
-sum of products is one `dot` with delayed reduction (as in ANTIC and
+coordinates.  So does a norm, y = +-conj(x) for x with an alpha part:
++-x conj(x) = +-(u^2 + v^2) for the real u = (x + conj x)/2 and
+v = (x - conj x)/2i, about 20 integer products (H. Cohen, GTM 138, 4.3).
+Every sum of products is one `dot` with delayed reduction (as in ANTIC and
 FFLAS-FFPACK): the products are added in integer coordinates over one
 running denominator (a merge over lcm(d, e) forms its two cofactors
 once) and, unless the caller reads it once and drops it, reduced by one
@@ -96,7 +98,7 @@ def _make(n, d):
 
 def _convolve(xn, yn):
     """Coordinates of xn * yn for numerators xn, yn: a scaling if one is
-    rational, else the Phi12 convolutions, restricted to Q(alpha) if both are real."""
+    rational, else the Phi12 convolutions, restricted to Q(alpha) for reals or a norm."""
     x0, x1, x2, x3, x4, x5, x6, x7 = xn
     y0, y1, y2, y3, y4, y5, y6, y7 = yn
     if not (x1 or x2 or x3 or x4 or x5 or x6 or x7):
@@ -110,6 +112,19 @@ def _convolve(xn, yn):
         a3 = x0 * y7 + x7 * y0 + x3 * y4 + x4 * y3
         return (x0 * y0 + 3 * (x3 * y3 - x4 * y7 - x7 * y4), -2 * c3, 0, c3,
                 x0 * y4 + x4 * y0 + 3 * (x3 * y7 + x7 * y3), -2 * a3, 0, a3)
+    if (x5 or x4 or x6 or x7) and (k := (
+            y5 == x5 and y4 == x4 + x6 and y1 == x1 and y2 == -x2 and y6 == -x6
+            and y0 == x0 + x2 and y3 == -x1 - x3 and y7 == -x5 - x7) - (
+            y5 == -x5 and y4 == -x4 - x6 and y1 == -x1 and y2 == x2 and y6 == x6
+            and y0 == -x0 - x2 and y3 == x1 + x3 and y7 == x5 + x7)):
+        # y = k conj(x), k = +-1: x y = k (u^2 + v^2) for 2u = p + x1 sqrt3 +
+        # (r + x5 sqrt3) alpha and 2v = P + x2 sqrt3 + (R + x6 sqrt3) alpha
+        p, r, P, R = 2 * x0 + x2, 2 * x4 + x6, x1 + 2 * x3, x5 + 2 * x7
+        s = k * (p * p + P * P + 3 * (x1 * x1 + x2 * x2) + 6 * (r * x5 + R * x6) >> 2)
+        t = k * (2 * (p * x1 + P * x2) + r * r + R * R + 3 * (x5 * x5 + x6 * x6) >> 1)
+        a = k * (p * r + P * R + 3 * (x1 * x5 + x2 * x6) >> 1)
+        b = k * (p * x5 + x1 * r + P * x6 + x2 * R)
+        return (s, t, 0, -t >> 1, a, b, 0, -b >> 1)
     r4 = x1 * y3 + x2 * y2 + x3 * y1
     r5 = x2 * y3 + x3 * y2
     c0 = x0 * y0 - r4 - x3 * y3
@@ -205,7 +220,8 @@ class TowerElem:
 
     def to_json(self):
         d = self.d
-        out = [[v, d] if (g := gcd(v, d)) == 1 else [v // g, d // g] for v in self.n]
+        out = [[0, 1] if not v else [v, d] if (g := gcd(v, d)) == 1 else [v // g, d // g]
+               for v in self.n]
         return {"c": out[:4], "a": out[4:]}
 
     # -- ring structure ----------------------------------------------
@@ -323,9 +339,9 @@ class TowerElem:
 
     def __repr__(self):
         parts = []
-        for k, v in enumerate(self.c + self.a):
-            if v:
-                unit = ("", "z", "z^2", "z^3")[k % 4]
+        for k, n in enumerate(self.n):
+            if n:
+                v, unit = Fraction(n, self.d), ("", "z", "z^2", "z^3")[k % 4]
                 term = str(v) if not unit else unit if v == 1 else f"{v}*{unit}"
                 parts.append(term + ("*alpha" if k >= 4 else ""))
         return " + ".join(parts) or "0"

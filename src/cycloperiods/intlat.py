@@ -25,6 +25,7 @@ from functools import lru_cache
 from itertools import chain
 
 from .exactfield import TowerElem, dot
+from .report import excerpt
 
 
 # -- plain matrix helpers ----------------------------------------------
@@ -118,7 +119,7 @@ def _json_entry(x):
     if (type(x) is list and len(x) == 2 and all(type(v) is int for v in x)
             and x[1] != 0):
         return Fraction(x[0], x[1])
-    raise ValueError(f"matrix entries must be ints or [n,d]: {x!r}")
+    raise ValueError(f"matrix entries must be ints or [n,d]: {excerpt(repr(x))}")
 
 
 def rows_from_json(data):

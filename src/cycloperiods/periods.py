@@ -13,7 +13,8 @@ entries, positivity_gram's weights and entries, and leading_minors'
 expansion sums and block products.  Their readers (to_json, embed,
 real_sign, ==, zero tests) see the value only.  In JSON each entry is
 {"const": c, name: coefficient, ...}, with only the nonzero coefficients
-listed.
+listed.  The zero pattern is the family's: each entry's nonzero (k, C_k[i][j])
+are kept on the PeriodMatrix, so a substitution walks only nonzero terms.
 
 Both Riemann relations are quadratic in the parameters (t_0 = 1 for the
 constant), so they are decided from constant products of X_a = P_a E^-1
@@ -23,8 +24,9 @@ P E^-1 P^T = 0 holds identically when each coefficient C_ab of t_a t_b
 (M_aa, or M_ab + M_ba if a < b) is 0; C_ab is antisymmetric as E^-1 is,
 and only its entries i < j are formed.
 The Hermitian form of the second relation at a point is, up to sign,
-i sum_ab t_a conj(t_b) K_ab, K_ab = X_a conj(P_b)^T (of K_aa only i <= j,
-and a vanishing K_ab is skipped); real_sign settles the exact signs of
+i sum_ab t_a conj(t_b) K_ab, K_ab = X_a conj(P_b)^T, kept as the nonzero
+terms it adds to H_ij, i <= j: K_ab[i][j], and conj(K_ab[j][i]) if a != b
+(a vanishing K_ab adds none); real_sign settles the exact signs of
 its leading minors (one zero-skipping expansion that factors out each
 closed leading block, such as the Z/6 character blocks), and a precision
 only sizes the ranges printed next to the verdict.  An intertwining
@@ -37,6 +39,7 @@ from bisect import bisect
 
 from . import intlat
 from .exactfield import TowerElem, ZERO, ONE, IUNIT, dot, embed, real_sign, zeta_power
+from .report import excerpt
 
 
 # -- matrices over the tower ----------------------------------------------
@@ -85,12 +88,12 @@ class PeriodMatrix:
     fixed up front so that serialization and evaluation are unambiguous.
     """
 
-    __slots__ = ("g", "params", "coeffs", "polarization", "_products")
+    __slots__ = ("g", "params", "coeffs", "polarization", "_terms", "_products")
 
     def __init__(self, g, params, coeffs, polarization):
         params = tuple(str(p) for p in params)
         if len(set(params)) != len(params):
-            raise ValueError(f"repeated parameter names in {list(params)}")
+            raise ValueError(f"repeated parameter names in {excerpt(str(list(params)))}")
         if len(coeffs) != 1 + len(params):
             raise ValueError(f"need {1 + len(params)} coefficient matrices")
         if any(len(C) != g or any(len(row) != 2 * g for row in C) for C in coeffs):
@@ -106,6 +109,7 @@ class PeriodMatrix:
             tuple(tuple(TowerElem.coerce(x) for x in row) for row in C)
             for C in coeffs))
         object.__setattr__(self, "polarization", pol)
+        object.__setattr__(self, "_terms", None)    # see _substitute
         object.__setattr__(self, "_products", {})   # see _product
 
     def __setattr__(self, name, value):
@@ -114,12 +118,15 @@ class PeriodMatrix:
     def _substitute(self, assignment, reduce=True):
         """P_0 + sum t_k P_k over the assigned t_k, one dot per entry, and
         the unassigned (name, P_k)."""
-        named = list(zip(self.params, self.coeffs[1:]))
-        used = [(C, TowerElem.coerce(assignment[p])) for p, C in named if p in assignment]
-        kept = [(p, C) for p, C in named if p not in assignment]
-        out = [[dot(([(x, 1)] if x else []) + [(C[i][j], t) for C, t in used if C[i][j]],
-                    reduce) for j, x in enumerate(row)]
-               for i, row in enumerate(self.coeffs[0])]
+        if self._terms is None:     # entry (i, j): its nonzero (k, C_k[i][j]), found once
+            object.__setattr__(self, "_terms", [
+                [[(k, x) for k, x in enumerate(xs) if x] for xs in zip(*row)]
+                for row in zip(*self.coeffs)])
+        t = [1] + [TowerElem.coerce(assignment[p]) if p in assignment else None
+                   for p in self.params]
+        kept = [(p, C) for p, C in zip(self.params, self.coeffs[1:]) if p not in assignment]
+        out = [[dot([(x, t[k]) for k, x in terms if t[k] is not None], reduce)
+                for terms in row] for row in self._terms]
         return out, kept
 
     def subs(self, assignment):
@@ -172,7 +179,7 @@ class PeriodMatrix:
                 if p is not None and x}
         if not used <= set(params):
             raise ValueError(f"entries use undeclared parameters "
-                             f"{sorted(used - set(params))}")
+                             f"{excerpt(str(sorted(used - set(params))))}")
         pm = cls(g, params, [[[e.get(p, ZERO) for e in row] for row in entries]
                              for p in [None, *params]], pol)
         if bound:       # a caller's limits, before the one step that outgrows the input
@@ -201,7 +208,9 @@ def _product(pm, a, b, conj):
     """K_ab = X_a conj(P_b)^T if conj, else the coefficient C_ab of t_a t_b
     in P E^{-1} P^T, cached on pm with X_a = P_a E^{-1}.  Each entry formed
     is one dot: C_ab's entries i < j (negated below, see the module
-    docstring) and K_ab's, of K_aa only i <= j (None below)."""
+    docstring) and K_ab's, of K_aa only i <= j, kept as the list of nonzero
+    (i, j, m, x) that positivity_gram adds to H_ij with weight w_ab
+    (m = 0, x = K_ab[i][j]) or conj(w_ab) (m = 1, x = conj(K_ab[j][i]))."""
     cache, g = pm._products, pm.g
     key = ("gram" if conj else "relation", a, b)
     if key not in cache:
@@ -219,6 +228,9 @@ def _product(pm, a, b, conj):
                 elif not conj and i < j:
                     C[i][j] = dot(pairs(i, j) + (pairs(j, i, -1) if a != b else []))
                     C[j][i] = -C[i][j]
+        if conj:
+            C = [(i, j, m, x.conjugate() if m else x) for i in range(g) for j in range(i, g)
+                 for m, x in ((0, C[i][j]), (1, a != b and C[j][i])) if x]
         cache[key] = C
     return cache[key]
 
@@ -257,24 +269,19 @@ def positivity_gram(pm, point, sign=1):
     t = [ONE] + [TowerElem.coerce(point[p]) if p in point else ZERO
                  for p in pm.params]
     pm._refuse_missing(point)
-    unit = IUNIT if sign == 1 else -IUNIT
-    g = pm.g
+    unit, tc, g = IUNIT if sign == 1 else -IUNIT, [x.conjugate() for x in t], pm.g
     terms = [[[] for _ in range(g)] for _ in range(g)]     # entries i <= j
     for a, ta in enumerate(t):
         ita = None                      # sign * i * t_a, formed once per a
         for b in range(a, len(t)):
-            if not (ta and t[b] and any(map(any, K := _product(pm, a, b, True)))):
+            if not (ta and t[b] and (K := _product(pm, a, b, True))):
                 continue                # a zero weight or a vanishing K_ab
             if ita is None:
                 ita = dot([(unit, ta)], reduce=False)
-            w = dot([(ita, t[b].conjugate())], reduce=False)
-            wc = w.conjugate()                  # conj(w K) = conj(w) conj(K)
-            for i in range(g):
-                for j in range(i, g):
-                    if K[i][j]:
-                        terms[i][j].append((w, K[i][j]))
-                    if a != b and K[j][i]:
-                        terms[i][j].append((wc, K[j][i].conjugate()))
+            w = dot([(ita, tc[b])], reduce=False)
+            ws = (w, w.conjugate())             # conj(w K) = conj(w) conj(K)
+            for i, j, m, x in K:
+                terms[i][j].append((ws[m], x))
     H = [[dot(terms[i][j], reduce=False) if i <= j else None for j in range(g)]
          for i in range(g)]
     for i in range(g):

@@ -13,6 +13,12 @@ from math import isfinite
 VERDICTS = ("pass", "fail", "inconclusive")
 
 
+def excerpt(text):
+    """text, or past 60 characters its first 60 and its length, so that no
+    error message grows with the input it repeats."""
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text):,} characters)"
+
+
 class Check:
     def __init__(self, id, anchor, verdict, evidence=None):
         if verdict not in VERDICTS:

@@ -642,6 +642,24 @@ def test_tools_riemann_check_refuses_a_repeated_or_undeclared_name(runner, tmp_p
         assert "Traceback" not in _text(result)
 
 
+def test_a_long_input_is_echoed_as_its_start_and_length(runner, tmp_path):
+    path = tmp_path / "pm.json"
+    path.write_text(json.dumps(stcurve.GENUS4.to_json()))
+    long = "x" * 100_000
+    for args in (["emit", "genus4", "--tau", long],
+                 ["emit", "genus4", "--tau", "1+" + long],
+                 ["emit", "genus4", "--tau", "1 $" + long],
+                 ["emit", "genus4", "--tau", "2^1." + "5" * 100_000],
+                 ["verify", "--only", long],
+                 ["tools", "riemann-check", "--file", str(path), "--at", long],
+                 ["tools", "riemann-check", "--file", str(path), "--at", long + "=1"],
+                 ["tools", "riemann-check", "--file", str(path), "--at", "tau=" + long],
+                 ["tools", "snf", "--matrix", json.dumps([[1, [long]]])]):
+        result = runner.invoke(cli.main, args)
+        assert result.exit_code == 2, args
+        assert len(_text(result)) < 1024 and "characters)" in _text(result), args
+
+
 def test_tools_riemann_check_is_exact_near_the_real_axis(runner, tmp_path):
     path = tmp_path / "pm.json"
     path.write_text(json.dumps(stcurve.GENUS4.to_json()))

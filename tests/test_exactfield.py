@@ -578,6 +578,32 @@ def test_positivity_evidence_at_seeded_family_points_is_frozen():
     assert hashlib.sha256(text).hexdigest() == POSITIVITY_DIGEST
 
 
+# the same at the points of
+# test_positivity_evidence_at_seeded_alpha_points_is_frozen, recorded before
+# a norm x conj(x) had its own branch in the product
+ALPHA_POSITIVITY_DIGEST = "ba84c7b84ed2248b5ad7fe5f97ac17463e80d02eef6bc4e644f007f391e0e621"
+
+
+def test_positivity_evidence_at_seeded_alpha_points_is_frozen():
+    """Points whose coordinates have alpha parts, up to 1,024 bits: the 2 x 2
+    minor of H's character block multiplies -h32 by h23 = conj(h32)."""
+    pm = suite.SuiteContext(128).genus4_family
+    rng = random.Random(31)
+    out = []
+    for bits, prec in [(8, 64), (128, 128), (1024, 512), (1024, 2048)] * 2:
+        point = _tall_family_point(rng, bits)
+        for name in point:          # alpha zeta^k c with |c| <= 1/20
+            c = Fraction(rng.randint(-2 ** bits, 2 ** bits), 20 << bits)
+            point[name] += c * ROOT4_3 * zeta_power(rng.randrange(12))
+        if rng.randrange(3) == 0:   # |z1|^2 + |z2|^2 > 1: not positive
+            point["z1"] += Fraction(3, 4)
+            point["z2"] += Fraction(3, 4) * IUNIT
+        out.append(periods.riemann_positivity(pm, point, prec, stcurve.POSITIVITY_SIGN))
+    assert {verdict for verdict, _ in out} == {"positive", "not-positive"}
+    text = json.dumps(out).encode()
+    assert hashlib.sha256(text).hexdigest() == ALPHA_POSITIVITY_DIGEST
+
+
 @_needs_sympy
 @settings(max_examples=100, deadline=None)
 @given(_wide, _wide, _wide_rat)
@@ -1162,6 +1188,51 @@ def test_near_real_and_mixed_operands_take_the_general_path():
         for x, y in ((near, real), (near, _near_real_elem(rng, bits)),
                      (real, full(bits)), (real, real * IUNIT)):
             _assert_product(x, y)
+
+
+# -- the norm x conj(x), drawn from a seeded random.Random ----------------
+
+_NORM_BITS = (1, 2, 8, 64, 512, 3000)
+
+
+def _elem_of_kind(rng, kind, bits):
+    """A seeded element: with an alpha part ("full"), in Q(zeta12)
+    ("alpha-free"), in Q ("rational") or in Q(alpha) ("real")."""
+    if kind == "real":
+        return _real_elem(rng, bits)
+    c = [_rat(rng, bits) for _ in range(1 if kind == "rational" else 4)]
+    a = [_rat(rng, bits) or Fraction(1, 7) for _ in range(4)] if kind == "full" else []
+    return TowerElem(c, a)
+
+
+def test_norms_match_the_general_convolution_and_sympy():
+    rng = random.Random(31)
+    for kind in ("full", "alpha-free", "rational", "real"):
+        for bits in _NORM_BITS:
+            for _ in range(3):
+                x = _elem_of_kind(rng, kind, bits)
+                for y in (x.conjugate(), -x.conjugate()):
+                    _assert_product(x, y)
+                    _assert_product(y, x)
+                    assert (x * y).is_real()
+
+
+def test_a_pair_one_coordinate_off_a_norm_takes_the_general_path():
+    """Integral operands, so that y's numerators are its coordinates: y
+    differs from +-conj(x) in coordinate k alone, and a norm test that skips
+    coordinate k would return +-x conj(x), not x y."""
+    rng = random.Random(8)
+    for bits in _NORM_BITS:
+        draw = lambda: [rng.randint(-2 ** bits, 2 ** bits) for _ in range(4)]
+        x = TowerElem(draw(), [v or 1 for v in draw()])
+        for sign in (1, -1):
+            near = [sign * v for v in x.conjugate().n]
+            for k in range(8):
+                off = list(near)
+                off[k] += rng.choice([-1, 1]) * rng.randint(1, 2 ** bits)
+                y = TowerElem(off[:4], off[4:])
+                _assert_product(x, y)
+                assert x * y != sign * x * x.conjugate()
 
 
 def test_dot_of_real_pairs_over_mixed_denominators():

@@ -154,12 +154,16 @@ def _tall_family(g, bits):
 DEEP = "<100,000 [>"
 # a file of one flat list of 10^7 zeros, 20 MB, past cli.MAX_JSON_TEXT
 ZEROS = "<10^7 zeros>"
+# a 4.17 MB file under cli.MAX_JSON_TEXT: a 1 x 1 matrix whose one entry is
+# a list of 1,390,000 ints, malformed
+MALFORMED = "<1 x 1 matrix with a 4 MB malformed entry>"
 
 # each placeholder stands for a file holding the JSON its function builds,
 # or the text it returns
 FILES = {
     DEEP: lambda: "[" * 100_000,
     ZEROS: lambda: "[" + ",".join("0" * 10 ** 7) + "]",
+    MALFORMED: lambda: "[[[" + ",".join(["10"] * 1_390_000) + "]]]",
     FAMILY: _family,
     "<fixed 8 x 8 matrix>": lambda: SNF_8,
     "<6 x 6 Prym form>": _prym_form,
@@ -346,3 +350,11 @@ def test_hostile_input_finishes_within_budget(args, code, tmp_path):
     assert proc.returncode == code, proc.stderr.decode()
     assert b"Traceback" not in proc.stderr
     assert elapsed < HOSTILE_BUDGET_S
+
+
+def test_a_refusal_repeats_only_the_start_of_its_input(tmp_path):
+    """The malformed entry is echoed as its first characters and its length:
+    the whole entry made a 4.17 MB error message."""
+    proc = _run(_materialize(["tools", "snf", "--file", MALFORMED], tmp_path))
+    assert proc.returncode == 2
+    assert len(proc.stderr) < 1024 and b"characters)" in proc.stderr
